@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import derived, geometry, measure, numeral_system, sets
 from .errors import GrossoneError, NotExpressible, ParseError
 from .gnum import (
-    GROSSONE,
     GrossNumber,
     Sign,
     classify,
@@ -264,18 +263,12 @@ def run_command(args) -> int:
     renderer = _Renderer(ascii_mode=args.ascii)
     try:
         result, lines = args.handler(args, renderer)
-    except ParseError as exc:
-        if args.output_format == "json":
-            _emit_json(_error_payload(exc))
-        else:
-            sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 2
     except GrossoneError as exc:
         if args.output_format == "json":
             _emit_json(_error_payload(exc))
         else:
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     if args.output_format == "json":
         _emit_json({"result": result})
     else:

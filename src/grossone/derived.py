@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BelowRange, BoundExceeded, NotFinite, ParseError
+from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite, ParseError
 from .gnum import GrossNumber, Sign, classify, finite, format_numeral, parse_numeral
 
 __all__ = [
@@ -51,7 +51,7 @@ class Pow(MonotoneFn):
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("exponent must be at least 2")
+            raise InvalidArgument("exponent must be at least 2")
 
     def evaluate(self, x: GrossNumber) -> GrossNumber:
         return x**self.k
@@ -70,7 +70,7 @@ class ExpBase(MonotoneFn):
 
     def __post_init__(self):
         if self.b < 2:
-            raise ValueError("base must be at least 2")
+            raise InvalidArgument("base must be at least 2")
 
     def evaluate(self, x: GrossNumber) -> GrossNumber | None:
         kind = classify(x)
@@ -93,7 +93,7 @@ class Affine(MonotoneFn):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "c", Fraction(self.c))
         if self.a <= 0:
-            raise ValueError("slope must be positive")
+            raise InvalidArgument("slope must be positive")
 
     def evaluate(self, x: GrossNumber) -> GrossNumber:
         return x * self.a + self.c
@@ -132,10 +132,10 @@ def define_by_inverse(g: MonotoneFn, kappa: GrossNumber | int) -> DefinedNumeral
     kappa = kappa if isinstance(kappa, GrossNumber) else finite(kappa)
     kind = classify(kappa)
     if not kind.is_integer:
-        raise ValueError(f"kappa must be a gross-integer, got {kappa}")
+        raise InvalidArgument(f"kappa must be a gross-integer, got {kappa}")
     g1 = g.evaluate(finite(1))
     if g1 is None:
-        raise ValueError("g must be evaluable at 1")
+        raise InvalidArgument("g must be evaluable at 1")
     if kappa < g1:
         raise BelowRange(f"kappa {kappa} is below g(1) = {g1}; no positive x qualifies")
     return DefinedNumeral(g=g, kappa=kappa)
@@ -197,7 +197,7 @@ class DefinitionSession:
 
     def __init__(self, max_definitions: int = 1000):
         if max_definitions < 1:
-            raise ValueError("max_definitions must be at least 1")
+            raise InvalidArgument("max_definitions must be at least 1")
         self.max_definitions = max_definitions
         self._defined: list[DefinedNumeral] = []
 

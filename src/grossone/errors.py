@@ -19,6 +19,15 @@ class ParseError(GrossoneError, ValueError):
         super().__init__(f"{message} at position {position} in {text!r}")
 
 
+class InvalidArgument(GrossoneError, ValueError):
+    """A value outside the domain an operation accepts.
+
+    Examples are a reversed coordinate range, a non-integer threshold, a
+    function parameter below its minimum, or a numeral too long to write
+    out in decimal.
+    """
+
+
 class DivideByZero(GrossoneError, ZeroDivisionError):
     """Division by the zero gross-number."""
 

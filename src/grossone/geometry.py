@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvalidArgument
 from .gnum import GROSSONE, GrossNumber, Sign, cmp, finite
 
 __all__ = [
@@ -58,7 +59,7 @@ class RealInterval:
         object.__setattr__(self, "lo", _as_gross(self.lo))
         object.__setattr__(self, "hi", _as_gross(self.hi))
         if cmp(self.lo, self.hi) == Sign.POSITIVE:
-            raise ValueError(f"interval [{self.lo}, {self.hi}] is reversed")
+            raise InvalidArgument(f"interval [{self.lo}, {self.hi}] is reversed")
 
     def length(self) -> GrossNumber:
         return self.hi - self.lo
@@ -164,7 +165,7 @@ class ClassicalInterval:
 
     def __post_init__(self):
         if not _classical_le(self.lo, self.hi):
-            raise ValueError(f"interval [{self.lo}, {self.hi}] is reversed")
+            raise InvalidArgument(f"interval [{self.lo}, {self.hi}] is reversed")
 
     def __str__(self) -> str:
         return f"[{self.lo}..{self.hi}]"

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivideByZero, NotExact, ParseError
+from .errors import DivideByZero, InvalidArgument, NotExact, ParseError
 
 __all__ = [
     "GrossNumber",
@@ -174,7 +174,7 @@ class GrossNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GrossNumber.from_terms(self.terms + other.terms)
+        return _merge(self.terms, other.terms, 1)
 
     __radd__ = __add__
 
@@ -185,13 +185,13 @@ class GrossNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _merge(self.terms, other.terms, -1)
 
     def __rsub__(self, other) -> "GrossNumber":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _merge(other.terms, self.terms, -1)
 
     def __mul__(self, other) -> "GrossNumber":
         other = _coerce(other)
@@ -231,7 +231,7 @@ class GrossNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign()
+        return _compare_terms(self.terms, other.terms)
 
     def __lt__(self, other):
         s = self._compare(other)
@@ -270,6 +270,49 @@ class GrossNumber:
 
     def __repr__(self) -> str:
         return f"GrossNumber({format_numeral(self)!r})"
+
+
+def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
+    """Canonical ``a + sign * b`` from one pass over two descending term tuples."""
+    out: list[Term] = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea > eb:
+            out.append(a[i])
+            i += 1
+        elif ea < eb:
+            out.append(b[j] if sign == 1 else (eb, -cb))
+            j += 1
+        else:
+            c = ca + cb if sign == 1 else ca - cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:] if sign == 1 else ((e, -c) for e, c in b[j:]))
+    return GrossNumber(tuple(out))
+
+
+def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> Sign:
+    """Sign of ``a - b``: the first term where the descending tuples differ decides."""
+    for (ea, ca), (eb, cb) in zip(a, b):
+        if ea != eb:
+            # The larger exponent dominates; its coefficient's sign (negated
+            # when it belongs to b) is the sign of the difference.
+            if ea > eb:
+                return Sign.POSITIVE if ca > 0 else Sign.NEGATIVE
+            return Sign.NEGATIVE if cb > 0 else Sign.POSITIVE
+        if ca != cb:
+            return Sign.POSITIVE if ca > cb else Sign.NEGATIVE
+    if len(a) > len(b):
+        return Sign.POSITIVE if a[len(b)][1] > 0 else Sign.NEGATIVE
+    if len(a) < len(b):
+        return Sign.NEGATIVE if b[len(a)][1] > 0 else Sign.POSITIVE
+    return Sign.ZERO
 
 
 def _coerce(value) -> GrossNumber:
@@ -362,9 +405,11 @@ def cmp(x: GrossNumber, y: GrossNumber) -> Sign:
     """Sign of x - y, decided by the leading coefficient of the difference.
 
     Sound because coefficients are finite rationals and ① dominates every
-    finite value, so the highest-exponent term always wins.
+    finite value, so the highest-exponent term always wins.  The leading
+    term of x - y is the first place the two canonical term tuples differ,
+    so one walk over both decides without building the difference.
     """
-    return (_strict(x) - _strict(y)).sign()
+    return _compare_terms(_strict(x).terms, _strict(y).terms)
 
 
 def classify(x: GrossNumber) -> NumberClass:
@@ -432,11 +477,15 @@ def format_numeral(x: GrossNumber, ascii_mode: bool = False) -> str:
     if x.is_zero:
         return "0"
     chunks = []
-    for exponent, coefficient in x.terms:
-        piece = _term_str(exponent, coefficient)
-        if chunks and not piece.startswith("-"):
-            chunks.append("+")
-        chunks.append(piece)
+    try:
+        for exponent, coefficient in x.terms:
+            piece = _term_str(exponent, coefficient)
+            if chunks and not piece.startswith("-"):
+                chunks.append("+")
+            chunks.append(piece)
+    except ValueError:
+        # str() refuses integers past the interpreter's int-to-string limit.
+        raise InvalidArgument("numeral has too many digits to write out") from None
     text = "".join(chunks)
     return text.replace(GROSS_SYMBOL, GROSS_ASCII) if ascii_mode else text
 
@@ -495,14 +544,19 @@ class _Scanner:
         int_part = self.text[start : self.pos]
         # A dot starts a decimal part only when digits follow, so the '..'
         # delimiter of interval syntax never gets swallowed.
+        frac_part = ""
         if self.peek() == "." and self.text[self.pos + 1 : self.pos + 2] in _DIGITS:
             self.pos += 1
             frac_start = self.pos
             while self.peek() in _DIGITS:
                 self.pos += 1
             frac_part = self.text[frac_start : self.pos]
-            return Fraction(int(int_part + frac_part), 10 ** len(frac_part))
-        return Fraction(int(int_part))
+        try:
+            digits = int(int_part + frac_part)
+        except ValueError:
+            # Past the interpreter's int-to-string digit limit.
+            self.fail("number has too many digits", start)
+        return Fraction(digits, 10 ** len(frac_part))
 
     def parse_rational(self) -> Fraction:
         value = self.parse_number()

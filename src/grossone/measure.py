@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     BoundExceeded,
@@ -127,10 +128,24 @@ class Measurement:
             raise InvalidMeasurement(
                 f"piece domains must end at mu={self.mu}, got {self.pieces[-1].domain.hi}"
             )
-        images = make_set(piece.image for piece in self.pieces)
-        if cardinality(images) != self.mu:
-            raise InvalidMeasurement("piece images must be pairwise disjoint")
-        if images != self.target:
+        # The domains tile [1..mu], so the images hold mu elements exactly
+        # when no two of them overlap.  One walk in order of lower endpoint
+        # rejects overlaps and joins adjacent images into the runs that the
+        # canonical target must list part for part.
+        runs: list[list[GrossNumber]] = []
+        for lo, hi in sorted(
+            ((p.domain.lo + p.offset, p.domain.hi + p.offset) for p in self.pieces),
+            key=itemgetter(0),
+        ):
+            if runs and lo <= runs[-1][1]:
+                raise InvalidMeasurement("piece images must be pairwise disjoint")
+            if runs and lo == runs[-1][1] + 1:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        if not isinstance(self.target, IntervalSet) or runs != [
+            [part.lo, part.hi] for part in self.target.parts
+        ]:
             raise InvalidMeasurement("piece images must cover exactly the target")
         if cardinality(self.target) != self.mu:
             raise InvalidMeasurement("mu must equal the element count of the target")
@@ -291,17 +306,32 @@ def _merge_pieces(pieces: list[AffinePiece]) -> tuple[AffinePiece, ...]:
 
 
 def _compose(first, second) -> tuple[AffinePiece, ...]:
-    """Pieces of x -> second(first(x)); first's images must lie in second's domains."""
+    """Pieces of x -> second(first(x)); first's images must lie in second's domains.
+
+    Both sides are pairwise disjoint, so after sorting first by image and
+    second by domain a two-pointer sweep meets every overlapping pair once.
+    """
+    images = sorted(
+        ((p.domain.lo + p.offset, p.domain.hi + p.offset, p) for p in first),
+        key=itemgetter(0),
+    )
+    domains = sorted(second, key=lambda q: q.domain.lo)
     out: list[AffinePiece] = []
-    for p in first:
-        img = p.image
-        for q in second:
-            lo = img.lo if img.lo >= q.domain.lo else q.domain.lo
-            hi = img.hi if img.hi <= q.domain.hi else q.domain.hi
-            if lo <= hi:
-                out.append(
-                    AffinePiece(GrossInterval(lo - p.offset, hi - p.offset), p.offset + q.offset)
-                )
+    i = j = 0
+    while i < len(images) and j < len(domains):
+        img_lo, img_hi, p = images[i]
+        q = domains[j]
+        lo = img_lo if img_lo >= q.domain.lo else q.domain.lo
+        if img_hi <= q.domain.hi:
+            hi = img_hi
+            i += 1
+        else:
+            hi = q.domain.hi
+            j += 1
+        if lo <= hi:
+            out.append(
+                AffinePiece(GrossInterval(lo - p.offset, hi - p.offset), p.offset + q.offset)
+            )
     return _merge_pieces(out)
 
 

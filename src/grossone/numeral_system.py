@@ -42,9 +42,23 @@ __all__ = [
 ]
 
 
+#: floor(log10(2) * 2**32), so that ``k * _LOG10_2 >> 32`` never exceeds k*log10(2).
+_LOG10_2 = 1292913986
+
+
 def _digits10(n: int) -> int:
-    """Base-10 digit count of a nonnegative integer; 0 takes one digit."""
-    return len(str(abs(n)))
+    """Base-10 digit count of an integer, sign ignored; 0 takes one digit.
+
+    Counted from the bit length, because ``str`` refuses integers past the
+    interpreter's int-to-string digit limit.  The estimate from the top
+    bit is the count or one short of it (for any integer that fits in
+    memory), and one power of ten settles which.
+    """
+    n = abs(n)
+    if n < 10:
+        return 1
+    digits = ((n.bit_length() - 1) * _LOG10_2 >> 32) + 1
+    return digits + 1 if n >= 10**digits else digits
 
 
 class NumeralSystem:

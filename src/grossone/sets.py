@@ -10,8 +10,10 @@ infinite like ``[1..①]``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     EmptyIntervalRejected,
@@ -21,7 +23,7 @@ from .errors import (
     NotSubsetOfRange,
     ParseError,
 )
-from .gnum import GROSSONE, ZERO, GrossNumber, classify, finite, parse_numeral_prefix
+from .gnum import GROSSONE, GrossNumber, classify, finite, parse_numeral_prefix
 
 __all__ = [
     "GrossInterval",
@@ -136,9 +138,13 @@ EMPTY = IntervalSet()
 
 def make_set(intervals) -> IntervalSet:
     """Canonical set from any iterable of intervals (overlap allowed)."""
-    pending = sorted(intervals, key=lambda p: (p.lo, p.hi))
+    return _coalesce(sorted(intervals, key=lambda p: (p.lo, p.hi)))
+
+
+def _coalesce(ordered) -> IntervalSet:
+    """Canonical set from intervals sorted by lower endpoint."""
     merged: list[GrossInterval] = []
-    for part in pending:
+    for part in ordered:
         if merged and part.lo <= merged[-1].hi + 1:
             if part.hi > merged[-1].hi:
                 merged[-1] = GrossInterval(merged[-1].lo, part.hi)
@@ -167,46 +173,82 @@ def as_int_pairs(s: IntervalSet) -> list[tuple[int, int]]:
 # ------------------------------------------------------------------ set algebra
 
 
+def _sorted_merge(a: tuple[GrossInterval, ...], b: tuple[GrossInterval, ...]):
+    """Parts of two sorted part tuples, in order of lower endpoint."""
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i].lo <= b[j].lo:
+            yield a[i]
+            i += 1
+        else:
+            yield b[j]
+            j += 1
+    yield from a[i:]
+    yield from b[j:]
+
+
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return make_set(a.parts + b.parts)
+    return _coalesce(_sorted_merge(a.parts, b.parts))
+
+
+def _cut(lo: GrossNumber, part: GrossInterval) -> GrossInterval:
+    """``[lo..part.hi]``, reusing ``part`` when ``lo`` is its own lower endpoint."""
+    return part if lo is part.lo else GrossInterval(lo, part.hi)
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    # Two-pointer sweep: each step retires the part that ends first, so
+    # every overlapping pair is met once.  Overlaps of canonical sets come
+    # out sorted, disjoint and non-adjacent, hence already canonical.
     out: list[GrossInterval] = []
-    for p in a.parts:
-        for q in b.parts:
-            lo = p.lo if p.lo >= q.lo else q.lo
-            hi = p.hi if p.hi <= q.hi else q.hi
-            if lo <= hi:
-                out.append(GrossInterval(lo, hi))
-    return make_set(out)
+    ap, bp = a.parts, b.parts
+    i = j = 0
+    while i < len(ap) and j < len(bp):
+        p, q = ap[i], bp[j]
+        lo = p.lo if p.lo >= q.lo else q.lo
+        if p.hi <= q.hi:
+            first = p
+            i += 1
+        else:
+            first = q
+            j += 1
+        if lo <= first.hi:
+            out.append(_cut(lo, first))
+    return IntervalSet(tuple(out))
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    # Sweep over b alongside a: parts of b that end below the current part
+    # of a can never meet a later one, and the part of b that reaches past
+    # it is kept for the next part of a.
     out: list[GrossInterval] = []
+    bp = b.parts
+    j = 0
     for p in a.parts:
-        segments = [p]
-        for q in b.parts:
-            nxt: list[GrossInterval] = []
-            for seg in segments:
-                if q.hi < seg.lo or q.lo > seg.hi:
-                    nxt.append(seg)
-                    continue
-                if q.lo > seg.lo:
-                    nxt.append(GrossInterval(seg.lo, q.lo - 1))
-                if q.hi < seg.hi:
-                    nxt.append(GrossInterval(q.hi + 1, seg.hi))
-            segments = nxt
-        out.extend(segments)
-    return make_set(out)
+        while j < len(bp) and bp[j].hi < p.lo:
+            j += 1
+        lo = p.lo
+        while j < len(bp) and bp[j].lo <= p.hi:
+            q = bp[j]
+            if q.lo > lo:
+                out.append(GrossInterval(lo, q.lo - 1))
+            if q.hi >= p.hi:
+                break  # q covers the rest of p
+            lo = q.hi + 1
+            j += 1
+        else:
+            out.append(_cut(lo, p))
+    return IntervalSet(tuple(out))
 
 
 def cardinality(s: IntervalSet) -> GrossNumber:
     """Exact element count; ``[1..①]`` has ① elements, not a limit symbol."""
-    total = ZERO
+    # The sum of hi - lo + 1 over the parts, accumulated term by term.
+    terms = [(Fraction(0), Fraction(len(s.parts)))]
     for part in s.parts:
-        total = total + part.count()
-    return total
+        terms.extend(part.hi.terms)
+        terms.extend((e, -c) for e, c in part.lo.terms)
+    return GrossNumber.from_terms(terms)
 
 
 def extrema(s: IntervalSet) -> tuple[GrossNumber, GrossNumber]:
@@ -220,12 +262,8 @@ def contains(s: IntervalSet, value) -> bool:
     x = _coerce_endpoint(value)
     if not classify(x).is_integer:
         return False
-    for part in s.parts:
-        if part.lo <= x <= part.hi:
-            return True
-        if part.lo > x:
-            break
-    return False
+    k = bisect_right(s.parts, x, key=attrgetter("lo")) - 1
+    return k >= 0 and x <= s.parts[k].hi
 
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:

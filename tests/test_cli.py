@@ -318,3 +318,29 @@ class TestPlumbing:
         proc = subprocess.run([path, "cmp", "1", "2"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "negative\n"
+
+
+class TestDomainErrorsKeepTheEnvelope:
+    """Inputs that used to escape as tracebacks end in the documented envelope."""
+
+    @pytest.mark.parametrize(
+        "argv, code, kind",
+        [
+            (("define", "sqrtfloor(1/2)"), 1, "InvalidArgument"),
+            (("define", "logfloor(1,5)"), 1, "InvalidArgument"),
+            (("define", "invfloor(pow 1, 5)"), 1, "InvalidArgument"),
+            (("demo", "halfplane", "--a", "1", "--d", "0", "--b", "-5"), 1, "InvalidArgument"),
+            (("system", "gross:2:5000:1", "max-finite"), 1, "InvalidArgument"),
+            (("system", "gross:2:6:1", "expressible", "9" * 5000), 2, "ParseError"),
+        ],
+    )
+    def test_json_envelope(self, run_json, argv, code, kind):
+        got, payload = run_json(*argv)
+        assert got == code
+        assert payload["error"]["type"] == kind
+
+    def test_text_mode_reports_on_stderr(self, run):
+        code, out, err = run("demo", "halfplane", "--a", "1", "--d", "0", "--b", "-5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: InvalidArgument:")
+        assert "Traceback" not in err
