@@ -8,8 +8,14 @@ form (strictly descending exponents, no zero coefficients, zero is the
 empty sum), which makes equality structural and comparison decidable by
 the sign of the leading coefficient.
 
+Each exponent and coefficient is an exact rational held as a plain ``int``
+when it is integral and as a ``Fraction`` in lowest terms otherwise, so the
+integer-valued sums that counting produces run on native int arithmetic.
+``int`` and ``Fraction`` agree on equality, ordering and hashing, so the
+choice never changes a result.
+
 No floating point is used anywhere; decimal literals are converted to
-exact fractions during parsing.
+exact rationals during parsing.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ __all__ = [
 
 Rational = int | Fraction
 #: One addend of a gross-number: (exponent, coefficient), coefficient != 0.
-Term = tuple[Fraction, Fraction]
+#: Built terms hold each entry as an ``int`` when integral, else a Fraction.
+Term = tuple[Rational, Rational]
 
 GROSS_SYMBOL = "①"  # ①
 GROSS_ASCII = "G1"
@@ -77,12 +84,25 @@ class NumberClass:
     is_infinitesimal: bool
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value: Rational) -> Rational:
+    """``value`` as an ``int`` when integral, else as a ``Fraction``.
+
+    The exact-type tests come first because ``isinstance`` against Fraction
+    goes through the numbers ABC machinery; bool and other subclasses of
+    int or Fraction take the slow path and come out as plain types.
+    """
+    kind = type(value)
+    if kind is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, (int, Fraction)):
+        return _exact(Fraction(value))
+    raise TypeError(f"expected an exact rational, got {kind.__name__}")
+
+
+# Exact types only: bool and float entries are rejected, not converted.
+_EXACT_TYPES = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -102,8 +122,8 @@ class GrossNumber:
             if not (isinstance(item, tuple) and len(item) == 2):
                 raise ValueError(f"malformed term {item!r}")
             exponent, coefficient = item
-            if not isinstance(exponent, Fraction) or not isinstance(coefficient, Fraction):
-                raise ValueError("term entries must be Fractions")
+            if type(exponent) not in _EXACT_TYPES or type(coefficient) not in _EXACT_TYPES:
+                raise ValueError("term entries must be ints or Fractions")
             if coefficient == 0:
                 raise ValueError("zero coefficient in canonical form")
             if prev is not None and exponent >= prev:
@@ -119,10 +139,12 @@ class GrossNumber:
         Like exponents are merged and zero coefficients dropped, so any
         ordering or duplication in the input yields the same value.
         """
-        merged: dict[Fraction, Fraction] = {}
+        merged: dict[Rational, Rational] = {}
         for exponent, coefficient in pairs:
-            e = _as_fraction(exponent)
-            c = merged.get(e, Fraction(0)) + _as_fraction(coefficient)
+            e = _exact(exponent)
+            c = _exact(coefficient)
+            if e in merged:
+                c = _exact(merged[e] + c)
             if c == 0:
                 merged.pop(e, None)
             else:
@@ -148,10 +170,10 @@ class GrossNumber:
         return Sign.POSITIVE if self.terms[0][1] > 0 else Sign.NEGATIVE
 
     def coefficient(self, exponent: Rational) -> Fraction:
-        e = _as_fraction(exponent)
+        e = _exact(exponent)
         for exp, coeff in self.terms:
             if exp == e:
-                return coeff
+                return Fraction(coeff)
         return Fraction(0)
 
     def as_fraction(self) -> Fraction:
@@ -159,7 +181,7 @@ class GrossNumber:
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1 and self.terms[0][0] == 0:
-            return self.terms[0][1]
+            return Fraction(self.terms[0][1])
         raise ValueError(f"{self} is not a plain rational")
 
     def as_int(self) -> int:
@@ -197,11 +219,11 @@ class GrossNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[Fraction, Fraction] = {}
+        acc: dict[Rational, Rational] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+                acc[e] = acc.get(e, 0) + c1 * c2
         return GrossNumber.from_terms(acc.items())
 
     __rmul__ = __mul__
@@ -287,7 +309,7 @@ def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
             out.append(b[j] if sign == 1 else (eb, -cb))
             j += 1
         else:
-            c = ca + cb if sign == 1 else ca - cb
+            c = _exact(ca + cb if sign == 1 else ca - cb)
             if c:
                 out.append((ea, c))
             i += 1
@@ -318,11 +340,11 @@ def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> Sign:
 def _coerce(value) -> GrossNumber:
     if isinstance(value, GrossNumber):
         return value
-    if isinstance(value, (int, Fraction)):
-        if value == 0:
-            return ZERO
-        return GrossNumber(((Fraction(0), _as_fraction(value)),))
-    return NotImplemented
+    try:
+        value = _exact(value)
+    except TypeError:
+        return NotImplemented
+    return GrossNumber(((0, value),)) if value else ZERO
 
 
 def _strict(value) -> GrossNumber:
@@ -339,15 +361,15 @@ def finite(value: Rational) -> GrossNumber:
 
 def gross_term(coefficient: Rational = 1, exponent: Rational = 1) -> GrossNumber:
     """The single term ``coefficient * ①^exponent``."""
-    c = _as_fraction(coefficient)
+    c = _exact(coefficient)
     if c == 0:
         return ZERO
-    return GrossNumber(((_as_fraction(exponent), c),))
+    return GrossNumber(((_exact(exponent), c),))
 
 
 ZERO = GrossNumber()
-ONE = GrossNumber(((Fraction(0), Fraction(1)),))
-GROSSONE = GrossNumber(((Fraction(1), Fraction(1)),))
+ONE = GrossNumber(((0, 1),))
+GROSSONE = GrossNumber(((1, 1),))
 
 
 # -------------------------------------------------------------------- operations
@@ -385,7 +407,7 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         return ZERO
     shift = x.terms[-1][0] - y.terms[-1][0]
     lead_exp, lead_coeff = y.leading()
-    quotient: dict[Fraction, Fraction] = {}
+    quotient: dict[Rational, Rational] = {}
     remainder = x
     # Remainder exponents stay at or above the trailing exponent of x, and
     # each step lowers the leading exponent within a fixed discrete
@@ -394,9 +416,10 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         rem_exp, rem_coeff = remainder.leading()
         if rem_exp - lead_exp < shift:
             raise NotExact(f"{y} does not divide {x}")
-        q_exp = rem_exp - lead_exp
-        q_coeff = rem_coeff / lead_coeff
-        quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_coeff
+        q_exp = _exact(rem_exp - lead_exp)
+        # Fraction(a, b), never a / b: two ints would divide to a float.
+        q_coeff = _exact(Fraction(rem_coeff, lead_coeff))
+        quotient[q_exp] = quotient.get(q_exp, 0) + q_coeff
         remainder = remainder - gross_term(q_coeff, q_exp) * y
     return GrossNumber.from_terms(quotient.items())
 
@@ -441,29 +464,25 @@ def classify(x: GrossNumber) -> NumberClass:
 # -------------------------------------------------------------------- formatting
 
 
-def _rational_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _exponent_str(e: Fraction) -> str:
+def _exponent_str(e: Rational) -> str:
     # Integer exponents print bare (sign included); fractional ones take
     # parentheses so the quotient cannot be misread as part of the sum.
     if e.denominator == 1:
-        return str(e.numerator)
-    return f"({e.numerator}/{e.denominator})"
+        return str(e)
+    return f"({e})"
 
 
-def _term_str(exponent: Fraction, coefficient: Fraction) -> str:
+def _term_str(exponent: Rational, coefficient: Rational) -> str:
+    # str() of an int, or of a Fraction ("n/d"; "n" when integral), is the
+    # numeral grammar's rational form.
     if exponent == 0:
-        return _rational_str(coefficient)
+        return str(coefficient)
     if coefficient == 1:
         head = ""
     elif coefficient == -1:
         head = "-"
     else:
-        head = _rational_str(coefficient)
+        head = str(coefficient)
     base = GROSS_SYMBOL if exponent == 1 else f"{GROSS_SYMBOL}^{_exponent_str(exponent)}"
     return head + base
 
@@ -535,7 +554,7 @@ class _Scanner:
             return -1 if ch in _MINUS_CHARS else 1
         return None
 
-    def parse_number(self) -> Fraction:
+    def parse_number(self) -> Rational:
         start = self.pos
         while self.peek() in _DIGITS:
             self.pos += 1
@@ -556,9 +575,11 @@ class _Scanner:
         except ValueError:
             # Past the interpreter's int-to-string digit limit.
             self.fail("number has too many digits", start)
-        return Fraction(digits, 10 ** len(frac_part))
+        if not frac_part:
+            return digits
+        return _exact(Fraction(digits, 10 ** len(frac_part)))
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> Rational:
         value = self.parse_number()
         if self.peek() == "/":
             if value.denominator != 1:
@@ -570,10 +591,10 @@ class _Scanner:
                 self.fail("fraction parts must be integers", denom_pos)
             if denom == 0:
                 self.fail("zero denominator", denom_pos)
-            return value / denom
+            return _exact(Fraction(value, denom))
         return value
 
-    def parse_exponent(self) -> Fraction:
+    def parse_exponent(self) -> Rational:
         self.skip_ws()
         if self.peek() == "(":
             self.pos += 1
@@ -589,9 +610,9 @@ class _Scanner:
         sign = self.take_sign() or 1
         return sign * self.parse_rational()
 
-    def parse_term(self) -> tuple[Fraction, Fraction]:
+    def parse_term(self) -> Term:
         if self.at_gross():
-            coefficient = Fraction(1)
+            coefficient = 1
         else:
             coefficient = self.parse_rational()
             mark = self.pos
@@ -604,17 +625,17 @@ class _Scanner:
                 if starred:
                     self.fail(f"expected {GROSS_SYMBOL} after '*'")
                 self.pos = mark
-                return Fraction(0), coefficient
+                return 0, coefficient
         self.take_gross()
         if self.peek() == "^":
             self.pos += 1
             exponent = self.parse_exponent()
         else:
-            exponent = Fraction(1)
+            exponent = 1
         return exponent, coefficient
 
     def parse_sum(self) -> GrossNumber:
-        terms: list[tuple[Fraction, Fraction]] = []
+        terms: list[Term] = []
         self.skip_ws()
         sign = self.take_sign() or 1
         self.skip_ws()

@@ -23,9 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
+from sys import get_int_max_str_digits, int_info
 
-from .errors import NoFiniteNumerals, NoInfiniteNumerals, NotExpressible, ParseError
-from .gnum import GrossNumber, classify, finite, gross_term
+from .errors import (
+    InvalidArgument,
+    NoFiniteNumerals,
+    NoInfiniteNumerals,
+    NotExpressible,
+    ParseError,
+)
+from .gnum import GrossNumber, Rational, classify, finite, gross_term
 from .measure import Measurement, canonical_measurement, serialized_numerals
 from .sets import IntervalSet
 
@@ -59,6 +67,15 @@ def _digits10(n: int) -> int:
         return 1
     digits = ((n.bit_length() - 1) * _LOG10_2 >> 32) + 1
     return digits + 1 if n >= 10**digits else digits
+
+
+def _writable_digits() -> int:
+    """Most decimal digits ``str`` writes for an int; the default if the limit is off.
+
+    A numeral past it could not be printed, and building it can take far
+    longer than any answer is worth.  The process-wide limit is only read.
+    """
+    return get_int_max_str_digits() or int_info.default_max_str_digits
 
 
 class NumeralSystem:
@@ -132,7 +149,7 @@ class GrossBudget(NumeralSystem):
     def describe(self) -> str:
         return f"gross:{self.max_terms}:{self.coeff_digits}:{self.exp_digits}"
 
-    def term_fits(self, exponent: Fraction, coefficient: Fraction) -> bool:
+    def term_fits(self, exponent: Rational, coefficient: Rational) -> bool:
         if exponent.denominator != 1:
             return False
         if _digits10(exponent.numerator) > self.exp_digits:
@@ -153,6 +170,13 @@ def expressible(sys: NumeralSystem, x: GrossNumber) -> bool:
     return sys.can_express(x if isinstance(x, GrossNumber) else finite(x))
 
 
+def _largest_coefficient(sys: GrossBudget) -> int:
+    """``10**coeff_digits - 1``, refused before it is built if too long to write."""
+    if sys.coeff_digits > _writable_digits():
+        raise InvalidArgument("numeral has too many digits to write out")
+    return 10**sys.coeff_digits - 1
+
+
 def max_finite(sys: NumeralSystem) -> GrossNumber:
     """The greatest expressible finite positive integer of the system."""
     if isinstance(sys, Piraha):
@@ -162,7 +186,7 @@ def max_finite(sys: NumeralSystem) -> GrossNumber:
     if isinstance(sys, GrossBudget):
         # Finite integers are single exponent-0 terms, so only the
         # coefficient budget matters.
-        return finite(10**sys.coeff_digits - 1)
+        return finite(_largest_coefficient(sys))
     raise NoFiniteNumerals(f"{sys!r} expresses no finite positive integer")
 
 
@@ -177,7 +201,7 @@ def min_infinite(sys: NumeralSystem) -> GrossNumber:
     an integer, so budgets beyond two terms change nothing.
     """
     if isinstance(sys, GrossBudget):
-        largest = 10**sys.coeff_digits - 1
+        largest = _largest_coefficient(sys)
         least = gross_term(Fraction(1, largest), 1)
         if sys.max_terms >= 2:
             least = least - largest
@@ -212,7 +236,14 @@ def parse_system(descriptor: str) -> NumeralSystem:
         if fields == ["piraha"]:
             return Piraha()
         if fields[0] == "finite" and len(fields) == 3:
-            return BoundedFinite(digits=int(fields[1]), base=int(fields[2]))
+            system = BoundedFinite(digits=int(fields[1]), base=int(fields[2]))
+            # base**digits - 1 has ceil(digits * log10(base)) decimal digits.
+            # Capping digits keeps the product a finite float; the capped
+            # product still passes the limit, as log10(base) >= log10(2) > 1/4.
+            limit = _writable_digits()
+            if min(system.digits, 4 * limit) * log10(system.base) > limit:
+                raise ValueError(f"base**digits has more than {limit} decimal digits")
+            return system
         if fields[0] == "gross" and len(fields) == 4:
             return GrossBudget(
                 max_terms=int(fields[1]),

@@ -244,7 +244,7 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 def cardinality(s: IntervalSet) -> GrossNumber:
     """Exact element count; ``[1..①]`` has ① elements, not a limit symbol."""
     # The sum of hi - lo + 1 over the parts, accumulated term by term.
-    terms = [(Fraction(0), Fraction(len(s.parts)))]
+    terms = [(0, len(s.parts))]
     for part in s.parts:
         terms.extend(part.hi.terms)
         terms.extend((e, -c) for e, c in part.lo.terms)
@@ -339,6 +339,11 @@ def union_initial_segments(bound: GrossNumber | int = GROSSONE) -> IntervalSet:
 # ------------------------------------------------------------------ expressions
 
 
+# Each nesting level costs three parser frames; this keeps the deepest
+# expression well inside the interpreter's default recursion limit.
+_MAX_NESTING = 100
+
+
 class _SetScanner:
     """Recursive-descent parser for set expressions.
 
@@ -355,12 +360,14 @@ class _SetScanner:
                  | 'hull' '(' expr ')'
 
     ``iota(S, k)`` maps x to k+1-x (the reversal of [1..k]); ``reflect(S, a)``
-    mirrors through the point a; ``hull(S)`` is the convex hull.
+    mirrors through the point a; ``hull(S)`` is the convex hull.  Bracketed
+    and function arguments nest at most ``_MAX_NESTING`` deep.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str):
         raise ParseError(message, self.text, self.pos)
@@ -391,6 +398,15 @@ class _SetScanner:
             self.pos += 1
         return self.text[start : self.pos]
 
+    def parse_nested(self) -> IntervalSet:
+        """An ``expr`` one nesting level down; ParseError past the depth cap."""
+        if self.depth >= _MAX_NESTING:
+            self.fail(f"set expression nested more than {_MAX_NESTING} deep")
+        self.depth += 1
+        inner = self.parse_expr()
+        self.depth -= 1
+        return inner
+
     def parse_factor(self) -> IntervalSet:
         self.skip_ws()
         ch = self.peek()
@@ -417,27 +433,27 @@ class _SetScanner:
             return make_set(GrossInterval(e, e) for e in elements)
         if ch == "(":
             self.pos += 1
-            inner = self.parse_expr()
+            inner = self.parse_nested()
             self.expect(")")
             return inner
         name = self.read_name()
         if name == "iota":
             self.expect("(")
-            inner = self.parse_expr()
+            inner = self.parse_nested()
             self.expect(",")
             kappa = self.read_numeral()
             self.expect(")")
             return map_affine(inner, -1, kappa + 1)
         if name == "reflect":
             self.expect("(")
-            inner = self.parse_expr()
+            inner = self.parse_nested()
             self.expect(",")
             center = self.read_numeral()
             self.expect(")")
             return map_affine(inner, -1, center * 2)
         if name == "hull":
             self.expect("(")
-            inner = self.parse_expr()
+            inner = self.parse_nested()
             self.expect(")")
             return convex_hull(inner)
         self.fail("expected an interval, enumeration, '(' or a function name")

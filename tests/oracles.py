@@ -2,12 +2,15 @@
 
 Everything in here is deliberately naive: dict-of-exponents polynomial
 arithmetic, Python sets of ints as the set model, linear scans for
-inverse functions.  The point is that none of it shares code with the
-library under test.
+inverse functions.  sympy's polynomials give a second, independent check
+of products and exact quotients.  The point is that none of it shares
+code with the library under test.
 """
 
 from fractions import Fraction
 from random import Random
+
+import sympy
 
 from grossone.gnum import GROSSONE, GrossNumber, finite
 from grossone.sets import IntervalSet, interval, make_set
@@ -34,6 +37,50 @@ def poly_mul(a: dict, b: dict) -> dict:
 
 def poly_equal(p: dict, x: GrossNumber) -> bool:
     return p == poly_from(x)
+
+
+# A second arithmetic oracle: sympy's univariate polynomials over QQ, for
+# dict polynomials with integer exponents.  A dict is shifted by its lowest
+# exponent into an ordinary polynomial in G whose constant term is nonzero.
+
+_G = sympy.Symbol("G")
+
+
+def _to_sympy(p: dict) -> tuple[sympy.Poly, int]:
+    low = int(min(p, default=0))
+    expr = sympy.Integer(0)
+    for e, c in p.items():
+        if Fraction(e).denominator != 1:
+            raise ValueError("the sympy oracle takes integer exponents only")
+        expr += sympy.Rational(c.numerator, c.denominator) * _G ** (int(e) - low)
+    return sympy.Poly(expr, _G, domain="QQ"), low
+
+
+def _from_sympy(poly: sympy.Poly, low: int) -> dict:
+    return {
+        k + low: Fraction(int(c.p), int(c.q)) for (k,), c in poly.terms() if c != 0
+    }
+
+
+def sympy_mul(p: dict, q: dict) -> dict:
+    a, la = _to_sympy(p)
+    b, lb = _to_sympy(q)
+    return _from_sympy(a * b, la + lb)
+
+
+def sympy_div(p: dict, q: dict) -> dict | None:
+    """The quotient p/q as a dict polynomial, or None when it has no finite form.
+
+    The shifted divisor has a nonzero constant term, so it shares no factor
+    with G, and p/q is a finite sum of integer powers of G exactly when the
+    shifted divisor divides the shifted dividend.
+    """
+    a, la = _to_sympy(p)
+    b, lb = _to_sympy(q)
+    quotient, remainder = sympy.div(a, b)
+    if not remainder.is_zero:
+        return None
+    return _from_sympy(quotient, la - lb)
 
 
 def set_model(s: IntervalSet) -> set[int]:

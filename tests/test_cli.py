@@ -344,3 +344,65 @@ class TestDomainErrorsKeepTheEnvelope:
         assert (code, out) == (1, "")
         assert err.startswith("error: InvalidArgument:")
         assert "Traceback" not in err
+
+
+class TestInputSizeBounds:
+    """Oversized inputs end in the envelope, quickly, instead of a traceback or a hang."""
+
+    DEEP = "(" * 1000 + "[1..2]" + ")" * 1000
+
+    def test_deep_nesting_text(self, run):
+        code, out, err = run("card", self.DEEP)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ParseError: set expression nested more than")
+        assert "Traceback" not in err
+
+    def test_deep_nesting_json(self, run_json):
+        code, payload = run_json("card", self.DEEP)
+        assert code == 2
+        assert payload["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("opener", ["(", "hull("])
+    def test_nesting_at_the_cap_still_evaluates(self, run, opener):
+        code, out, _ = run("card", opener * 100 + "[1..2]" + ")" * 100)
+        assert (code, out) == (0, "2\n")
+
+    @pytest.mark.parametrize(
+        "argv, code, kind",
+        [
+            (("system", "finite:100000000:10", "max-finite"), 2, "ParseError"),
+            (("system", "finite:100000000:10", "expressible", "5"), 2, "ParseError"),
+            (("system", "gross:1:100000000:1", "max-finite"), 1, "InvalidArgument"),
+            (("system", "gross:2:100000000:1", "min-infinite"), 1, "InvalidArgument"),
+        ],
+    )
+    def test_huge_descriptors_answer_in_bounded_time(self, argv, code, kind):
+        for fmt in ("text", "json"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "grossone", *argv, "--format", fmt],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+            assert proc.returncode == code
+            assert "Traceback" not in proc.stderr
+            if fmt == "json":
+                payload = json.loads(proc.stdout)
+                jsonschema.validate(payload, ENVELOPE_SCHEMA)
+                assert payload["error"]["type"] == kind
+            else:
+                assert proc.stderr.startswith(f"error: {kind}:")
+
+    @pytest.mark.parametrize(
+        "descriptor, digits", [("finite:4300:10", 4300), ("finite:14284:2", 4300)]
+    )
+    def test_descriptors_up_to_the_digit_limit_still_answer(self, run, descriptor, digits):
+        code, out, _ = run("system", descriptor, "max-finite")
+        assert code == 0
+        assert len(out.strip()) == digits
+
+    @pytest.mark.parametrize("descriptor", ["finite:4301:10", "finite:14285:2"])
+    def test_descriptors_past_the_digit_limit_are_syntax_errors(self, run, descriptor):
+        code, out, err = run("system", descriptor, "max-finite")
+        assert (code, out) == (2, "")
+        assert "ParseError" in err
