@@ -20,7 +20,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import derived, geometry, measure, numeral_system, sets
+# Each verb imports the other submodules it needs (sets, measure, ...) in its
+# handler, so a call loads only those; annotations naming them stay strings.
 from .errors import GrossoneError, NotExpressible, ParseError
 from .gnum import (
     GrossNumber,
@@ -83,6 +84,8 @@ def _cmd_eval(args, r: _Renderer):
 
 
 def _cmd_card(args, r: _Renderer):
+    from . import sets
+
     s = sets.parse_set_expression(args.set)
     count = sets.cardinality(s)
     result = {"set": r.interval_set(s), "cardinality": r.numeral(count)}
@@ -95,10 +98,14 @@ def _cmd_cmp(args, r: _Renderer):
 
 
 def _cmd_measure(args, r: _Renderer):
+    from . import measure, sets
+
     s = sets.parse_set_expression(args.set)
     if args.system is None:
         m = measure.canonical_measurement(s)
     else:
+        from . import numeral_system
+
         m = numeral_system.measure_in(numeral_system.parse_system(args.system), s)
     result = {"measurement": measure.to_jsonable(m, ascii_mode=r.ascii_mode)}
     text = measure.to_text(m, ascii_mode=r.ascii_mode).rstrip("\n").split("\n")
@@ -106,6 +113,8 @@ def _cmd_measure(args, r: _Renderer):
 
 
 def _cmd_system(args, r: _Renderer):
+    from . import numeral_system
+
     sys_ = numeral_system.parse_system(args.descriptor)
     if args.query == "max-finite":
         value = numeral_system.max_finite(sys_)
@@ -123,6 +132,8 @@ def _cmd_system(args, r: _Renderer):
 
 
 def _cmd_define(args, r: _Renderer):
+    from . import derived
+
     d = derived.parse_defined(args.expression)
     result: dict = {"defined": derived.format_defined(d, ascii_mode=r.ascii_mode)}
     lines = [result["defined"]]
@@ -141,6 +152,8 @@ def _cmd_define(args, r: _Renderer):
 def _cmd_demo(args, r: _Renderer):
     if args.topic != "halfplane":
         raise ParseError(f"unknown demo {args.topic!r}", args.topic, 0)
+    from . import geometry
+
     a = _finite_rational(args.a, "--a")
     d = _finite_rational(args.d, "--d")
     report = geometry.halfplane_demo(a, d, parse_numeral(args.b), parse_numeral(args.c))
@@ -254,8 +267,11 @@ def _emit_json(payload: dict):
 
 def _error_payload(exc: GrossoneError) -> dict:
     entry = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ParseError):
+        entry["position"] = exc.position
     if isinstance(exc, NotExpressible):
         entry["value"] = format_numeral(exc.value)
+        entry["system"] = exc.system_name
     return {"error": entry}
 
 

@@ -42,6 +42,41 @@ class MonotoneFn:
         """g(x) as a gross-number, or None when no such value exists here."""
         raise NotImplementedError
 
+    def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool | None:
+        """Whether g(x) <= bound, or None when g(x) has no value here."""
+        value = self.evaluate(x)
+        return None if value is None else value <= bound
+
+
+def _placed_by_size(low_bits: int, negative: bool, bound: GrossNumber) -> bool | None:
+    """Whether an integer v <= bound, knowing only |v| >= 2**low_bits and its sign.
+
+    None when that does not settle it.  A finite v lies below every
+    positive infinite bound, and v lies beyond a finite bound when
+    2**low_bits passes the bound's integer part, so a huge power is
+    placed without being built.
+    """
+    exponent, coefficient = bound.terms[0] if bound.terms else (0, 0)
+    if exponent > 0:
+        return coefficient > 0
+    integer_part = int(abs(coefficient)) if exponent == 0 else 0
+    if low_bits >= (integer_part + 1).bit_length():
+        return negative
+    return None
+
+
+def _plain_int(x: GrossNumber) -> int | None:
+    """x as an int when it is a plain finite integer, else None.
+
+    Read from the terms, as this runs at every probe: the library holds an
+    integral coefficient as an int, so one ``(0, int)`` term is an integer.
+    """
+    if not x.terms:
+        return 0
+    if len(x.terms) == 1 and x.terms[0][0] == 0 and type(x.terms[0][1]) is int:
+        return x.terms[0][1]
+    return None
+
 
 @dataclass(frozen=True)
 class Pow(MonotoneFn):
@@ -55,6 +90,16 @@ class Pow(MonotoneFn):
 
     def evaluate(self, x: GrossNumber) -> GrossNumber:
         return x**self.k
+
+    def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool:
+        n = _plain_int(x)
+        if n is not None:
+            # |n|**k >= 2**((bit length of |n|) - 1) * k).
+            low_bits = (abs(n).bit_length() - 1) * self.k
+            placed = _placed_by_size(low_bits, n < 0 and self.k % 2 == 1, bound)
+            if placed is not None:
+                return placed
+        return x**self.k <= bound
 
 
 @dataclass(frozen=True)
@@ -80,6 +125,15 @@ class ExpBase(MonotoneFn):
         if n < 0:
             return None
         return finite(self.b**n)
+
+    def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool | None:
+        n = _plain_int(x)
+        if n is not None and n >= 0:
+            # b**n >= 2**((bit length of b) - 1) * n).
+            placed = _placed_by_size((self.b.bit_length() - 1) * n, False, bound)
+            if placed is not None:
+                return placed
+        return super().at_most(x, bound)
 
 
 @dataclass(frozen=True)
@@ -150,21 +204,17 @@ def resolve_finite(d: DefinedNumeral) -> GrossNumber:
     if not classify(d.kappa).is_finite:
         raise NotFinite(f"kappa {d.kappa} is not finite")
     hi = 1
-    while _le(d.g.evaluate(finite(hi + 1)), d.kappa):
+    while d.g.at_most(finite(hi + 1), d.kappa):
         hi *= 2
     lo = 1
     # Invariant: g(lo) <= kappa < g(hi+1).
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _le(d.g.evaluate(finite(mid)), d.kappa):
+        if d.g.at_most(finite(mid), d.kappa):
             lo = mid
         else:
             hi = mid - 1
     return finite(lo)
-
-
-def _le(value: GrossNumber | None, bound: GrossNumber) -> bool:
-    return value is not None and value <= bound
 
 
 def cmp_defined(d: DefinedNumeral, y: GrossNumber | int) -> Sign | _Incomparable:
@@ -175,15 +225,15 @@ def cmp_defined(d: DefinedNumeral, y: GrossNumber | int) -> Sign | _Incomparable
     sentinel, a value rather than an error.
     """
     y = y if isinstance(y, GrossNumber) else finite(y)
-    gy = d.g.evaluate(y)
-    if gy is None:
+    at_y = d.g.at_most(y, d.kappa)
+    if at_y is None:
         return INCOMPARABLE
-    if d.kappa < gy:
+    if not at_y:
         return Sign.NEGATIVE
-    gy1 = d.g.evaluate(y + 1)
-    if gy1 is None:
+    at_next = d.g.at_most(y + 1, d.kappa)
+    if at_next is None:
         return INCOMPARABLE
-    if gy1 <= d.kappa:
+    if at_next:
         return Sign.POSITIVE
     return Sign.ZERO
 

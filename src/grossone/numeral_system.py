@@ -34,8 +34,6 @@ from .errors import (
     ParseError,
 )
 from .gnum import GrossNumber, Rational, classify, finite, gross_term
-from .measure import Measurement, canonical_measurement, serialized_numerals
-from .sets import IntervalSet
 
 __all__ = [
     "NumeralSystem",
@@ -76,6 +74,24 @@ def _writable_digits() -> int:
     longer than any answer is worth.  The process-wide limit is only read.
     """
     return get_int_max_str_digits() or int_info.default_max_str_digits
+
+
+def _power_width(base: int, exponent: int, cap: int) -> float:
+    """The decimal width of ``base**exponent``, within one, without the power.
+
+    ``base**exponent - 1`` has ``ceil(exponent * log10(base))`` digits.
+    Capping the exponent at ``4*cap`` keeps the product a finite float; a
+    capped product still exceeds ``cap``, as log10(base) >= log10(2) > 1/4.
+    """
+    return min(exponent, 4 * cap) * log10(base)
+
+
+def _writable_power(base: int, exponent: int) -> int:
+    """``base**exponent``, refused before it is built if too long to write."""
+    limit = _writable_digits()
+    if _power_width(base, exponent, limit) > limit:
+        raise InvalidArgument("numeral has too many digits to write out")
+    return base**exponent
 
 
 class NumeralSystem:
@@ -123,7 +139,16 @@ class BoundedFinite(NumeralSystem):
         kind = classify(x)
         if not (kind.is_finite and kind.is_integer):
             return False
-        return abs(x.as_int()) <= self.largest
+        n = abs(x.as_int())
+        # Digit counts settle every n but those about as long as the power,
+        # so a huge ``digits`` never has its power built.
+        count = _digits10(n)
+        width = _power_width(self.base, self.digits, count + 2)
+        if count < width - 1:
+            return True
+        if count > width + 1:
+            return False
+        return n <= self.largest
 
 
 @dataclass(frozen=True)
@@ -170,23 +195,16 @@ def expressible(sys: NumeralSystem, x: GrossNumber) -> bool:
     return sys.can_express(x if isinstance(x, GrossNumber) else finite(x))
 
 
-def _largest_coefficient(sys: GrossBudget) -> int:
-    """``10**coeff_digits - 1``, refused before it is built if too long to write."""
-    if sys.coeff_digits > _writable_digits():
-        raise InvalidArgument("numeral has too many digits to write out")
-    return 10**sys.coeff_digits - 1
-
-
 def max_finite(sys: NumeralSystem) -> GrossNumber:
     """The greatest expressible finite positive integer of the system."""
     if isinstance(sys, Piraha):
         return finite(2)
     if isinstance(sys, BoundedFinite):
-        return finite(sys.largest)
+        return finite(_writable_power(sys.base, sys.digits) - 1)
     if isinstance(sys, GrossBudget):
         # Finite integers are single exponent-0 terms, so only the
         # coefficient budget matters.
-        return finite(_largest_coefficient(sys))
+        return finite(_writable_power(10, sys.coeff_digits) - 1)
     raise NoFiniteNumerals(f"{sys!r} expresses no finite positive integer")
 
 
@@ -201,7 +219,7 @@ def min_infinite(sys: NumeralSystem) -> GrossNumber:
     an integer, so budgets beyond two terms change nothing.
     """
     if isinstance(sys, GrossBudget):
-        largest = _largest_coefficient(sys)
+        largest = _writable_power(10, sys.coeff_digits) - 1
         least = gross_term(Fraction(1, largest), 1)
         if sys.max_terms >= 2:
             least = least - largest
@@ -218,6 +236,10 @@ def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     {1,2} is measurable with only the numerals 1 and 2, while {1,2,3} is
     not, because its element count already has no name there.
     """
+    # Imported here so that queries about a system alone load neither
+    # measure nor sets.
+    from .measure import canonical_measurement, serialized_numerals
+
     m = canonical_measurement(s)
     for value in serialized_numerals(m):
         if not sys.can_express(value):
@@ -237,11 +259,8 @@ def parse_system(descriptor: str) -> NumeralSystem:
             return Piraha()
         if fields[0] == "finite" and len(fields) == 3:
             system = BoundedFinite(digits=int(fields[1]), base=int(fields[2]))
-            # base**digits - 1 has ceil(digits * log10(base)) decimal digits.
-            # Capping digits keeps the product a finite float; the capped
-            # product still passes the limit, as log10(base) >= log10(2) > 1/4.
             limit = _writable_digits()
-            if min(system.digits, 4 * limit) * log10(system.base) > limit:
+            if _power_width(system.base, system.digits, limit) > limit:
                 raise ValueError(f"base**digits has more than {limit} decimal digits")
             return system
         if fields[0] == "gross" and len(fields) == 4:

@@ -406,3 +406,51 @@ class TestInputSizeBounds:
         code, out, err = run("system", descriptor, "max-finite")
         assert (code, out) == (2, "")
         assert "ParseError" in err
+
+
+class TestStructuredErrors:
+    """JSON errors carry a ParseError's position and a NotExpressible's system."""
+
+    @pytest.mark.parametrize(
+        "argv, position",
+        [
+            (("eval", "7①+"), 3),
+            (("cmp", "1", "2**"), 2),
+            (("card", "[1..3"), 5),
+            (("system", "roman", "max-finite"), 0),
+        ],
+    )
+    def test_parse_errors_carry_their_position(self, run_json, argv, position):
+        code, payload = run_json(*argv)
+        assert code == 2
+        error = payload["error"]
+        assert error["type"] == "ParseError"
+        assert error["position"] == position
+        assert f"at position {position} in" in error["message"]
+
+    def test_not_expressible_carries_value_and_system(self, run_json):
+        code, payload = run_json("measure", "{1,2,3}", "--system", "piraha")
+        assert code == 1
+        assert payload["error"] == {
+            "type": "NotExpressible",
+            "message": "3 is not expressible in piraha",
+            "value": "3",
+            "system": "piraha",
+        }
+
+    def test_other_errors_carry_neither(self, run_json):
+        code, payload = run_json("define", "sqrtfloor(1/2)")
+        assert code == 1
+        assert set(payload["error"]) == {"type", "message"}
+
+    def test_text_mode_is_unchanged(self, run):
+        assert run("eval", "--", "7①+") == (
+            2,
+            "",
+            "error: ParseError: expected a number at position 3 in '7①+'\n",
+        )
+        assert run("measure", "{1,2,3}", "--system", "piraha") == (
+            1,
+            "",
+            "error: NotExpressible: 3 is not expressible in piraha\n",
+        )

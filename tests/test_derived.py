@@ -1,10 +1,12 @@
 """Inverse-defined numbers: resolution, partial comparison, session bounds."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import oracles
@@ -21,7 +23,7 @@ from grossone.derived import (
     resolve_finite,
 )
 from grossone.errors import BelowRange, BoundExceeded, NotFinite, ParseError
-from grossone.gnum import GROSSONE, Sign, classify, cmp, finite, parse_numeral
+from grossone.gnum import GROSSONE, Sign, classify, cmp, finite, gross_term, parse_numeral
 
 
 class TestDefinition:
@@ -205,3 +207,59 @@ class TestTextForms:
     def test_rejections(self, bad):
         with pytest.raises(ParseError):
             parse_defined(bad)
+
+
+# Probes and bounds on both sides of the bit-length shortcut: plain integers
+# of either sign, a non-integer, and infinite and infinitesimal values.
+size_probes = st.one_of(
+    st.integers(-70, 70).map(finite),
+    st.sampled_from(
+        [finite(Fraction(1, 2)), finite(Fraction(-7, 3)), GROSSONE, GROSSONE + 1, -GROSSONE]
+    ),
+)
+size_bounds = st.one_of(
+    st.integers(-(10**30), 10**30).map(finite),
+    st.integers(-9, 9).map(lambda n: finite(2**n if n >= 0 else -(2**-n))),
+    st.sampled_from(
+        [GROSSONE, -GROSSONE, GROSSONE**2 - 5, gross_term(1, -1), 7 - gross_term(1, -1)]
+    ),
+)
+
+
+class TestPowerSizeBudget:
+    """Huge powers at integer probes are placed from bit lengths, never built."""
+
+    @seed(5)
+    @given(st.integers(2, 9), size_probes, size_bounds)
+    def test_pow_at_most_agrees_with_the_built_power(self, k, x, bound):
+        assert Pow(k).at_most(x, bound) == (x**k <= bound)
+
+    @seed(6)
+    @given(st.integers(2, 9), size_probes, size_bounds)
+    def test_exp_at_most_agrees_with_the_built_power(self, b, x, bound):
+        value = ExpBase(b).evaluate(x)
+        want = None if value is None else value <= bound
+        assert ExpBase(b).at_most(x, bound) == want
+
+    def test_huge_exponents_resolve_and_compare(self):
+        d = define_by_inverse(Pow(10**9), finite(5))
+        assert resolve_finite(d) == 1
+        assert cmp_defined(d, finite(3)) == Sign.NEGATIVE
+        assert cmp_defined(d, finite(-3)) == Sign.NEGATIVE
+        assert cmp_defined(define_by_inverse(Pow(10**9 + 1), finite(5)), finite(-3)) == Sign.POSITIVE
+        assert cmp_defined(define_by_inverse(Pow(10**9), GROSSONE), finite(3)) == Sign.POSITIVE
+        assert cmp_defined(define_by_inverse(ExpBase(2), finite(5)), finite(10**9)) == Sign.NEGATIVE
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("define", "invfloor(pow 1000000000, 5)"), "1\n"),
+            (("define", "invfloor(pow 1000000000, 5)", "--cmp", "3"), "1\nnegative\n"),
+        ],
+    )
+    def test_cli_answers_in_bounded_time(self, argv, text):
+        # Building 2**(10**9) while doubling the probe took about 12 s.
+        proc = subprocess.run(
+            [sys.executable, "-m", "grossone", *argv], capture_output=True, text=True, timeout=5
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")

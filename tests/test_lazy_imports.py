@@ -1,0 +1,105 @@
+"""Lazy package exports: each CLI verb imports only the submodules it uses."""
+
+import ast
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import grossone
+
+LOADED = 'print(sorted(m for m in sys.modules if m.startswith("grossone.")))'
+
+
+def loaded_after(code: str) -> set[str]:
+    """The grossone submodules a fresh interpreter holds after running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{LOADED}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return {name.removeprefix("grossone.") for name in names}
+
+
+def loaded_by_verb(*argv: str) -> set[str]:
+    return loaded_after(f"from grossone.cli import main\nmain({list(argv)!r})")
+
+
+class TestImportSet:
+    CORE = {"cli", "errors", "gnum"}
+
+    def test_bare_import_loads_no_submodule(self):
+        assert loaded_after("import grossone") == set()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--", "2①+1"), ("eval", "7①+", "--format", "json"), ("cmp", "①", "①+1")],
+    )
+    def test_numeral_verbs_load_only_the_core(self, argv):
+        assert loaded_by_verb(*argv) == self.CORE
+
+    def test_card_adds_only_sets(self):
+        assert loaded_by_verb("card", "[1..①]\\{1}") == self.CORE | {"sets"}
+
+    def test_measure_without_a_system(self):
+        loaded = loaded_by_verb("measure", "[4..①]")
+        assert loaded == self.CORE | {"sets", "measure"}
+        assert not loaded & {"numeral_system", "derived", "geometry"}
+
+    def test_measure_with_a_system_adds_numeral_system(self):
+        loaded = loaded_by_verb("measure", "{1,2}", "--system", "piraha")
+        assert loaded == self.CORE | {"sets", "measure", "numeral_system"}
+
+    def test_system_queries_leave_out_measure_and_sets(self):
+        loaded = loaded_by_verb("system", "finite:2:10", "max-finite")
+        assert loaded == self.CORE | {"numeral_system"}
+
+    def test_define_and_demo(self):
+        assert loaded_by_verb("define", "sqrtfloor(10)") == self.CORE | {"derived"}
+        loaded = loaded_by_verb("demo", "halfplane", "--a", "1", "--d", "2")
+        assert loaded == self.CORE | {"geometry"}
+
+    def test_one_name_loads_its_submodule_and_what_that_imports(self):
+        assert loaded_after("import grossone\ngrossone.intersect") == {"errors", "gnum", "sets"}
+
+
+class TestPublicNames:
+    def test_every_name_is_its_submodule_attribute(self):
+        for name in grossone.__all__:
+            module = import_module(f"grossone.{grossone._ORIGIN[name]}")
+            assert getattr(grossone, name) is getattr(module, name), name
+
+    def test_all_lists_every_public_name_once(self):
+        # The 90 names the package exported when it imported them eagerly.
+        assert len(grossone.__all__) == len(set(grossone.__all__)) == 90
+        assert set(grossone.__all__) == set(grossone._ORIGIN)
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from grossone import *", namespace)
+        for name in grossone.__all__:
+            assert namespace[name] is getattr(grossone, name), name
+
+    def test_names_are_cached_after_first_access(self):
+        grossone.cardinality
+        assert "cardinality" in vars(grossone)
+
+    def test_submodules_resolve_as_attributes(self):
+        for name in ("cli", "derived", "errors", "geometry", "gnum", "measure", "numeral_system", "sets"):
+            assert getattr(grossone, name) is import_module(f"grossone.{name}")
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            grossone.no_such_name
+
+    def test_dir_lists_names_and_submodules(self):
+        listing = dir(grossone)
+        assert set(grossone.__all__) <= set(listing)
+        assert {"sets", "cli", "__version__"} <= set(listing)
+
+    def test_version_is_eager(self):
+        assert "__version__" in vars(grossone)

@@ -1,13 +1,15 @@
 """Numeral systems: expressibility, extreme numerals, relative measurement."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
-from grossone.errors import NoInfiniteNumerals, NotExpressible, ParseError
+from grossone.errors import InvalidArgument, NoInfiniteNumerals, NotExpressible, ParseError
 from grossone.gnum import (
     GROSSONE,
     GrossNumber,
@@ -271,3 +273,52 @@ class TestRelativeMeasurement:
             assert not writable
             first_bad = next(v for v in numerals if not expressible(sys_, v))
             assert exc.value == first_bad
+
+
+@st.composite
+def near_the_bound(draw):
+    """A system and an integer at, around or far from its largest value."""
+    base = draw(st.sampled_from([2, 3, 7, 10, 16, 1000]) | st.integers(2, 10**6))
+    digits = draw(st.integers(1, 40))
+    largest = base**digits - 1
+    n = draw(
+        st.sampled_from([largest, largest + 1, largest - 1, 0, base ** (digits - 1)])
+        | st.integers(0, 2 * largest)
+        | st.integers(0, 400).map(lambda e: 10**e)
+    )
+    return BoundedFinite(digits, base), draw(st.sampled_from([n, -n]))
+
+
+class TestHugeBoundedFinite:
+    """A library-built system with a huge ``digits`` never builds its power."""
+
+    @seed(11)
+    @given(near_the_bound())
+    def test_digit_counts_agree_with_the_power(self, case):
+        sys_, n = case
+        assert expressible(sys_, finite(n)) == (abs(n) <= sys_.base**sys_.digits - 1)
+
+    def test_max_finite_refuses_a_power_too_long_to_write(self):
+        # Just past the 4300-digit limit, so that a missing refusal fails
+        # here instead of hanging; the subprocess below tries 10**8 digits.
+        with pytest.raises(InvalidArgument):
+            max_finite(BoundedFinite(4301, 10))
+        assert max_finite(BoundedFinite(4300, 10)) == finite(10**4300 - 1)
+
+    def test_answers_in_bounded_time(self):
+        code = (
+            "from grossone.numeral_system import BoundedFinite, expressible, max_finite\n"
+            "from grossone.errors import InvalidArgument\n"
+            "huge = BoundedFinite(10**8, 10)\n"
+            "print(expressible(huge, 5), expressible(huge, -(10**5000)),"
+            " expressible(BoundedFinite(10**400, 3), 5))\n"
+            "try:\n"
+            "    max_finite(huge)\n"
+            "except InvalidArgument as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        # expressible(BoundedFinite(10**8, 10), 5) ran past 10 s when it built the power.
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=5
+        )
+        assert (proc.returncode, proc.stdout) == (0, "True True True\nInvalidArgument\n")
