@@ -23,14 +23,7 @@ from fractions import Fraction
 # Each verb imports the other submodules it needs (sets, measure, ...) in its
 # handler, so a call loads only those; annotations naming them stay strings.
 from .errors import GrossoneError, NotExpressible, ParseError
-from .gnum import (
-    GrossNumber,
-    Sign,
-    classify,
-    cmp,
-    format_numeral,
-    parse_numeral,
-)
+from .gnum import GROSS_ASCII, GROSS_SYMBOL, Sign, classify, cmp, format_numeral, parse_numeral
 
 __all__ = ["main", "console_main", "run_command"]
 
@@ -40,26 +33,14 @@ def _sign_word(sign: Sign) -> str:
 
 
 class _Renderer:
-    """Shared numeral/set formatting for one invocation."""
+    """A numeral, set or strip as text: its ``str``, with ① as G1 under ``--ascii``."""
 
     def __init__(self, ascii_mode: bool):
         self.ascii_mode = ascii_mode
 
-    def numeral(self, x: GrossNumber) -> str:
-        return format_numeral(x, ascii_mode=self.ascii_mode)
-
-    def interval_set(self, s: sets.IntervalSet) -> str:
-        if s.is_empty:
-            return "{}"
-        return "|".join(
-            f"[{self.numeral(part.lo)}..{self.numeral(part.hi)}]" for part in s.parts
-        )
-
-    def real_interval(self, r: geometry.RealInterval) -> str:
-        return f"[{self.numeral(r.lo)}..{self.numeral(r.hi)}]"
-
-    def strip(self, s: geometry.Strip) -> str:
-        return f"{self.real_interval(s.x)}x{self.real_interval(s.y)}"
+    def __call__(self, value) -> str:
+        text = str(value)
+        return text.replace(GROSS_SYMBOL, GROSS_ASCII) if self.ascii_mode else text
 
 
 # ----------------------------------------------------------------------- verbs
@@ -72,7 +53,7 @@ def _cmd_eval(args, r: _Renderer):
     value = parse_numeral(args.numeral)
     kind = classify(value)
     result = {
-        "value": r.numeral(value),
+        "value": r(value),
         "class": {
             "integer": kind.is_integer,
             "finite": kind.is_finite,
@@ -80,7 +61,7 @@ def _cmd_eval(args, r: _Renderer):
             "infinitesimal": kind.is_infinitesimal,
         },
     }
-    return result, [r.numeral(value)]
+    return result, [r(value)]
 
 
 def _cmd_card(args, r: _Renderer):
@@ -88,8 +69,8 @@ def _cmd_card(args, r: _Renderer):
 
     s = sets.parse_set_expression(args.set)
     count = sets.cardinality(s)
-    result = {"set": r.interval_set(s), "cardinality": r.numeral(count)}
-    return result, [r.numeral(count)]
+    result = {"set": r(s), "cardinality": r(count)}
+    return result, [r(count)]
 
 
 def _cmd_cmp(args, r: _Renderer):
@@ -118,16 +99,16 @@ def _cmd_system(args, r: _Renderer):
     sys_ = numeral_system.parse_system(args.descriptor)
     if args.query == "max-finite":
         value = numeral_system.max_finite(sys_)
-        return {"system": sys_.describe(), "max_finite": r.numeral(value)}, [r.numeral(value)]
+        return {"system": sys_.describe(), "max_finite": r(value)}, [r(value)]
     if args.query == "min-infinite":
         value = numeral_system.min_infinite(sys_)
-        return {"system": sys_.describe(), "min_infinite": r.numeral(value)}, [r.numeral(value)]
+        return {"system": sys_.describe(), "min_infinite": r(value)}, [r(value)]
     # args.query == "expressible"
     if args.value is None:
         raise ParseError("expressible needs a numeral argument", args.query, 0)
     probe = parse_numeral(args.value)
     ok = numeral_system.expressible(sys_, probe)
-    result = {"system": sys_.describe(), "numeral": r.numeral(probe), "expressible": ok}
+    result = {"system": sys_.describe(), "numeral": r(probe), "expressible": ok}
     return result, ["true" if ok else "false"]
 
 
@@ -139,8 +120,8 @@ def _cmd_define(args, r: _Renderer):
     lines = [result["defined"]]
     if classify(d.kappa).is_finite:
         resolved = derived.resolve_finite(d)
-        result["resolved"] = r.numeral(resolved)
-        lines = [r.numeral(resolved)]
+        result["resolved"] = r(resolved)
+        lines = [r(resolved)]
     if args.cmp is not None:
         outcome = derived.cmp_defined(d, parse_numeral(args.cmp))
         word = "incomparable" if outcome is derived.INCOMPARABLE else _sign_word(outcome)
@@ -158,17 +139,13 @@ def _cmd_demo(args, r: _Renderer):
     d = _finite_rational(args.d, "--d")
     report = geometry.halfplane_demo(a, d, parse_numeral(args.b), parse_numeral(args.c))
     result = {
-        "A": r.strip(report.strip_a),
-        "C": r.strip(report.strip_c),
-        "B": r.strip(report.strip_b),
+        "A": r(report.strip_a),
+        "C": r(report.strip_c),
+        "B": r(report.strip_b),
         "subset": report.subset,
-        "uncovered": r.numeral(report.uncovered),
-        "uncovered_left": None
-        if report.uncovered_left is None
-        else r.real_interval(report.uncovered_left),
-        "uncovered_right": None
-        if report.uncovered_right is None
-        else r.real_interval(report.uncovered_right),
+        "uncovered": r(report.uncovered),
+        "uncovered_left": None if report.uncovered_left is None else r(report.uncovered_left),
+        "uncovered_right": None if report.uncovered_right is None else r(report.uncovered_right),
         "classical_subset": report.classical_subset,
     }
     lines = [

@@ -13,11 +13,12 @@ guessing when g cannot be evaluated at the probe.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite, ParseError
-from .gnum import GrossNumber, Sign, classify, finite, format_numeral, parse_numeral
+from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite
+from .gnum import GrossNumber, Sign, _Scanner, classify, finite, format_numeral
 
 __all__ = [
     "MonotoneFn",
@@ -183,7 +184,7 @@ INCOMPARABLE = _Incomparable()
 
 def define_by_inverse(g: MonotoneFn, kappa: GrossNumber | int) -> DefinedNumeral:
     """Name the x with g(x) <= kappa < g(x+1); no resolution is attempted."""
-    kappa = kappa if isinstance(kappa, GrossNumber) else finite(kappa)
+    kappa = finite(kappa)
     kind = classify(kappa)
     if not kind.is_integer:
         raise InvalidArgument(f"kappa must be a gross-integer, got {kappa}")
@@ -224,7 +225,7 @@ def cmp_defined(d: DefinedNumeral, y: GrossNumber | int) -> Sign | _Incomparable
     When g cannot be evaluated at the probe the answer is the Incomparable
     sentinel, a value rather than an error.
     """
-    y = y if isinstance(y, GrossNumber) else finite(y)
+    y = finite(y)
     at_y = d.g.at_most(y, d.kappa)
     if at_y is None:
         return INCOMPARABLE
@@ -281,35 +282,47 @@ def format_defined(d: DefinedNumeral, ascii_mode: bool = False) -> str:
     return f"invfloor(?, {kappa})"
 
 
+# An integer field: an optional sign and ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_int(scanner: _Scanner, message: str) -> int:
+    scanner.skip_ws()
+    found = _INTEGER.match(scanner.text, scanner.pos)
+    if found is None:
+        scanner.fail(message)
+    try:
+        value = int(found.group())
+    except ValueError:
+        # Past the interpreter's int-to-string digit limit.
+        scanner.fail(message)
+    scanner.pos = found.end()
+    return value
+
+
 def parse_defined(text: str) -> DefinedNumeral:
-    """Parse the CLI forms sqrtfloor(k), logfloor(b, k), invfloor(pow n, k)."""
-    stripped = text.strip()
-    head, sep, rest = stripped.partition("(")
-    if not sep or not rest.endswith(")"):
-        raise ParseError("expected name(...)", text, 0)
-    head = head.strip()
-    body = rest[:-1]
+    """Parse the CLI forms sqrtfloor(k), logfloor(b, k), invfloor(pow n, k).
+
+    The whole form is read before g is built, and a ParseError's position
+    counts from the start of ``text``.
+    """
+    scanner = _Scanner(text)
+    head = scanner.read_name()
+    if head not in ("sqrtfloor", "logfloor", "invfloor"):
+        scanner.fail(f"unrecognized defined-numeral form {head!r}", scanner.pos - len(head))
+    scanner.expect("(")
     if head == "sqrtfloor":
-        return define_by_inverse(Pow(2), parse_numeral(body))
-    if head == "logfloor":
-        base_text, comma, kappa_text = body.partition(",")
-        if not comma:
-            raise ParseError("logfloor needs a base and a numeral", text, 0)
-        try:
-            base = int(base_text.strip())
-        except ValueError:
-            raise ParseError("logfloor base must be an integer", text, 0) from None
-        return define_by_inverse(ExpBase(base), parse_numeral(kappa_text))
-    if head == "invfloor":
-        fn_text, comma, kappa_text = body.partition(",")
-        if not comma:
-            raise ParseError("invfloor needs a function and a numeral", text, 0)
-        fields = fn_text.split()
-        if len(fields) == 2 and fields[0] == "pow":
-            try:
-                k = int(fields[1])
-            except ValueError:
-                raise ParseError("pow exponent must be an integer", text, 0) from None
-            return define_by_inverse(Pow(k), parse_numeral(kappa_text))
-        raise ParseError(f"unrecognized function {fn_text.strip()!r}", text, 0)
-    raise ParseError(f"unrecognized defined-numeral form {head!r}", text, 0)
+        make, param = Pow, 2
+    elif head == "logfloor":
+        make, param = ExpBase, _read_int(scanner, "logfloor base must be an integer")
+        scanner.expect(",")
+    else:
+        name = scanner.read_name()
+        if name != "pow":
+            scanner.fail(f"unrecognized function {name!r}", scanner.pos - len(name))
+        make, param = Pow, _read_int(scanner, "pow exponent must be an integer")
+        scanner.expect(",")
+    kappa = scanner.parse_sum()
+    scanner.expect(")")
+    scanner.finish()
+    return define_by_inverse(make(param), kappa)

@@ -14,9 +14,12 @@ class ParseError(GrossoneError, ValueError):
     """Malformed numeral, set expression or serialized form."""
 
     def __init__(self, message: str, text: str, position: int):
+        super().__init__(message, text, position)
         self.text = text
         self.position = position
-        super().__init__(f"{message} at position {position} in {text!r}")
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} at position {self.position} in {self.text!r}"
 
 
 class InvalidArgument(GrossoneError, ValueError):

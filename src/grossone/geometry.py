@@ -40,14 +40,6 @@ __all__ = [
 ]
 
 
-def _as_gross(value) -> GrossNumber:
-    if isinstance(value, GrossNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return finite(value)
-    raise TypeError(f"cannot use {value!r} as a coordinate")
-
-
 @dataclass(frozen=True)
 class RealInterval:
     """Closed coordinate range [lo, hi]; endpoints need not be integers."""
@@ -56,8 +48,8 @@ class RealInterval:
     hi: GrossNumber
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _as_gross(self.lo))
-        object.__setattr__(self, "hi", _as_gross(self.hi))
+        object.__setattr__(self, "lo", finite(self.lo))
+        object.__setattr__(self, "hi", finite(self.hi))
         if cmp(self.lo, self.hi) == Sign.POSITIVE:
             raise InvalidArgument(f"interval [{self.lo}, {self.hi}] is reversed")
 
@@ -81,7 +73,7 @@ class Strip:
 
 def reflect_strip(s: Strip, axis_x) -> Strip:
     """Mirror image in the vertical line at ``axis_x``: x goes to -x + 2*axis_x."""
-    a = _as_gross(axis_x)
+    a = finite(axis_x)
     return Strip(x=RealInterval(-s.x.hi + 2 * a, -s.x.lo + 2 * a), y=s.y)
 
 
@@ -225,8 +217,8 @@ def halfplane_demo(a, d, b: GrossNumber = GROSSONE, c: GrossNumber = GROSSONE) -
     """
     a = Fraction(a)
     d = Fraction(d)
-    b = _as_gross(b)
-    c = _as_gross(c)
+    b = finite(b)
+    c = finite(c)
     side = RealInterval(-c, c)
     strip_a = Strip(x=RealInterval(-b, finite(a)), y=side)
     strip_c = reflect_strip(strip_a, a)

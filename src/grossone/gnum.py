@@ -21,6 +21,7 @@ exact rationals during parsing.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,10 +56,10 @@ GROSS_SYMBOL = "①"  # ①
 GROSS_ASCII = "G1"
 _SIGN_CHARS = frozenset("+-−")  # ASCII plus/minus and the Unicode minus sign
 _MINUS_CHARS = frozenset("-−")
-# str.isdigit() accepts the circled digit of the grossone symbol itself, so
-# number scanning must be restricted to plain ASCII digits.  A set also keeps
-# the end-of-input "" from matching the way substring tests would.
-_DIGITS = frozenset("0123456789")
+# Plain ASCII digits (str.isdigit() accepts the circled digit of ① itself).  A
+# dot starts a decimal part only before digits, so '..' is never swallowed.
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+_SPACE = re.compile(r"\s*")  # exactly the characters where str.isspace() holds
 
 
 class Sign(enum.IntEnum):
@@ -513,7 +514,7 @@ def format_numeral(x: GrossNumber, ascii_mode: bool = False) -> str:
 
 
 class _Scanner:
-    """Character scanner for the numeral grammar.
+    """Character scanner for the numeral grammar; every text grammar builds on it.
 
     Grammar (whitespace allowed between tokens):
 
@@ -523,6 +524,8 @@ class _Scanner:
         exponent := '(' sign? rational ')' | sign? rational
         rational := number | integer '/' integer
         number   := digits ('.' digits)?
+
+    A ParseError's position always counts from the start of ``text``.
     """
 
     def __init__(self, text: str, pos: int = 0):
@@ -536,8 +539,27 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        # Most tokens are not followed by whitespace; test one character first.
+        if self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos = _SPACE.match(self.text, self.pos).end()
+
+    def expect(self, token: str):
+        self.skip_ws()
+        if not self.text.startswith(token, self.pos):
+            self.fail(f"expected {token!r}")
+        self.pos += len(token)
+
+    def read_name(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.peek().isalpha():
             self.pos += 1
+        return self.text[start : self.pos]
+
+    def finish(self):
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.fail("unexpected trailing input")
 
     def at_gross(self) -> bool:
         return self.text.startswith(GROSS_SYMBOL, self.pos) or self.text.startswith(
@@ -555,26 +577,16 @@ class _Scanner:
         return None
 
     def parse_number(self) -> Rational:
-        start = self.pos
-        while self.peek() in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
+        found = _NUMBER.match(self.text, self.pos)
+        if found is None:
             self.fail("expected a number")
-        int_part = self.text[start : self.pos]
-        # A dot starts a decimal part only when digits follow, so the '..'
-        # delimiter of interval syntax never gets swallowed.
-        frac_part = ""
-        if self.peek() == "." and self.text[self.pos + 1 : self.pos + 2] in _DIGITS:
-            self.pos += 1
-            frac_start = self.pos
-            while self.peek() in _DIGITS:
-                self.pos += 1
-            frac_part = self.text[frac_start : self.pos]
+        self.pos = found.end()
+        int_part, _, frac_part = found.group().partition(".")
         try:
             digits = int(int_part + frac_part)
         except ValueError:
             # Past the interpreter's int-to-string digit limit.
-            self.fail("number has too many digits", start)
+            self.fail("number has too many digits", found.start())
         if not frac_part:
             return digits
         return _exact(Fraction(digits, 10 ** len(frac_part)))
@@ -664,7 +676,5 @@ def parse_numeral(text: str) -> GrossNumber:
     """Parse a complete numeral; raises ParseError with a position otherwise."""
     scanner = _Scanner(text)
     value = scanner.parse_sum()
-    scanner.skip_ws()
-    if scanner.pos != len(text):
-        scanner.fail("unexpected trailing input")
+    scanner.finish()
     return value

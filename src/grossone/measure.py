@@ -14,6 +14,7 @@ rather than an existence claim.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -28,7 +29,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .gnum import GrossNumber, Sign, classify, cmp, finite, format_numeral, parse_numeral
+from .gnum import GrossNumber, Sign, _Scanner, classify, cmp, finite, format_numeral, parse_numeral
 from .sets import (
     GrossInterval,
     IntervalSet,
@@ -64,12 +65,6 @@ __all__ = [
 
 #: Default cap on literal one-element-at-a-time extraction steps.
 EXTRACTION_BOUND = 100_000
-
-
-def _check_positive_integer(value: GrossNumber, what: str):
-    kind = classify(value)
-    if not kind.is_integer or value.sign() != Sign.POSITIVE:
-        raise InvalidMeasurement(f"{what} must be a positive gross-integer, got {value}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,8 @@ class Measurement:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        _check_positive_integer(self.mu, "mu")
+        if not classify(self.mu).is_integer or self.mu.sign() != Sign.POSITIVE:
+            raise InvalidMeasurement(f"mu must be a positive gross-integer, got {self.mu}")
         if not self.pieces:
             raise InvalidMeasurement("a measurement needs at least one piece")
         expected_lo = finite(1)
@@ -129,22 +125,13 @@ class Measurement:
                 f"piece domains must end at mu={self.mu}, got {self.pieces[-1].domain.hi}"
             )
         # The domains tile [1..mu], so the images hold mu elements exactly
-        # when no two of them overlap.  One walk in order of lower endpoint
-        # rejects overlaps and joins adjacent images into the runs that the
-        # canonical target must list part for part.
-        runs: list[list[GrossNumber]] = []
-        for lo, hi in sorted(
-            ((p.domain.lo + p.offset, p.domain.hi + p.offset) for p in self.pieces),
-            key=itemgetter(0),
-        ):
-            if runs and lo <= runs[-1][1]:
-                raise InvalidMeasurement("piece images must be pairwise disjoint")
-            if runs and lo == runs[-1][1] + 1:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
+        # when no two of them overlap; their joined runs are then the parts
+        # that the canonical target must list part for part.
+        runs = _joined_runs(_images(self.pieces))
+        if runs is None:
+            raise InvalidMeasurement("piece images must be pairwise disjoint")
         if not isinstance(self.target, IntervalSet) or runs != [
-            [part.lo, part.hi] for part in self.target.parts
+            (part.lo, part.hi) for part in self.target.parts
         ]:
             raise InvalidMeasurement("piece images must cover exactly the target")
         if cardinality(self.target) != self.mu:
@@ -152,7 +139,7 @@ class Measurement:
 
     def apply(self, x) -> GrossNumber:
         """Image of index x; x must lie in [1..mu]."""
-        x = x if isinstance(x, GrossNumber) else finite(x)
+        x = finite(x)
         for piece in self.pieces:
             if piece.domain.lo <= x <= piece.domain.hi:
                 return x + piece.offset
@@ -160,7 +147,7 @@ class Measurement:
 
     def invert(self, y) -> GrossNumber:
         """Index mapping to y; y must lie in the target."""
-        y = y if isinstance(y, GrossNumber) else finite(y)
+        y = finite(y)
         for piece in self.pieces:
             if piece.domain.lo + piece.offset <= y <= piece.domain.hi + piece.offset:
                 return y - piece.offset
@@ -168,6 +155,26 @@ class Measurement:
 
     def __str__(self) -> str:
         return to_text(self).rstrip("\n")
+
+
+def _images(pieces) -> list[tuple[GrossNumber, GrossNumber]]:
+    return [(p.domain.lo + p.offset, p.domain.hi + p.offset) for p in pieces]
+
+
+def _joined_runs(pairs) -> list[tuple[GrossNumber, GrossNumber]] | None:
+    """Intervals ``(lo, hi)`` sorted once and adjacent ones joined; None if two overlap.
+
+    Disjoint intervals join into the parts of their union, in canonical order.
+    """
+    runs: list[tuple[GrossNumber, GrossNumber]] = []
+    for lo, hi in sorted(pairs, key=itemgetter(0)):
+        if runs and lo <= runs[-1][1]:
+            return None
+        if runs and lo == runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], hi)
+        else:
+            runs.append((lo, hi))
+    return runs
 
 
 # ---------------------------------------------------------------- constructions
@@ -212,48 +219,33 @@ def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) ->
     try:
         int_pairs = [(part.lo.as_int(), part.hi.as_int()) for part in s.parts]
     except ValueError:
-        int_pairs = None
-    if int_pairs is not None:
-        return _extract_over_ints(int_pairs, s)
-    return _extract_symbolic(s, steps)
+        return _extraction(_extract_symbolic(s, steps), s)
+    return _extraction((v for lo, hi in int_pairs for v in range(lo, hi + 1)), s)
 
 
-def _extract_over_ints(pairs: list[tuple[int, int]], target: IntervalSet) -> Measurement:
-    runs: list[tuple[int, int, int]] = []  # (domain lo, domain hi, offset)
-    index = 0
-    for lo, hi in pairs:
-        value = lo
-        while value <= hi:
-            index += 1
-            offset = value - index
-            if runs and runs[-1][2] == offset and runs[-1][1] == index - 1:
-                runs[-1] = (runs[-1][0], index, offset)
-            else:
-                runs.append((index, index, offset))
-            value += 1
-    pieces = tuple(
-        AffinePiece(interval(dlo, dhi), finite(off)) for dlo, dhi, off in runs
-    )
-    return Measurement(mu=finite(index), pieces=pieces, target=target)
-
-
-def _extract_symbolic(s: IntervalSet, steps: int) -> Measurement:
+def _extract_symbolic(s: IntervalSet, steps: int):
     # Finitely many elements but at least one symbolic endpoint, e.g.
-    # [①-3..①]; the loop runs with exact gross-number arithmetic.
+    # [①-3..①]; each step removes the minimum with exact set arithmetic.
     remaining = s
-    runs: list[tuple[GrossNumber, GrossNumber, GrossNumber]] = []
-    index = finite(0)
     for _ in range(steps):
         smallest = remaining.parts[0].lo
         remaining = difference(remaining, IntervalSet((GrossInterval(smallest, smallest),)))
-        index = index + 1
-        offset = smallest - index
+        yield smallest
+
+
+def _extraction(elements, target: IntervalSet) -> Measurement:
+    """The measurement that gives index k to the k-th of ``elements``."""
+    runs: list[tuple] = []  # (domain lo, domain hi, offset)
+    index = 0
+    for value in elements:
+        index += 1
+        offset = value - index
         if runs and runs[-1][2] == offset and runs[-1][1] == index - 1:
             runs[-1] = (runs[-1][0], index, offset)
         else:
             runs.append((index, index, offset))
-    pieces = tuple(AffinePiece(GrossInterval(dlo, dhi), off) for dlo, dhi, off in runs)
-    return Measurement(mu=index, pieces=pieces, target=s)
+    pieces = tuple(AffinePiece(interval(dlo, dhi), finite(off)) for dlo, dhi, off in runs)
+    return Measurement(mu=finite(index), pieces=pieces, target=target)
 
 
 def concat(first: Measurement, rest: Measurement) -> Measurement:
@@ -263,10 +255,9 @@ def concat(first: Measurement, rest: Measurement) -> Measurement:
     which is why the element count of a whole is the count of a part plus
     the count of the complement.
     """
-    if not intersect(first.target, rest.target).is_empty:
-        raise OverlappingTargets(
-            f"targets share {intersect(first.target, rest.target)}"
-        )
+    shared = intersect(first.target, rest.target)
+    if not shared.is_empty:
+        raise OverlappingTargets(f"targets share {shared}")
     shifted = tuple(
         AffinePiece(
             GrossInterval(p.domain.lo + first.mu, p.domain.hi + first.mu),
@@ -348,18 +339,16 @@ def transport(m: Measurement, bijection) -> Measurement:
     for piece in pieces:
         if not isinstance(piece, AffinePiece):
             raise TypeError("bijection must consist of AffinePiece values")
-    domains = make_set(p.domain for p in pieces)
-    total = finite(0)
-    for p in pieces:
-        total = total + p.domain.count()
-    if cardinality(domains) != total:
+    domains = _joined_runs((p.domain.lo, p.domain.hi) for p in pieces)
+    if domains is None:
         raise NotABijection("bijection domains overlap")
-    if domains != m.target:
+    if domains != [(part.lo, part.hi) for part in m.target.parts]:
         raise NotABijection("bijection domains do not partition the measured set")
-    images = make_set(p.image for p in pieces)
-    if cardinality(images) != total:
+    images = _joined_runs(_images(pieces))
+    if images is None:
         raise NotABijection("bijection images overlap")
-    return Measurement(mu=m.mu, pieces=_compose(m.pieces, pieces), target=images)
+    target = IntervalSet(tuple(GrossInterval(lo, hi) for lo, hi in images))
+    return Measurement(mu=m.mu, pieces=_compose(m.pieces, pieces), target=target)
 
 
 def compare_measured(first: Measurement, second: Measurement) -> Sign:
@@ -428,25 +417,48 @@ def intersection_split(first: Measurement, second: Measurement) -> tuple[Measure
 
 
 # ---------------------------------------------------------------- serialization
+#
+# Every form spells out the rows of _rows in their order: ("mu", (mu,)), then
+# ("piece", (lo, hi)) per piece with the offset as a third numeral when it is
+# nonzero (an identity block needs no shift), then ("target", (lo, hi)) per part.
+
+
+def _rows(m: Measurement):
+    yield "mu", (m.mu,)
+    for piece in m.pieces:
+        lo, hi = piece.domain.lo, piece.domain.hi
+        yield "piece", (lo, hi) if piece.offset.is_zero else (lo, hi, piece.offset)
+    for part in m.target.parts:
+        yield "target", (part.lo, part.hi)
+
+
+def _from_rows(rows) -> Measurement:
+    """The measurement that rows like those of _rows describe, validated."""
+    mu, pieces, targets = None, [], []
+    for kind, values in rows:
+        if kind == "mu":
+            (mu,) = values
+        elif kind == "piece":
+            offset = values[2] if len(values) == 3 else finite(0)
+            pieces.append(AffinePiece(GrossInterval(values[0], values[1]), offset))
+        else:
+            targets.append(GrossInterval(*values))
+    if mu is None:
+        raise InvalidMeasurement("missing mu line")
+    return Measurement(mu=mu, pieces=tuple(pieces), target=make_set(targets))
 
 
 def serialized_numerals(m: Measurement) -> list[GrossNumber]:
     """Every numeral a writer needs in order to spell the measurement out.
 
     In order: mu, then each piece's domain endpoints plus its offset when
-    the offset is nonzero (an identity block needs no shift numeral), then
-    the target's interval endpoints.  Measuring a set inside a numeral
-    system means exactly that each of these is expressible there.
+    the offset is nonzero, then the target's interval endpoints.  Measuring
+    a set inside a numeral system means exactly that each of these is
+    expressible there.
     """
-    out = [m.mu]
-    for piece in m.pieces:
-        out.append(piece.domain.lo)
-        out.append(piece.domain.hi)
-        if not piece.offset.is_zero:
-            out.append(piece.offset)
-    for part in m.target.parts:
-        out.append(part.lo)
-        out.append(part.hi)
+    out: list[GrossNumber] = []
+    for _, values in _rows(m):
+        out += values
     return out
 
 
@@ -456,87 +468,117 @@ def to_text(m: Measurement, ascii_mode: bool = False) -> str:
     ``piece`` lines carry domain-lo, domain-hi and, when nonzero, the
     offset; ``target`` lines carry one interval each.
     """
-
-    def fmt(x: GrossNumber) -> str:
-        return format_numeral(x, ascii_mode=ascii_mode)
-
-    lines = [f"mu {fmt(m.mu)}"]
-    for piece in m.pieces:
-        entry = f"piece {fmt(piece.domain.lo)} {fmt(piece.domain.hi)}"
-        if not piece.offset.is_zero:
-            entry += f" {fmt(piece.offset)}"
-        lines.append(entry)
-    for part in m.target.parts:
-        lines.append(f"target [{fmt(part.lo)}..{fmt(part.hi)}]")
+    lines = []
+    for kind, values in _rows(m):
+        fields = [format_numeral(x, ascii_mode=ascii_mode) for x in values]
+        if kind == "target":
+            fields = [f"[{fields[0]}..{fields[1]}]"]
+        lines.append(" ".join([kind, *fields]))
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str) -> Measurement:
-    """Parse the line-based form; the result is re-validated on construction."""
-    mu: GrossNumber | None = None
-    pieces: list[AffinePiece] = []
-    targets: list[GrossInterval] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+_FIELD = re.compile(r"\S+")
+_TEXT_ARITY = {"mu": (1,), "piece": (2, 3), "target": (1,)}  # fields after the kind
+
+
+def _read_target(field: str) -> tuple[GrossNumber, GrossNumber]:
+    scanner = _Scanner(field)
+    scanner.expect("[")
+    lo = scanner.parse_sum()
+    scanner.expect("..")
+    hi = scanner.parse_sum()
+    scanner.expect("]")
+    scanner.finish()
+    return lo, hi
+
+
+def _text_rows(text: str):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
+        if not fields:
+            continue
         kind, args = fields[0], fields[1:]
         try:
-            if kind == "mu" and len(args) == 1:
-                mu = parse_numeral(args[0])
-            elif kind == "piece" and len(args) in (2, 3):
-                lo, hi = parse_numeral(args[0]), parse_numeral(args[1])
-                offset = parse_numeral(args[2]) if len(args) == 3 else finite(0)
-                pieces.append(AffinePiece(GrossInterval(lo, hi), offset))
-            elif kind == "target" and len(args) == 1:
-                body = args[0]
-                if not (body.startswith("[") and body.endswith("]") and ".." in body):
-                    raise ParseError("expected [lo..hi]", raw, 0)
-                lo_text, hi_text = body[1:-1].split("..", 1)
-                targets.append(GrossInterval(parse_numeral(lo_text), parse_numeral(hi_text)))
+            if len(args) not in _TEXT_ARITY.get(kind, ()):
+                raise ParseError(f"unrecognized line {line.strip()!r}", kind, 0)
+            # Each field is read alone: a numeral must not run on into the
+            # next field, as "2①+1 -①-1" would if read as one sum.
+            if kind == "target":
+                yield kind, _read_target(args[0])
             else:
-                raise ParseError(f"unrecognized line {line!r}", raw, 0)
+                yield kind, tuple([parse_numeral(field) for field in args])
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", raw, exc.position) from None
-    if mu is None:
-        raise InvalidMeasurement("missing mu line")
-    return Measurement(mu=mu, pieces=tuple(pieces), target=make_set(targets))
+            # exc.text is the failing field, the first one with that text
+            # since fields are read from left to right.
+            column = next(f.start() for f in _FIELD.finditer(line) if f.group() == exc.text)
+            raise ParseError(f"line {lineno}: {exc.args[0]}", line, column + exc.position) from None
+
+
+def from_text(text: str) -> Measurement:
+    """Parse the line-based form; the result is re-validated on construction.
+
+    A ParseError carries the offending line as its text and the column in
+    that line as its position.
+    """
+    return _from_rows(_text_rows(text))
+
+
+_JSON_SLOTS = ("lo", "hi", "offset")  # the keys of a piece or target row's numerals
 
 
 def to_jsonable(m: Measurement, ascii_mode: bool = False) -> dict:
     """JSON-ready dict with every numeral as a string in the numeral grammar."""
+    doc: dict = {"mu": None, "pieces": [], "target": []}
+    for kind, values in _rows(m):
+        strings = [format_numeral(x, ascii_mode=ascii_mode) for x in values]
+        if kind == "mu":
+            doc["mu"] = strings[0]
+        else:
+            entry = dict(zip(_JSON_SLOTS, strings))
+            doc["pieces" if kind == "piece" else kind].append(entry)
+    return doc
 
-    def fmt(x: GrossNumber) -> str:
-        return format_numeral(x, ascii_mode=ascii_mode)
 
-    pieces = []
-    for piece in m.pieces:
-        entry = {"lo": fmt(piece.domain.lo), "hi": fmt(piece.domain.hi)}
-        if not piece.offset.is_zero:
-            entry["offset"] = fmt(piece.offset)
-        pieces.append(entry)
-    return {
-        "mu": fmt(m.mu),
-        "pieces": pieces,
-        "target": [{"lo": fmt(part.lo), "hi": fmt(part.hi)} for part in m.target.parts],
-    }
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _json_member(container: dict, key: str, kind: type, where: str):
+    """``container[key]`` checked to be of ``kind``; a ParseError names its JSON path."""
+    value = container.get(key)
+    if not isinstance(value, kind):
+        raise ParseError(f"expected {_JSON_KINDS[kind]}", f"{where}.{key}", 0)
+    return value
+
+
+def _json_numeral(container: dict, key: str, where: str) -> GrossNumber:
+    text = _json_member(container, key, str, where)
+    try:
+        return parse_numeral(text)
+    except ParseError as exc:
+        raise ParseError(f"{where}.{key}: {exc.args[0]}", text, exc.position) from None
+
+
+def _json_rows(data):
+    if not isinstance(data, dict):
+        raise ParseError("expected an object", "$", 0)
+    yield "mu", (_json_numeral(data, "mu", "$"),)
+    for kind, key in (("piece", "pieces"), ("target", "target")):
+        for i, entry in enumerate(_json_member(data, key, list, "$")):
+            where = f"$.{key}[{i}]"
+            if not isinstance(entry, dict):
+                raise ParseError("expected an object", where, 0)
+            count = 3 if kind == "piece" and "offset" in entry else 2
+            yield kind, tuple([_json_numeral(entry, key, where) for key in _JSON_SLOTS[:count]])
 
 
 def from_jsonable(data: dict) -> Measurement:
-    mu = parse_numeral(data["mu"])
-    pieces = tuple(
-        AffinePiece(
-            GrossInterval(parse_numeral(entry["lo"]), parse_numeral(entry["hi"])),
-            parse_numeral(entry.get("offset", "0")),
-        )
-        for entry in data["pieces"]
-    )
-    target = make_set(
-        GrossInterval(parse_numeral(entry["lo"]), parse_numeral(entry["hi"]))
-        for entry in data["target"]
-    )
-    return Measurement(mu=mu, pieces=pieces, target=target)
+    """Inverse of :func:`to_jsonable`; the result is re-validated on construction.
+
+    A malformed document raises ParseError naming the JSON path at fault,
+    such as ``$.pieces[0].hi``; content that is no bijection raises
+    InvalidMeasurement.
+    """
+    return _from_rows(_json_rows(data))
 
 
 def to_json(m: Measurement, ascii_mode: bool = False) -> str:
@@ -544,4 +586,10 @@ def to_json(m: Measurement, ascii_mode: bool = False) -> str:
 
 
 def from_json(text: str) -> Measurement:
-    return from_jsonable(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.doc, exc.pos) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", text, 0) from None
+    return from_jsonable(data)

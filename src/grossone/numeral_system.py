@@ -192,7 +192,7 @@ class GrossBudget(NumeralSystem):
 
 def expressible(sys: NumeralSystem, x: GrossNumber) -> bool:
     """True when x is writable in the system."""
-    return sys.can_express(x if isinstance(x, GrossNumber) else finite(x))
+    return sys.can_express(finite(x))
 
 
 def max_finite(sys: NumeralSystem) -> GrossNumber:

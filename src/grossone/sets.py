@@ -21,9 +21,8 @@ from .errors import (
     NonIntegerEndpoint,
     NonIntegerOffset,
     NotSubsetOfRange,
-    ParseError,
 )
-from .gnum import GROSSONE, GrossNumber, classify, finite, parse_numeral_prefix
+from .gnum import GROSSONE, GrossNumber, _Scanner, classify, finite
 
 __all__ = [
     "GrossInterval",
@@ -153,23 +152,6 @@ def _coalesce(ordered) -> IntervalSet:
     return IntervalSet(tuple(merged))
 
 
-def from_ints(values) -> IntervalSet:
-    """Set of plain Python ints; handy for small explicit sets."""
-    ordered = sorted(set(values))
-    runs: list[GrossInterval] = []
-    for v in ordered:
-        if runs and finite(v) == runs[-1].hi + 1:
-            runs[-1] = GrossInterval(runs[-1].lo, finite(v))
-        else:
-            runs.append(interval(v, v))
-    return IntervalSet(tuple(runs))
-
-
-def as_int_pairs(s: IntervalSet) -> list[tuple[int, int]]:
-    """Endpoint pairs as plain ints; fails if any endpoint is infinite."""
-    return [(part.lo.as_int(), part.hi.as_int()) for part in s.parts]
-
-
 # ------------------------------------------------------------------ set algebra
 
 
@@ -286,7 +268,7 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    shift = _coerce_endpoint(offset) if not isinstance(offset, GrossNumber) else offset
+    shift = _coerce_endpoint(offset)
     if not classify(shift).is_integer:
         raise NonIntegerOffset(f"offset {shift} is not a gross-integer")
     out = []
@@ -344,14 +326,14 @@ def union_initial_segments(bound: GrossNumber | int = GROSSONE) -> IntervalSet:
 _MAX_NESTING = 100
 
 
-class _SetScanner:
+class _SetScanner(_Scanner):
     """Recursive-descent parser for set expressions.
 
     Grammar (whitespace allowed between tokens; '|' and '\\' bind equally
     and associate left, '&' binds tighter):
 
-        expr    := term (('|' | '\\') term)*
-        term    := factor ('&' factor)*
+        expr    := meet (('|' | '\\') meet)*
+        meet    := factor ('&' factor)*
         factor  := '[' numeral '..' numeral ']'
                  | '{' numeral (',' numeral)* '}'
                  | '(' expr ')'
@@ -361,42 +343,11 @@ class _SetScanner:
 
     ``iota(S, k)`` maps x to k+1-x (the reversal of [1..k]); ``reflect(S, a)``
     mirrors through the point a; ``hull(S)`` is the convex hull.  Bracketed
-    and function arguments nest at most ``_MAX_NESTING`` deep.
+    and function arguments nest at most ``_MAX_NESTING`` deep.  Numerals are
+    read by the numeral scanner this class extends, on the same text.
     """
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def fail(self, message: str):
-        raise ParseError(message, self.text, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            self.fail(f"expected {token!r}")
-        self.pos += len(token)
-
-    def read_numeral(self) -> GrossNumber:
-        self.skip_ws()
-        value, end = parse_numeral_prefix(self.text, self.pos)
-        self.pos = end
-        return value
-
-    def read_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.peek().isalpha():
-            self.pos += 1
-        return self.text[start : self.pos]
+    depth = 0
 
     def parse_nested(self) -> IntervalSet:
         """An ``expr`` one nesting level down; ParseError past the depth cap."""
@@ -412,9 +363,9 @@ class _SetScanner:
         ch = self.peek()
         if ch == "[":
             self.pos += 1
-            lo = self.read_numeral()
+            lo = self.parse_sum()
             self.expect("..")
-            hi = self.read_numeral()
+            hi = self.parse_sum()
             self.expect("]")
             return IntervalSet((GrossInterval(lo, hi),))
         if ch == "{":
@@ -423,11 +374,11 @@ class _SetScanner:
             if self.peek() == "}":
                 self.pos += 1
                 return EMPTY
-            elements = [self.read_numeral()]
+            elements = [self.parse_sum()]
             self.skip_ws()
             while self.peek() == ",":
                 self.pos += 1
-                elements.append(self.read_numeral())
+                elements.append(self.parse_sum())
                 self.skip_ws()
             self.expect("}")
             return make_set(GrossInterval(e, e) for e in elements)
@@ -441,14 +392,14 @@ class _SetScanner:
             self.expect("(")
             inner = self.parse_nested()
             self.expect(",")
-            kappa = self.read_numeral()
+            kappa = self.parse_sum()
             self.expect(")")
             return map_affine(inner, -1, kappa + 1)
         if name == "reflect":
             self.expect("(")
             inner = self.parse_nested()
             self.expect(",")
-            center = self.read_numeral()
+            center = self.parse_sum()
             self.expect(")")
             return map_affine(inner, -1, center * 2)
         if name == "hull":
@@ -458,7 +409,7 @@ class _SetScanner:
             return convex_hull(inner)
         self.fail("expected an interval, enumeration, '(' or a function name")
 
-    def parse_term(self) -> IntervalSet:
+    def parse_meet(self) -> IntervalSet:
         result = self.parse_factor()
         while True:
             self.skip_ws()
@@ -469,16 +420,16 @@ class _SetScanner:
                 return result
 
     def parse_expr(self) -> IntervalSet:
-        result = self.parse_term()
+        result = self.parse_meet()
         while True:
             self.skip_ws()
             op = self.peek()
             if op == "|":
                 self.pos += 1
-                result = union(result, self.parse_term())
+                result = union(result, self.parse_meet())
             elif op == "\\":
                 self.pos += 1
-                result = difference(result, self.parse_term())
+                result = difference(result, self.parse_meet())
             else:
                 return result
 
@@ -487,7 +438,5 @@ def parse_set_expression(text: str) -> IntervalSet:
     """Evaluate a set expression; see :class:`_SetScanner` for the grammar."""
     scanner = _SetScanner(text)
     result = scanner.parse_expr()
-    scanner.skip_ws()
-    if scanner.pos != len(text):
-        scanner.fail("unexpected trailing input")
+    scanner.finish()
     return result
