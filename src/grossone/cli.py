@@ -11,6 +11,10 @@ or the command line itself.  With ``--format json`` the output is a
 single JSON object ``{"result": ...}`` or ``{"error": ...}`` matching the
 shipped schema; ``--ascii`` renders ① as G1 so the tool survives
 non-Unicode terminals.
+
+Handlers return plain strings; :func:`run_command` alone applies
+``--format`` and ``--ascii``.  ``--ascii`` rewrites results only: error
+messages, and the ``value`` of a NotExpressible error, keep ① as written.
 """
 
 from __future__ import annotations
@@ -32,28 +36,23 @@ def _sign_word(sign: Sign) -> str:
     return sign.name.lower()
 
 
-class _Renderer:
-    """A numeral, set or strip as text: its ``str``, with ① as G1 under ``--ascii``."""
-
-    def __init__(self, ascii_mode: bool):
-        self.ascii_mode = ascii_mode
-
-    def __call__(self, value) -> str:
-        text = str(value)
-        return text.replace(GROSS_SYMBOL, GROSS_ASCII) if self.ascii_mode else text
+def _word(value) -> str:
+    """A result entry in text mode: booleans print as true/false."""
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 # ----------------------------------------------------------------------- verbs
 #
-# Each handler returns (result_dict, text_lines); the dict feeds the JSON
-# envelope, the lines feed text mode.
+# Each handler takes the parsed arguments and returns (result_dict,
+# text_lines) of plain strings: the dict feeds the JSON envelope, the lines
+# feed text mode.  run_command alone applies --format and --ascii.
 
 
-def _cmd_eval(args, r: _Renderer):
+def _cmd_eval(args):
     value = parse_numeral(args.numeral)
     kind = classify(value)
     result = {
-        "value": r(value),
+        "value": str(value),
         "class": {
             "integer": kind.is_integer,
             "finite": kind.is_finite,
@@ -61,24 +60,23 @@ def _cmd_eval(args, r: _Renderer):
             "infinitesimal": kind.is_infinitesimal,
         },
     }
-    return result, [r(value)]
+    return result, [result["value"]]
 
 
-def _cmd_card(args, r: _Renderer):
+def _cmd_card(args):
     from . import sets
 
     s = sets.parse_set_expression(args.set)
-    count = sets.cardinality(s)
-    result = {"set": r(s), "cardinality": r(count)}
-    return result, [r(count)]
+    result = {"set": str(s), "cardinality": str(sets.cardinality(s))}
+    return result, [result["cardinality"]]
 
 
-def _cmd_cmp(args, r: _Renderer):
+def _cmd_cmp(args):
     sign = cmp(parse_numeral(args.left), parse_numeral(args.right))
     return {"sign": _sign_word(sign)}, [_sign_word(sign)]
 
 
-def _cmd_measure(args, r: _Renderer):
+def _cmd_measure(args):
     from . import measure, sets
 
     s = sets.parse_set_expression(args.set)
@@ -88,40 +86,35 @@ def _cmd_measure(args, r: _Renderer):
         from . import numeral_system
 
         m = numeral_system.measure_in(numeral_system.parse_system(args.system), s)
-    result = {"measurement": measure.to_jsonable(m, ascii_mode=r.ascii_mode)}
-    text = measure.to_text(m, ascii_mode=r.ascii_mode).rstrip("\n").split("\n")
-    return result, text
+    text = measure.to_text(m).rstrip("\n").split("\n")
+    return {"measurement": measure.to_jsonable(m)}, text
 
 
-def _cmd_system(args, r: _Renderer):
+def _cmd_system(args):
     from . import numeral_system
 
     sys_ = numeral_system.parse_system(args.descriptor)
-    if args.query == "max-finite":
-        value = numeral_system.max_finite(sys_)
-        return {"system": sys_.describe(), "max_finite": r(value)}, [r(value)]
-    if args.query == "min-infinite":
-        value = numeral_system.min_infinite(sys_)
-        return {"system": sys_.describe(), "min_infinite": r(value)}, [r(value)]
-    # args.query == "expressible"
+    if args.query != "expressible":
+        # max-finite and min-infinite name the library function and the key.
+        key = args.query.replace("-", "_")
+        value = str(getattr(numeral_system, key)(sys_))
+        return {"system": sys_.describe(), key: value}, [value]
     if args.value is None:
         raise ParseError("expressible needs a numeral argument", args.query, 0)
     probe = parse_numeral(args.value)
     ok = numeral_system.expressible(sys_, probe)
-    result = {"system": sys_.describe(), "numeral": r(probe), "expressible": ok}
-    return result, ["true" if ok else "false"]
+    return {"system": sys_.describe(), "numeral": str(probe), "expressible": ok}, [_word(ok)]
 
 
-def _cmd_define(args, r: _Renderer):
+def _cmd_define(args):
     from . import derived
 
     d = derived.parse_defined(args.expression)
-    result: dict = {"defined": derived.format_defined(d, ascii_mode=r.ascii_mode)}
+    result: dict = {"defined": derived.format_defined(d)}
     lines = [result["defined"]]
     if classify(d.kappa).is_finite:
-        resolved = derived.resolve_finite(d)
-        result["resolved"] = r(resolved)
-        lines = [r(resolved)]
+        result["resolved"] = str(derived.resolve_finite(d))
+        lines = [result["resolved"]]
     if args.cmp is not None:
         outcome = derived.cmp_defined(d, parse_numeral(args.cmp))
         word = "incomparable" if outcome is derived.INCOMPARABLE else _sign_word(outcome)
@@ -130,36 +123,26 @@ def _cmd_define(args, r: _Renderer):
     return result, lines
 
 
-def _cmd_demo(args, r: _Renderer):
-    if args.topic != "halfplane":
-        raise ParseError(f"unknown demo {args.topic!r}", args.topic, 0)
+def _cmd_demo(args):
     from . import geometry
 
     a = _finite_rational(args.a, "--a")
     d = _finite_rational(args.d, "--d")
     report = geometry.halfplane_demo(a, d, parse_numeral(args.b), parse_numeral(args.c))
+    left, right = report.uncovered_left, report.uncovered_right
     result = {
-        "A": r(report.strip_a),
-        "C": r(report.strip_c),
-        "B": r(report.strip_b),
+        "A": str(report.strip_a),
+        "C": str(report.strip_c),
+        "B": str(report.strip_b),
         "subset": report.subset,
-        "uncovered": r(report.uncovered),
-        "uncovered_left": None if report.uncovered_left is None else r(report.uncovered_left),
-        "uncovered_right": None if report.uncovered_right is None else r(report.uncovered_right),
+        "uncovered": str(report.uncovered),
+        "uncovered_left": None if left is None else str(left),
+        "uncovered_right": None if right is None else str(right),
         "classical_subset": report.classical_subset,
     }
     lines = [
-        f"A {result['A']}",
-        f"C {result['C']}",
-        f"B {result['B']}",
-        f"subset {'true' if report.subset else 'false'}",
-        f"uncovered {result['uncovered']}",
+        f"{key.replace('_', '-')} {_word(value)}" for key, value in result.items() if value is not None
     ]
-    if report.uncovered_left is not None:
-        lines.append(f"uncovered-left {result['uncovered_left']}")
-    if report.uncovered_right is not None:
-        lines.append(f"uncovered-right {result['uncovered_right']}")
-    lines.append(f"classical-subset {'true' if report.classical_subset else 'false'}")
     return result, lines
 
 
@@ -238,10 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: dict):
-    sys.stdout.write(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 def _error_payload(exc: GrossoneError) -> dict:
     entry = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, ParseError):
@@ -253,19 +232,28 @@ def _error_payload(exc: GrossoneError) -> dict:
 
 
 def run_command(args) -> int:
-    renderer = _Renderer(ascii_mode=args.ascii)
+    """Run the verb's handler, write its output and return the exit code.
+
+    The one place ``--format`` and ``--ascii`` apply: ``--ascii`` rewrites
+    the whole result text, and errors are written as raised.
+    """
+    as_json = args.output_format == "json"
     try:
-        result, lines = args.handler(args, renderer)
+        result, lines = args.handler(args)
     except GrossoneError as exc:
-        if args.output_format == "json":
-            _emit_json(_error_payload(exc))
+        if as_json:
+            payload = json.dumps(_error_payload(exc), ensure_ascii=False, sort_keys=True)
+            sys.stdout.write(payload + "\n")
         else:
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2 if isinstance(exc, ParseError) else 1
-    if args.output_format == "json":
-        _emit_json({"result": result})
+    if as_json:
+        text = json.dumps({"result": result}, ensure_ascii=False, sort_keys=True)
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        text = "\n".join(lines)
+    if args.ascii:
+        text = text.replace(GROSS_SYMBOL, GROSS_ASCII)
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -220,12 +220,9 @@ class GrossNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[Rational, Rational] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return GrossNumber.from_terms(acc.items())
+        return GrossNumber.from_terms(
+            (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
+        )
 
     __rmul__ = __mul__
 
@@ -408,11 +405,12 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         return ZERO
     shift = x.terms[-1][0] - y.terms[-1][0]
     lead_exp, lead_coeff = y.leading()
-    quotient: dict[Rational, Rational] = {}
+    quotient: list[Term] = []
     remainder = x
     # Remainder exponents stay at or above the trailing exponent of x, and
     # each step lowers the leading exponent within a fixed discrete
-    # lattice of rationals, so the loop always finishes.
+    # lattice of rationals, so the loop always finishes.  Each step clears
+    # the remainder's leading term, so quotient exponents strictly fall.
     while not remainder.is_zero:
         rem_exp, rem_coeff = remainder.leading()
         if rem_exp - lead_exp < shift:
@@ -420,9 +418,9 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         q_exp = _exact(rem_exp - lead_exp)
         # Fraction(a, b), never a / b: two ints would divide to a float.
         q_coeff = _exact(Fraction(rem_coeff, lead_coeff))
-        quotient[q_exp] = quotient.get(q_exp, 0) + q_coeff
+        quotient.append((q_exp, q_coeff))
         remainder = remainder - gross_term(q_coeff, q_exp) * y
-    return GrossNumber.from_terms(quotient.items())
+    return GrossNumber(tuple(quotient))
 
 
 def cmp(x: GrossNumber, y: GrossNumber) -> Sign:

@@ -372,13 +372,9 @@ def canonical_injection(first: Measurement, second: Measurement) -> tuple[Affine
         raise PreconditionViolated(
             f"no canonical injection: {first.mu} elements into {second.mu}"
         )
-    clipped: list[AffinePiece] = []
-    for piece in second.pieces:
-        if piece.domain.lo > first.mu:
-            break
-        hi = piece.domain.hi if piece.domain.hi <= first.mu else first.mu
-        clipped.append(AffinePiece(GrossInterval(piece.domain.lo, hi), piece.offset))
-    return _compose(invert_pieces(first.pieces), clipped)
+    # The inverse's images are exactly [1..first.mu], and the sweep stops
+    # when they run out, so second's domains past first.mu are never used.
+    return _compose(invert_pieces(first.pieces), second.pieces)
 
 
 def complement_measurement(whole: Measurement, part: Measurement) -> Measurement:

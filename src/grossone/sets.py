@@ -264,19 +264,18 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     """Image of the set under ``x -> sign*x + offset`` with sign in {+1, -1}.
 
     Such maps are exactly the order-preserving or order-reversing rigid
-    motions of the integers, so images of intervals stay intervals.
+    motions of the integers, so images of intervals stay intervals, and the
+    image of a canonical set keeps its gaps: it is canonical once the parts
+    are put back in order, reversed when sign is -1.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     shift = _coerce_endpoint(offset)
     if not classify(shift).is_integer:
         raise NonIntegerOffset(f"offset {shift} is not a gross-integer")
-    out = []
-    for part in s.parts:
-        a = part.lo * sign + shift
-        b = part.hi * sign + shift
-        out.append(GrossInterval(a, b) if sign == 1 else GrossInterval(b, a))
-    return make_set(out)
+    if sign == 1:
+        return IntervalSet(tuple(GrossInterval(p.lo + shift, p.hi + shift) for p in s.parts))
+    return IntervalSet(tuple(GrossInterval(shift - p.hi, shift - p.lo) for p in reversed(s.parts)))
 
 
 def is_initial_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> GrossNumber | None:
@@ -324,6 +323,14 @@ def union_initial_segments(bound: GrossNumber | int = GROSSONE) -> IntervalSet:
 # Each nesting level costs three parser frames; this keeps the deepest
 # expression well inside the interpreter's default recursion limit.
 _MAX_NESTING = 100
+
+
+# name -> (whether a numeral follows the set argument, the function)
+_FUNCTIONS = {
+    "iota": (True, lambda s, kappa: map_affine(s, -1, kappa + 1)),
+    "reflect": (True, lambda s, center: map_affine(s, -1, center * 2)),
+    "hull": (False, convex_hull),
+}
 
 
 class _SetScanner(_Scanner):
@@ -388,26 +395,17 @@ class _SetScanner(_Scanner):
             self.expect(")")
             return inner
         name = self.read_name()
-        if name == "iota":
-            self.expect("(")
-            inner = self.parse_nested()
+        if name not in _FUNCTIONS:
+            self.pos -= len(name)
+            self.fail("expected an interval, enumeration, '(' or a function name")
+        takes_numeral, apply = _FUNCTIONS[name]
+        self.expect("(")
+        args = [self.parse_nested()]
+        if takes_numeral:
             self.expect(",")
-            kappa = self.parse_sum()
-            self.expect(")")
-            return map_affine(inner, -1, kappa + 1)
-        if name == "reflect":
-            self.expect("(")
-            inner = self.parse_nested()
-            self.expect(",")
-            center = self.parse_sum()
-            self.expect(")")
-            return map_affine(inner, -1, center * 2)
-        if name == "hull":
-            self.expect("(")
-            inner = self.parse_nested()
-            self.expect(")")
-            return convex_hull(inner)
-        self.fail("expected an interval, enumeration, '(' or a function name")
+            args.append(self.parse_sum())
+        self.expect(")")
+        return apply(*args)
 
     def parse_meet(self) -> IntervalSet:
         result = self.parse_factor()

@@ -4,7 +4,7 @@ import json
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import oracles
@@ -506,3 +506,25 @@ class TestSerialization:
         payload["mu"] = "5"
         with pytest.raises(InvalidMeasurement):
             from_json(json.dumps(payload))
+
+
+@seed(20261024)
+@given(
+    st.sampled_from([oracles.random_finite_set, oracles.random_symbolic_set]),
+    st.randoms(use_true_random=False),
+    st.randoms(use_true_random=False),
+)
+def test_canonical_injection_routes_symbolic_sets_pointwise(first_kind, rng_a, rng_b):
+    # The second set has a tail near ①, so its measurement's domains run
+    # past the first mu, partly or wholly.
+    ma = canonical_measurement(first_kind(rng_a))
+    mb = canonical_measurement(oracles.random_symbolic_set(rng_b))
+    if compare_measured(ma, mb) == Sign.POSITIVE:
+        ma, mb = mb, ma
+    pieces = canonical_injection(ma, mb)
+    assert make_set(p.domain for p in pieces) == ma.target
+    assert sum((p.domain.count() for p in pieces), finite(0)) == ma.mu
+    for p in pieces:
+        lo, hi = p.domain.lo, p.domain.hi
+        for x in {lo, hi, min(lo + 1, hi), max(hi - 1, lo)}:
+            assert x + p.offset == mb.apply(ma.invert(x))

@@ -3,7 +3,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import oracles
@@ -290,3 +290,28 @@ class TestExpressionParsing:
     def test_round_trip_via_str(self):
         s = expr("[1..3]|[7..①]")
         assert expr(str(s)) == s
+
+
+# ------------------------------------------------------------ map_affine images
+
+int_sets = st.sets(st.integers(-40, 80), max_size=40).map(oracles.set_from_model)
+gross_offsets = st.builds(
+    lambda k, c: GROSSONE * k + c, st.integers(-2, 2), st.integers(-300, 300)
+)
+
+
+@seed(20261022)
+@given(int_sets, st.sampled_from([1, -1]), st.integers(-100, 100))
+def test_map_affine_matches_the_int_model(s, sign, offset):
+    image = map_affine(s, sign, offset)
+    assert oracles.set_model(image) == {sign * x + offset for x in oracles.set_model(s)}
+
+
+@seed(20261023)
+@given(st.randoms(use_true_random=False), st.sampled_from([1, -1]), gross_offsets)
+def test_map_affine_of_a_symbolic_set_is_make_set_of_the_mapped_parts(rng, sign, offset):
+    s = oracles.random_symbolic_set(rng)
+    ends = [(p.lo * sign + offset, p.hi * sign + offset) for p in s.parts]
+    assert map_affine(s, sign, offset) == make_set(
+        GrossInterval(min(a, b), max(a, b)) for a, b in ends
+    )

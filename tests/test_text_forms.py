@@ -48,7 +48,7 @@ def assert_points_into(exc: ParseError, text: str, position: int):
 # ------------------------------------------------------------ absolute positions
 
 NUMERALS = [("7①+", 3), ("1/0", 2), ("2**", 2), ("①x", 1), (" 2①^(1/2", 8), ("", 0)]
-SETS = [("[1..3", 5), ("[1..3] | frob(2)", 13), ("{1,,2}", 3), ("[1..2]]", 6), ("{1,2}&x", 7)]
+SETS = [("[1..3", 5), ("[1..3] | frob(2)", 9), ("{1,,2}", 3), ("[1..2]]", 6), ("{1,2}&x", 6)]
 DEFINED = [
     ("sqrtfloor(1+)", 12),
     ("logfloor(x, 3)", 9),
