@@ -139,14 +139,14 @@ class ExpBase(MonotoneFn):
 
 @dataclass(frozen=True)
 class Affine(MonotoneFn):
-    """g(x) = a*x + c with rational a > 0; evaluable everywhere."""
+    """g(x) = a*x + c with rational a > 0, read through ``finite``; evaluable everywhere."""
 
     a: Fraction
     c: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "c", Fraction(self.c))
+        object.__setattr__(self, "a", finite(self.a).as_fraction())
+        object.__setattr__(self, "c", finite(self.c).as_fraction())
         if self.a <= 0:
             raise InvalidArgument("slope must be positive")
 
@@ -156,10 +156,19 @@ class Affine(MonotoneFn):
 
 @dataclass(frozen=True)
 class DefinedNumeral:
-    """The unique x with g(x) <= kappa < g(x+1), held symbolically."""
+    """The unique x with g(x) <= kappa < g(x+1), held symbolically.
+
+    ``kappa`` is read through ``finite`` and must be a gross-integer.
+    """
 
     g: MonotoneFn
     kappa: GrossNumber
+
+    def __post_init__(self):
+        kappa = finite(self.kappa)
+        object.__setattr__(self, "kappa", kappa)
+        if not classify(kappa).is_integer:
+            raise InvalidArgument(f"kappa must be a gross-integer, got {kappa}")
 
     def __str__(self) -> str:
         return format_defined(self)
@@ -184,16 +193,13 @@ INCOMPARABLE = _Incomparable()
 
 def define_by_inverse(g: MonotoneFn, kappa: GrossNumber | int) -> DefinedNumeral:
     """Name the x with g(x) <= kappa < g(x+1); no resolution is attempted."""
-    kappa = finite(kappa)
-    kind = classify(kappa)
-    if not kind.is_integer:
-        raise InvalidArgument(f"kappa must be a gross-integer, got {kappa}")
+    d = DefinedNumeral(g=g, kappa=kappa)
     g1 = g.evaluate(finite(1))
     if g1 is None:
         raise InvalidArgument("g must be evaluable at 1")
-    if kappa < g1:
-        raise BelowRange(f"kappa {kappa} is below g(1) = {g1}; no positive x qualifies")
-    return DefinedNumeral(g=g, kappa=kappa)
+    if d.kappa < g1:
+        raise BelowRange(f"kappa {d.kappa} is below g(1) = {g1}; no positive x qualifies")
+    return d
 
 
 def resolve_finite(d: DefinedNumeral) -> GrossNumber:

@@ -73,8 +73,7 @@ class Strip:
 
 def reflect_strip(s: Strip, axis_x) -> Strip:
     """Mirror image in the vertical line at ``axis_x``: x goes to -x + 2*axis_x."""
-    a = finite(axis_x)
-    return Strip(x=RealInterval(-s.x.hi + 2 * a, -s.x.lo + 2 * a), y=s.y)
+    return Strip(x=RealInterval(-s.x.hi + 2 * axis_x, -s.x.lo + 2 * axis_x), y=s.y)
 
 
 def strip_subset(inner: Strip, outer: Strip) -> bool:
@@ -215,12 +214,10 @@ def halfplane_demo(a, d, b: GrossNumber = GROSSONE, c: GrossNumber = GROSSONE) -
     The classical comparison rereads b and c as unbounded tokens and
     repeats both reflections under absorbing arithmetic.
     """
-    a = Fraction(a)
-    d = Fraction(d)
-    b = finite(b)
-    c = finite(c)
+    a = finite(a).as_fraction()
+    d = finite(d).as_fraction()
     side = RealInterval(-c, c)
-    strip_a = Strip(x=RealInterval(-b, finite(a)), y=side)
+    strip_a = Strip(x=RealInterval(-b, a), y=side)
     strip_c = reflect_strip(strip_a, a)
     strip_b = reflect_strip(strip_c, d)
     left, right = uncovered_parts(strip_b, strip_a)

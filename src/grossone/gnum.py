@@ -345,16 +345,18 @@ def _coerce(value) -> GrossNumber:
     return GrossNumber(((0, value),)) if value else ZERO
 
 
-def _strict(value) -> GrossNumber:
+def finite(value: Rational | GrossNumber) -> GrossNumber:
+    """The gross-number equal to an int, a Fraction or a gross-number.
+
+    Every value type reads its numeric fields through this; anything else,
+    a float included, is a TypeError.
+    """
+    if isinstance(value, GrossNumber):
+        return value
     coerced = _coerce(value)
     if coerced is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as a gross-number")
     return coerced
-
-
-def finite(value: Rational) -> GrossNumber:
-    """The gross-number equal to a plain rational."""
-    return _strict(value)
 
 
 def gross_term(coefficient: Rational = 1, exponent: Rational = 1) -> GrossNumber:
@@ -375,16 +377,16 @@ GROSSONE = GrossNumber(((1, 1),))
 
 def add(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     """Exact termwise sum in canonical form."""
-    return _strict(x) + _strict(y)
+    return finite(x) + finite(y)
 
 
 def sub(x: GrossNumber, y: GrossNumber) -> GrossNumber:
-    return _strict(x) - _strict(y)
+    return finite(x) - finite(y)
 
 
 def mul(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     """Exact distributive product; exponents of terms add."""
-    return _strict(x) * _strict(y)
+    return finite(x) * finite(y)
 
 
 def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
@@ -397,8 +399,8 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     divisor's leading exponent, and in that case no finite-term quotient
     exists at all: NotExact.  Single-term divisors always divide out.
     """
-    x = _strict(x)
-    y = _strict(y)
+    x = finite(x)
+    y = finite(y)
     if y.is_zero:
         raise DivideByZero("division by zero")
     if x.is_zero:
@@ -431,7 +433,7 @@ def cmp(x: GrossNumber, y: GrossNumber) -> Sign:
     term of x - y is the first place the two canonical term tuples differ,
     so one walk over both decides without building the difference.
     """
-    return _compare_terms(_strict(x).terms, _strict(y).terms)
+    return _compare_terms(finite(x).terms, finite(y).terms)
 
 
 def classify(x: GrossNumber) -> NumberClass:
@@ -440,9 +442,11 @@ def classify(x: GrossNumber) -> NumberClass:
     Integrality follows the grossone convention that ① is divisible by
     every finite positive integer: a value is an integer when it has no
     negative exponents, its exponent-0 coefficient is a plain integer, and
-    its positive-exponent coefficients are arbitrary rationals.
+    its coefficients on any positive exponent, fractional ones included
+    (``①^(1/2)``), are arbitrary rationals.  Every constructor that needs
+    a gross-integer applies this rule.
     """
-    x = _strict(x)
+    x = finite(x)
     if x.is_zero:
         return NumberClass(is_integer=True, is_finite=True, is_infinite=False, is_infinitesimal=False)
     lead_exp = x.terms[0][0]
@@ -491,7 +495,7 @@ def format_numeral(x: GrossNumber, ascii_mode: bool = False) -> str:
 
     ``ascii_mode`` writes the base as ``G1`` instead of ``①``.
     """
-    x = _strict(x)
+    x = finite(x)
     if x.is_zero:
         return "0"
     chunks = []
@@ -643,6 +647,15 @@ class _Scanner:
         else:
             exponent = 1
         return exponent, coefficient
+
+    def parse_interval(self) -> tuple[GrossNumber, GrossNumber]:
+        """The endpoints of ``'[' numeral '..' numeral ']'``."""
+        self.expect("[")
+        lo = self.parse_sum()
+        self.expect("..")
+        hi = self.parse_sum()
+        self.expect("]")
+        return lo, hi
 
     def parse_sum(self) -> GrossNumber:
         terms: list[Term] = []

@@ -36,7 +36,6 @@ from .sets import (
     cardinality,
     difference,
     intersect,
-    interval,
     is_subset,
     make_set,
     union,
@@ -77,7 +76,7 @@ class AffinePiece:
     def __post_init__(self):
         if not isinstance(self.domain, GrossInterval):
             raise TypeError("domain must be a GrossInterval")
-        shift = self.offset if isinstance(self.offset, GrossNumber) else finite(self.offset)
+        shift = finite(self.offset)
         object.__setattr__(self, "offset", shift)
         if not classify(shift).is_integer:
             raise NonIntegerOffset(f"offset {shift} is not a gross-integer")
@@ -94,10 +93,10 @@ class AffinePiece:
 class Measurement:
     """A validated bijection from [1..mu] onto ``target``.
 
-    Construction re-checks the full invariant, so any Measurement in hand
-    is a genuine measurement: domains partition [1..mu] contiguously,
-    images are pairwise disjoint and cover the target exactly, and mu
-    equals the target's element count.
+    Construction reads ``mu`` through ``finite`` and re-checks the full
+    invariant, so any Measurement in hand is a genuine measurement:
+    domains partition [1..mu] contiguously, images are pairwise disjoint
+    and cover the target exactly, and mu equals the target's element count.
     """
 
     mu: GrossNumber
@@ -105,6 +104,7 @@ class Measurement:
     target: IntervalSet
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", finite(self.mu))
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if not classify(self.mu).is_integer or self.mu.sign() != Sign.POSITIVE:
             raise InvalidMeasurement(f"mu must be a positive gross-integer, got {self.mu}")
@@ -244,8 +244,8 @@ def _extraction(elements, target: IntervalSet) -> Measurement:
             runs[-1] = (runs[-1][0], index, offset)
         else:
             runs.append((index, index, offset))
-    pieces = tuple(AffinePiece(interval(dlo, dhi), finite(off)) for dlo, dhi, off in runs)
-    return Measurement(mu=finite(index), pieces=pieces, target=target)
+    pieces = tuple(AffinePiece(GrossInterval(dlo, dhi), off) for dlo, dhi, off in runs)
+    return Measurement(mu=index, pieces=pieces, target=target)
 
 
 def concat(first: Measurement, rest: Measurement) -> Measurement:
@@ -435,7 +435,7 @@ def _from_rows(rows) -> Measurement:
         if kind == "mu":
             (mu,) = values
         elif kind == "piece":
-            offset = values[2] if len(values) == 3 else finite(0)
+            offset = values[2] if len(values) == 3 else 0
             pieces.append(AffinePiece(GrossInterval(values[0], values[1]), offset))
         else:
             targets.append(GrossInterval(*values))
@@ -479,13 +479,9 @@ _TEXT_ARITY = {"mu": (1,), "piece": (2, 3), "target": (1,)}  # fields after the 
 
 def _read_target(field: str) -> tuple[GrossNumber, GrossNumber]:
     scanner = _Scanner(field)
-    scanner.expect("[")
-    lo = scanner.parse_sum()
-    scanner.expect("..")
-    hi = scanner.parse_sum()
-    scanner.expect("]")
+    bounds = scanner.parse_interval()
     scanner.finish()
-    return lo, hi
+    return bounds
 
 
 def _text_rows(text: str):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 
 from .errors import (
@@ -46,39 +45,28 @@ __all__ = [
 ]
 
 
-def _check_integer(value: GrossNumber, role: str) -> GrossNumber:
-    if not classify(value).is_integer:
-        raise NonIntegerEndpoint(f"{role} {value} is not a gross-integer")
-    return value
-
-
-def _coerce_endpoint(value) -> GrossNumber:
-    if isinstance(value, GrossNumber):
-        return value
-    if isinstance(value, int):
-        return finite(value)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return finite(value)
-    raise TypeError(f"cannot use {value!r} as an interval endpoint")
-
-
 @dataclass(frozen=True)
 class GrossInterval:
     """Closed integer interval ``[lo..hi]`` with ``lo <= hi``.
 
-    Endpoints are gross-integers; empty intervals are rejected rather than
-    normalized away, because an explicit empty part never has a canonical
-    place in an interval union.
+    Endpoints are read through ``finite`` and must be gross-integers.
+    Empty intervals are rejected rather than normalized away, because an
+    explicit empty part never has a canonical place in an interval union.
     """
 
     lo: GrossNumber
     hi: GrossNumber
 
     def __post_init__(self):
-        _check_integer(self.lo, "lower endpoint")
-        _check_integer(self.hi, "upper endpoint")
-        if self.lo > self.hi:
-            raise EmptyIntervalRejected(f"[{self.lo}..{self.hi}] has no elements")
+        lo, hi = finite(self.lo), finite(self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if not classify(lo).is_integer:
+            raise NonIntegerEndpoint(f"lower endpoint {lo} is not a gross-integer")
+        if not classify(hi).is_integer:
+            raise NonIntegerEndpoint(f"upper endpoint {hi} is not a gross-integer")
+        if lo > hi:
+            raise EmptyIntervalRejected(f"[{lo}..{hi}] has no elements")
 
     def count(self) -> GrossNumber:
         return self.hi - self.lo + 1
@@ -89,7 +77,7 @@ class GrossInterval:
 
 def interval(lo, hi) -> GrossInterval:
     """Interval from plain ints, Fractions or gross-numbers."""
-    return GrossInterval(_coerce_endpoint(lo), _coerce_endpoint(hi))
+    return GrossInterval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -241,7 +229,7 @@ def extrema(s: IntervalSet) -> tuple[GrossNumber, GrossNumber]:
 
 
 def contains(s: IntervalSet, value) -> bool:
-    x = _coerce_endpoint(value)
+    x = finite(value)
     if not classify(x).is_integer:
         return False
     k = bisect_right(s.parts, x, key=attrgetter("lo")) - 1
@@ -270,7 +258,7 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    shift = _coerce_endpoint(offset)
+    shift = finite(offset)
     if not classify(shift).is_integer:
         raise NonIntegerOffset(f"offset {shift} is not a gross-integer")
     if sign == 1:
@@ -283,10 +271,9 @@ def is_initial_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> G
 
     This is the shape a set must have to be measured by the identity map.
     """
-    bound = _coerce_endpoint(bound)
-    whole = IntervalSet((GrossInterval(finite(1), bound),))
+    whole = IntervalSet((GrossInterval(1, bound),))
     if not is_subset(s, whole):
-        raise NotSubsetOfRange(f"{s} is not a subset of [1..{bound}]")
+        raise NotSubsetOfRange(f"{s} is not a subset of {whole}")
     if len(s.parts) == 1 and s.parts[0].lo == 1:
         return s.parts[0].hi
     return None
@@ -294,7 +281,6 @@ def is_initial_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> G
 
 def is_final_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> GrossNumber | None:
     """The n with s == [n..bound], or None; s must live inside [1..bound]."""
-    bound = _coerce_endpoint(bound)
     # Reflect through the range so final segments of [1..bound] become
     # initial ones, then translate the witness back.
     mirrored = map_affine(s, -1, bound + 1)
@@ -310,11 +296,10 @@ def union_initial_segments(bound: GrossNumber | int = GROSSONE) -> IntervalSet:
     For bound ① this is [1..①-1]: every proper initial segment stops short
     of the last natural number, so their union still misses ①.
     """
-    bound = _coerce_endpoint(bound)
     top = bound - 1
     if finite(1) > top:
         return EMPTY
-    return IntervalSet((GrossInterval(finite(1), top),))
+    return IntervalSet((GrossInterval(1, top),))
 
 
 # ------------------------------------------------------------------ expressions
@@ -369,12 +354,7 @@ class _SetScanner(_Scanner):
         self.skip_ws()
         ch = self.peek()
         if ch == "[":
-            self.pos += 1
-            lo = self.parse_sum()
-            self.expect("..")
-            hi = self.parse_sum()
-            self.expect("]")
-            return IntervalSet((GrossInterval(lo, hi),))
+            return IntervalSet((GrossInterval(*self.parse_interval()),))
         if ch == "{":
             self.pos += 1
             self.skip_ws()
