@@ -183,12 +183,12 @@ class GrossNumber:
             return Fraction(0)
         if len(self.terms) == 1 and self.terms[0][0] == 0:
             return Fraction(self.terms[0][1])
-        raise ValueError(f"{self} is not a plain rational")
+        raise InvalidArgument(f"{self} is not a plain rational")
 
     def as_int(self) -> int:
         q = self.as_fraction()
         if q.denominator != 1:
-            raise ValueError(f"{self} is not a plain integer")
+            raise InvalidArgument(f"{self} is not a plain integer")
         return q.numerator
 
     # ---------------------------------------------------------------- arithmetic

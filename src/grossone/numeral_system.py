@@ -17,13 +17,16 @@ Three kinds are provided:
 * ``GrossBudget(max_terms, coeff_digits, exp_digits)``: gross-numbers
   with a bounded number of terms and base-10 digit budgets on coefficient
   numerator, coefficient denominator and (integer) exponent.
+
+Every size test is one exact integer comparison of two powers, settled
+from bit lengths before either power is built (``_exceeds``), so a huge
+``digits`` answers at once and no floating point is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log10
 from sys import get_int_max_str_digits, int_info
 
 from .errors import (
@@ -48,23 +51,22 @@ __all__ = [
 ]
 
 
-#: floor(log10(2) * 2**32), so that ``k * _LOG10_2 >> 32`` never exceeds k*log10(2).
-_LOG10_2 = 1292913986
+def _exceeds(base: int, exponent: int, other: int, other_exponent: int = 1) -> bool:
+    """``base**exponent > other**other_exponent``; bases >= 0, exponents >= 1.
 
-
-def _digits10(n: int) -> int:
-    """Base-10 digit count of an integer, sign ignored; 0 takes one digit.
-
-    Counted from the bit length, because ``str`` refuses integers past the
-    interpreter's int-to-string digit limit.  The estimate from the top
-    bit is the count or one short of it (for any integer that fits in
-    memory), and one power of ten settles which.
+    Settled from bit lengths when they can settle it: with
+    ``k = base.bit_length()``, ``base**exponent`` has between
+    ``exponent*(k-1) + 1`` and ``exponent*k`` bits.  The powers are built
+    only when those two ranges overlap, and then (for bases past 1) each
+    has fewer than four times the other's bits, or twice when
+    ``other_exponent`` is 1; so a huge exponent never has its power built.
     """
-    n = abs(n)
-    if n < 10:
-        return 1
-    digits = ((n.bit_length() - 1) * _LOG10_2 >> 32) + 1
-    return digits + 1 if n >= 10**digits else digits
+    k, j = base.bit_length(), other.bit_length()
+    if exponent * (k - 1) + 1 > other_exponent * j:
+        return True
+    if exponent * k < other_exponent * (j - 1) + 1:
+        return False
+    return base**exponent > other**other_exponent
 
 
 def _writable_digits() -> int:
@@ -76,20 +78,10 @@ def _writable_digits() -> int:
     return get_int_max_str_digits() or int_info.default_max_str_digits
 
 
-def _power_width(base: int, exponent: int, cap: int) -> float:
-    """The decimal width of ``base**exponent``, within one, without the power.
-
-    ``base**exponent - 1`` has ``ceil(exponent * log10(base))`` digits.
-    Capping the exponent at ``4*cap`` keeps the product a finite float; a
-    capped product still exceeds ``cap``, as log10(base) >= log10(2) > 1/4.
-    """
-    return min(exponent, 4 * cap) * log10(base)
-
-
 def _writable_power(base: int, exponent: int) -> int:
     """``base**exponent``, refused before it is built if too long to write."""
-    limit = _writable_digits()
-    if _power_width(base, exponent, limit) > limit:
+    # base**exponent - 1 has more than d decimal digits when base**exponent > 10**d.
+    if _exceeds(base, exponent, 10, _writable_digits()):
         raise InvalidArgument("numeral has too many digits to write out")
     return base**exponent
 
@@ -124,31 +116,19 @@ class BoundedFinite(NumeralSystem):
 
     def __post_init__(self):
         if self.digits < 1:
-            raise ValueError("digits must be at least 1")
+            raise InvalidArgument("digits must be at least 1")
         if self.base < 2:
-            raise ValueError("base must be at least 2")
+            raise InvalidArgument("base must be at least 2")
 
     def describe(self) -> str:
         return f"finite:{self.digits}:{self.base}"
-
-    @property
-    def largest(self) -> int:
-        return self.base**self.digits - 1
 
     def can_express(self, x: GrossNumber) -> bool:
         kind = classify(x)
         if not (kind.is_finite and kind.is_integer):
             return False
-        n = abs(x.as_int())
-        # Digit counts settle every n but those about as long as the power,
-        # so a huge ``digits`` never has its power built.
-        count = _digits10(n)
-        width = _power_width(self.base, self.digits, count + 2)
-        if count < width - 1:
-            return True
-        if count > width + 1:
-            return False
-        return n <= self.largest
+        # |n| <= base**digits - 1, without building a huge power.
+        return _exceeds(self.base, self.digits, abs(x.as_int()))
 
 
 @dataclass(frozen=True)
@@ -169,20 +149,17 @@ class GrossBudget(NumeralSystem):
     def __post_init__(self):
         for name in ("max_terms", "coeff_digits", "exp_digits"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+                raise InvalidArgument(f"{name} must be at least 1")
 
     def describe(self) -> str:
         return f"gross:{self.max_terms}:{self.coeff_digits}:{self.exp_digits}"
 
     def term_fits(self, exponent: Rational, coefficient: Rational) -> bool:
-        if exponent.denominator != 1:
+        # At most d decimal digits, sign free, is |m| < 10**d.
+        if exponent.denominator != 1 or not _exceeds(10, self.exp_digits, abs(exponent.numerator)):
             return False
-        if _digits10(exponent.numerator) > self.exp_digits:
-            return False
-        return (
-            _digits10(coefficient.numerator) <= self.coeff_digits
-            and _digits10(coefficient.denominator) <= self.coeff_digits
-        )
+        c = self.coeff_digits
+        return _exceeds(10, c, abs(coefficient.numerator)) and _exceeds(10, c, coefficient.denominator)
 
     def can_express(self, x: GrossNumber) -> bool:
         if len(x.terms) > self.max_terms:
@@ -251,24 +228,31 @@ def parse_system(descriptor: str) -> NumeralSystem:
     """Build a system from its descriptor string.
 
     Forms: ``piraha``, ``finite:<digits>:<base>``,
-    ``gross:<max_terms>:<coeff_digits>:<exp_digits>``.
+    ``gross:<max_terms>:<coeff_digits>:<exp_digits>``.  Each number field
+    is unsigned ASCII digits; a field that is not is reported at its own
+    offset in the descriptor.
     """
     fields = descriptor.split(":")
-    try:
-        if fields == ["piraha"]:
-            return Piraha()
-        if fields[0] == "finite" and len(fields) == 3:
-            system = BoundedFinite(digits=int(fields[1]), base=int(fields[2]))
-            limit = _writable_digits()
-            if _power_width(system.base, system.digits, limit) > limit:
-                raise ValueError(f"base**digits has more than {limit} decimal digits")
-            return system
-        if fields[0] == "gross" and len(fields) == 4:
-            return GrossBudget(
-                max_terms=int(fields[1]),
-                coeff_digits=int(fields[2]),
-                exp_digits=int(fields[3]),
+    if fields == ["piraha"]:
+        return Piraha()
+    kind, numbers = fields[0], fields[1:]
+    if len(numbers) != {"finite": 2, "gross": 3}.get(kind):
+        raise ParseError("unrecognized system descriptor", descriptor, 0)
+    position = len(kind) + 1
+    for field in numbers:
+        if not (field.isascii() and field.isdigit()):
+            raise ParseError(
+                f"bad system descriptor ({field!r} is not a decimal integer)", descriptor, position
             )
+        position += len(field) + 1
+    try:
+        values = [int(field) for field in numbers]
+        if kind == "gross":
+            return GrossBudget(*values)
+        system = BoundedFinite(*values)
+        limit = _writable_digits()
+        if _exceeds(system.base, system.digits, 10, limit):
+            raise ValueError(f"base**digits has more than {limit} decimal digits")
+        return system
     except ValueError as exc:
         raise ParseError(f"bad system descriptor ({exc})", descriptor, 0) from None
-    raise ParseError("unrecognized system descriptor", descriptor, 0)

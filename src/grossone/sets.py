@@ -266,12 +266,20 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     return IntervalSet(tuple(GrossInterval(shift - p.hi, shift - p.lo) for p in reversed(s.parts)))
 
 
+def _segment_bound(bound, error: type[Exception]) -> GrossNumber:
+    """A segment helper's bound, read through ``finite``; it must be a gross-integer."""
+    b = finite(bound)
+    if not classify(b).is_integer:
+        raise error(f"bound {b} is not a gross-integer")
+    return b
+
+
 def is_initial_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> GrossNumber | None:
     """The n with s == [1..n], or None; s must live inside [1..bound].
 
     This is the shape a set must have to be measured by the identity map.
     """
-    whole = IntervalSet((GrossInterval(1, bound),))
+    whole = IntervalSet((GrossInterval(1, _segment_bound(bound, NonIntegerEndpoint)),))
     if not is_subset(s, whole):
         raise NotSubsetOfRange(f"{s} is not a subset of {whole}")
     if len(s.parts) == 1 and s.parts[0].lo == 1:
@@ -283,6 +291,7 @@ def is_final_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> Gro
     """The n with s == [n..bound], or None; s must live inside [1..bound]."""
     # Reflect through the range so final segments of [1..bound] become
     # initial ones, then translate the witness back.
+    bound = _segment_bound(bound, NonIntegerOffset)
     mirrored = map_affine(s, -1, bound + 1)
     length = is_initial_segment(mirrored, bound)
     if length is None:
@@ -296,7 +305,7 @@ def union_initial_segments(bound: GrossNumber | int = GROSSONE) -> IntervalSet:
     For bound ① this is [1..①-1]: every proper initial segment stops short
     of the last natural number, so their union still misses ①.
     """
-    top = bound - 1
+    top = _segment_bound(bound, NonIntegerEndpoint) - 1
     if finite(1) > top:
         return EMPTY
     return IntervalSet((GrossInterval(1, top),))
