@@ -18,7 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite
-from .gnum import GrossNumber, Sign, _Scanner, classify, finite, format_numeral
+from .gnum import (
+    GrossNumber,
+    Sign,
+    _Scanner,
+    _is_gross_integer,
+    _plain_int,
+    classify,
+    finite,
+    format_numeral,
+)
 
 __all__ = [
     "MonotoneFn",
@@ -66,19 +75,6 @@ def _placed_by_size(low_bits: int, negative: bool, bound: GrossNumber) -> bool |
     return None
 
 
-def _plain_int(x: GrossNumber) -> int | None:
-    """x as an int when it is a plain finite integer, else None.
-
-    Read from the terms, as this runs at every probe: the library holds an
-    integral coefficient as an int, so one ``(0, int)`` term is an integer.
-    """
-    if not x.terms:
-        return 0
-    if len(x.terms) == 1 and x.terms[0][0] == 0 and type(x.terms[0][1]) is int:
-        return x.terms[0][1]
-    return None
-
-
 @dataclass(frozen=True)
 class Pow(MonotoneFn):
     """g(x) = x**k for a fixed integer k >= 2; evaluable everywhere."""
@@ -119,11 +115,8 @@ class ExpBase(MonotoneFn):
             raise InvalidArgument("base must be at least 2")
 
     def evaluate(self, x: GrossNumber) -> GrossNumber | None:
-        kind = classify(x)
-        if not (kind.is_finite and kind.is_integer):
-            return None
-        n = x.as_int()
-        if n < 0:
+        n = _plain_int(x)
+        if n is None or n < 0:
             return None
         return finite(self.b**n)
 
@@ -167,7 +160,7 @@ class DefinedNumeral:
     def __post_init__(self):
         kappa = finite(self.kappa)
         object.__setattr__(self, "kappa", kappa)
-        if not classify(kappa).is_integer:
+        if not _is_gross_integer(kappa):
             raise InvalidArgument(f"kappa must be a gross-integer, got {kappa}")
 
     def __str__(self) -> str:

@@ -436,6 +436,32 @@ def cmp(x: GrossNumber, y: GrossNumber) -> Sign:
     return _compare_terms(finite(x).terms, finite(y).terms)
 
 
+def _is_gross_integer(x: GrossNumber) -> bool:
+    """The gross-integer rule of :func:`classify`, read from the last term alone.
+
+    Exponents strictly descend, so only the last term can break the rule:
+    by a negative exponent, or by a non-integral coefficient on exponent 0.
+    """
+    exponent, coefficient = x.terms[-1] if x.terms else (0, 0)
+    return exponent > 0 or (exponent == 0 and coefficient.denominator == 1)
+
+
+def _gross_integer(value, what: str, error: type[Exception]) -> GrossNumber:
+    """``value`` read through ``finite``; ``error`` names it as ``what`` unless a gross-integer."""
+    x = finite(value)
+    if not _is_gross_integer(x):
+        raise error(f"{what} {x} is not a gross-integer")
+    return x
+
+
+def _plain_int(x: GrossNumber) -> int | None:
+    """x as an int when it is a finite gross-integer (zero or one exponent-0 term), else None."""
+    exponent, coefficient = x.terms[0] if x.terms else (0, 0)
+    if exponent == 0 and _is_gross_integer(x):
+        return coefficient.numerator
+    return None
+
+
 def classify(x: GrossNumber) -> NumberClass:
     """Integer / finite / infinite / infinitesimal flags of a value.
 
@@ -443,21 +469,14 @@ def classify(x: GrossNumber) -> NumberClass:
     every finite positive integer: a value is an integer when it has no
     negative exponents, its exponent-0 coefficient is a plain integer, and
     its coefficients on any positive exponent, fractional ones included
-    (``①^(1/2)``), are arbitrary rationals.  Every constructor that needs
-    a gross-integer applies this rule.
+    (``①^(1/2)``), are arbitrary rationals.  Exponents strictly descend, so
+    the last canonical term alone decides the rule.  Every constructor that
+    needs a gross-integer applies it through this module's private gate.
     """
     x = finite(x)
-    if x.is_zero:
-        return NumberClass(is_integer=True, is_finite=True, is_infinite=False, is_infinitesimal=False)
-    lead_exp = x.terms[0][0]
-    is_integer = True
-    for exponent, coefficient in x.terms:
-        if exponent < 0:
-            is_integer = False
-        elif exponent == 0 and coefficient.denominator != 1:
-            is_integer = False
+    lead_exp = x.terms[0][0] if x.terms else 0
     return NumberClass(
-        is_integer=is_integer,
+        is_integer=_is_gross_integer(x),
         is_finite=lead_exp == 0,
         is_infinite=lead_exp > 0,
         is_infinitesimal=lead_exp < 0,

@@ -29,7 +29,18 @@ from .errors import (
     ParseError,
     PreconditionViolated,
 )
-from .gnum import GrossNumber, Sign, _Scanner, classify, cmp, finite, format_numeral, parse_numeral
+from .gnum import (
+    GrossNumber,
+    Sign,
+    _Scanner,
+    _gross_integer,
+    _is_gross_integer,
+    classify,
+    cmp,
+    finite,
+    format_numeral,
+    parse_numeral,
+)
 from .sets import (
     GrossInterval,
     IntervalSet,
@@ -76,10 +87,7 @@ class AffinePiece:
     def __post_init__(self):
         if not isinstance(self.domain, GrossInterval):
             raise TypeError("domain must be a GrossInterval")
-        shift = finite(self.offset)
-        object.__setattr__(self, "offset", shift)
-        if not classify(shift).is_integer:
-            raise NonIntegerOffset(f"offset {shift} is not a gross-integer")
+        object.__setattr__(self, "offset", _gross_integer(self.offset, "offset", NonIntegerOffset))
 
     @property
     def image(self) -> GrossInterval:
@@ -106,7 +114,7 @@ class Measurement:
     def __post_init__(self):
         object.__setattr__(self, "mu", finite(self.mu))
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not classify(self.mu).is_integer or self.mu.sign() != Sign.POSITIVE:
+        if not _is_gross_integer(self.mu) or self.mu.sign() != Sign.POSITIVE:
             raise InvalidMeasurement(f"mu must be a positive gross-integer, got {self.mu}")
         if not self.pieces:
             raise InvalidMeasurement("a measurement needs at least one piece")
@@ -235,17 +243,21 @@ def _extract_symbolic(s: IntervalSet, steps: int):
 
 def _extraction(elements, target: IntervalSet) -> Measurement:
     """The measurement that gives index k to the k-th of ``elements``."""
-    runs: list[tuple] = []  # (domain lo, domain hi, offset)
-    index = 0
-    for value in elements:
-        index += 1
-        offset = value - index
-        if runs and runs[-1][2] == offset and runs[-1][1] == index - 1:
-            runs[-1] = (runs[-1][0], index, offset)
+    pieces = _joined_pieces(
+        (index, index, value - index) for index, value in enumerate(elements, start=1)
+    )
+    return Measurement(mu=pieces[-1].domain.hi, pieces=pieces, target=target)
+
+
+def _joined_pieces(runs) -> tuple[AffinePiece, ...]:
+    """Pieces of (domain lo, domain hi, offset) runs given in order; equal-offset neighbours join."""
+    joined: list[list] = []
+    for lo, hi, offset in runs:
+        if joined and joined[-1][2] == offset and lo == joined[-1][1] + 1:
+            joined[-1][1] = hi
         else:
-            runs.append((index, index, offset))
-    pieces = tuple(AffinePiece(GrossInterval(dlo, dhi), off) for dlo, dhi, off in runs)
-    return Measurement(mu=index, pieces=pieces, target=target)
+            joined.append([lo, hi, offset])
+    return tuple(AffinePiece(GrossInterval(lo, hi), offset) for lo, hi, offset in joined)
 
 
 def concat(first: Measurement, rest: Measurement) -> Measurement:
@@ -279,23 +291,6 @@ def invert_pieces(pieces) -> tuple[AffinePiece, ...]:
     return tuple(flipped)
 
 
-def _merge_pieces(pieces: list[AffinePiece]) -> tuple[AffinePiece, ...]:
-    pieces = sorted(pieces, key=lambda p: p.domain.lo)
-    merged: list[AffinePiece] = []
-    for piece in pieces:
-        if (
-            merged
-            and merged[-1].offset == piece.offset
-            and piece.domain.lo == merged[-1].domain.hi + 1
-        ):
-            merged[-1] = AffinePiece(
-                GrossInterval(merged[-1].domain.lo, piece.domain.hi), piece.offset
-            )
-        else:
-            merged.append(piece)
-    return tuple(merged)
-
-
 def _compose(first, second) -> tuple[AffinePiece, ...]:
     """Pieces of x -> second(first(x)); first's images must lie in second's domains.
 
@@ -307,7 +302,7 @@ def _compose(first, second) -> tuple[AffinePiece, ...]:
         key=itemgetter(0),
     )
     domains = sorted(second, key=lambda q: q.domain.lo)
-    out: list[AffinePiece] = []
+    runs: list[tuple] = []  # (domain lo, domain hi, offset)
     i = j = 0
     while i < len(images) and j < len(domains):
         img_lo, img_hi, p = images[i]
@@ -320,10 +315,9 @@ def _compose(first, second) -> tuple[AffinePiece, ...]:
             hi = q.domain.hi
             j += 1
         if lo <= hi:
-            out.append(
-                AffinePiece(GrossInterval(lo - p.offset, hi - p.offset), p.offset + q.offset)
-            )
-    return _merge_pieces(out)
+            runs.append((lo - p.offset, hi - p.offset, p.offset + q.offset))
+    runs.sort(key=itemgetter(0))
+    return _joined_pieces(runs)
 
 
 def transport(m: Measurement, bijection) -> Measurement:

@@ -36,7 +36,7 @@ from .errors import (
     NotExpressible,
     ParseError,
 )
-from .gnum import GrossNumber, Rational, classify, finite, gross_term
+from .gnum import GrossNumber, Rational, _plain_int, finite, gross_term
 
 __all__ = [
     "NumeralSystem",
@@ -124,11 +124,9 @@ class BoundedFinite(NumeralSystem):
         return f"finite:{self.digits}:{self.base}"
 
     def can_express(self, x: GrossNumber) -> bool:
-        kind = classify(x)
-        if not (kind.is_finite and kind.is_integer):
-            return False
+        n = _plain_int(x)
         # |n| <= base**digits - 1, without building a huge power.
-        return _exceeds(self.base, self.digits, abs(x.as_int()))
+        return n is not None and _exceeds(self.base, self.digits, abs(n))
 
 
 @dataclass(frozen=True)
@@ -229,8 +227,8 @@ def parse_system(descriptor: str) -> NumeralSystem:
 
     Forms: ``piraha``, ``finite:<digits>:<base>``,
     ``gross:<max_terms>:<coeff_digits>:<exp_digits>``.  Each number field
-    is unsigned ASCII digits; a field that is not is reported at its own
-    offset in the descriptor.
+    is unsigned ASCII digits, few enough to read as an int; a field that
+    is not is reported at its own offset in the descriptor.
     """
     fields = descriptor.split(":")
     if fields == ["piraha"]:
@@ -239,14 +237,21 @@ def parse_system(descriptor: str) -> NumeralSystem:
     if len(numbers) != {"finite": 2, "gross": 3}.get(kind):
         raise ParseError("unrecognized system descriptor", descriptor, 0)
     position = len(kind) + 1
+    values = []
     for field in numbers:
         if not (field.isascii() and field.isdigit()):
             raise ParseError(
                 f"bad system descriptor ({field!r} is not a decimal integer)", descriptor, position
             )
+        try:
+            values.append(int(field))
+        except ValueError:
+            # Past the interpreter's int-to-string digit limit.
+            raise ParseError(
+                "bad system descriptor (number has too many digits)", descriptor, position
+            ) from None
         position += len(field) + 1
     try:
-        values = [int(field) for field in numbers]
         if kind == "gross":
             return GrossBudget(*values)
         system = BoundedFinite(*values)

@@ -21,7 +21,7 @@ from .errors import (
     NonIntegerOffset,
     NotSubsetOfRange,
 )
-from .gnum import GROSSONE, GrossNumber, _Scanner, classify, finite
+from .gnum import GROSSONE, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, finite
 
 __all__ = [
     "GrossInterval",
@@ -59,12 +59,8 @@ class GrossInterval:
 
     def __post_init__(self):
         lo, hi = finite(self.lo), finite(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if not classify(lo).is_integer:
-            raise NonIntegerEndpoint(f"lower endpoint {lo} is not a gross-integer")
-        if not classify(hi).is_integer:
-            raise NonIntegerEndpoint(f"upper endpoint {hi} is not a gross-integer")
+        object.__setattr__(self, "lo", _gross_integer(lo, "lower endpoint", NonIntegerEndpoint))
+        object.__setattr__(self, "hi", _gross_integer(hi, "upper endpoint", NonIntegerEndpoint))
         if lo > hi:
             raise EmptyIntervalRejected(f"[{lo}..{hi}] has no elements")
 
@@ -230,7 +226,7 @@ def extrema(s: IntervalSet) -> tuple[GrossNumber, GrossNumber]:
 
 def contains(s: IntervalSet, value) -> bool:
     x = finite(value)
-    if not classify(x).is_integer:
+    if not _is_gross_integer(x):
         return False
     k = bisect_right(s.parts, x, key=attrgetter("lo")) - 1
     return k >= 0 and x <= s.parts[k].hi
@@ -258,20 +254,10 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    shift = finite(offset)
-    if not classify(shift).is_integer:
-        raise NonIntegerOffset(f"offset {shift} is not a gross-integer")
+    shift = _gross_integer(offset, "offset", NonIntegerOffset)
     if sign == 1:
         return IntervalSet(tuple(GrossInterval(p.lo + shift, p.hi + shift) for p in s.parts))
     return IntervalSet(tuple(GrossInterval(shift - p.hi, shift - p.lo) for p in reversed(s.parts)))
-
-
-def _segment_bound(bound, error: type[Exception]) -> GrossNumber:
-    """A segment helper's bound, read through ``finite``; it must be a gross-integer."""
-    b = finite(bound)
-    if not classify(b).is_integer:
-        raise error(f"bound {b} is not a gross-integer")
-    return b
 
 
 def is_initial_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> GrossNumber | None:
@@ -279,7 +265,7 @@ def is_initial_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> G
 
     This is the shape a set must have to be measured by the identity map.
     """
-    whole = IntervalSet((GrossInterval(1, _segment_bound(bound, NonIntegerEndpoint)),))
+    whole = IntervalSet((GrossInterval(1, _gross_integer(bound, "bound", NonIntegerEndpoint)),))
     if not is_subset(s, whole):
         raise NotSubsetOfRange(f"{s} is not a subset of {whole}")
     if len(s.parts) == 1 and s.parts[0].lo == 1:
@@ -291,7 +277,7 @@ def is_final_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> Gro
     """The n with s == [n..bound], or None; s must live inside [1..bound]."""
     # Reflect through the range so final segments of [1..bound] become
     # initial ones, then translate the witness back.
-    bound = _segment_bound(bound, NonIntegerOffset)
+    bound = _gross_integer(bound, "bound", NonIntegerOffset)
     mirrored = map_affine(s, -1, bound + 1)
     length = is_initial_segment(mirrored, bound)
     if length is None:
@@ -305,7 +291,7 @@ def union_initial_segments(bound: GrossNumber | int = GROSSONE) -> IntervalSet:
     For bound ① this is [1..①-1]: every proper initial segment stops short
     of the last natural number, so their union still misses ①.
     """
-    top = _segment_bound(bound, NonIntegerEndpoint) - 1
+    top = _gross_integer(bound, "bound", NonIntegerEndpoint) - 1
     if finite(1) > top:
         return EMPTY
     return IntervalSet((GrossInterval(1, top),))
