@@ -121,14 +121,14 @@ class GrossNumber:
         prev = None
         for item in self.terms:
             if not (isinstance(item, tuple) and len(item) == 2):
-                raise ValueError(f"malformed term {item!r}")
+                raise InvalidArgument(f"malformed term {item!r}")
             exponent, coefficient = item
             if type(exponent) not in _EXACT_TYPES or type(coefficient) not in _EXACT_TYPES:
-                raise ValueError("term entries must be ints or Fractions")
+                raise InvalidArgument("term entries must be ints or Fractions")
             if coefficient == 0:
-                raise ValueError("zero coefficient in canonical form")
+                raise InvalidArgument("zero coefficient in canonical form")
             if prev is not None and exponent >= prev:
-                raise ValueError("exponents must be strictly descending")
+                raise InvalidArgument("exponents must be strictly descending")
             prev = exponent
 
     # ---------------------------------------------------------------- factories
@@ -162,7 +162,7 @@ class GrossNumber:
     def leading(self) -> Term:
         """Highest-exponent term; the value's magnitude class and sign live here."""
         if not self.terms:
-            raise ValueError("zero has no leading term")
+            raise InvalidArgument("zero has no leading term")
         return self.terms[0]
 
     def sign(self) -> Sign:
@@ -234,7 +234,7 @@ class GrossNumber:
 
     def __pow__(self, power: int) -> "GrossNumber":
         if not isinstance(power, int) or power < 0:
-            raise ValueError("only nonnegative integer powers are defined")
+            raise InvalidArgument("only nonnegative integer powers are defined")
         result = ONE
         base = self
         n = power

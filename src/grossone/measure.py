@@ -21,6 +21,7 @@ from operator import itemgetter
 from .errors import (
     BoundExceeded,
     EmptySet,
+    InvalidArgument,
     InvalidMeasurement,
     NonIntegerOffset,
     NotABijection,
@@ -35,6 +36,7 @@ from .gnum import (
     _Scanner,
     _gross_integer,
     _is_gross_integer,
+    _plain_int,
     classify,
     cmp,
     finite,
@@ -134,16 +136,15 @@ class Measurement:
             )
         # The domains tile [1..mu], so the images hold mu elements exactly
         # when no two of them overlap; their joined runs are then the parts
-        # that the canonical target must list part for part.
-        runs = _joined_runs(_images(self.pieces))
+        # that the canonical target must list part for part, which makes mu
+        # the target's element count.
+        runs = _image_runs(self.pieces)
         if runs is None:
             raise InvalidMeasurement("piece images must be pairwise disjoint")
         if not isinstance(self.target, IntervalSet) or runs != [
-            (part.lo, part.hi) for part in self.target.parts
+            [part.lo, part.hi, 0] for part in self.target.parts
         ]:
             raise InvalidMeasurement("piece images must cover exactly the target")
-        if cardinality(self.target) != self.mu:
-            raise InvalidMeasurement("mu must equal the element count of the target")
 
     def apply(self, x) -> GrossNumber:
         """Image of index x; x must lie in [1..mu]."""
@@ -151,7 +152,7 @@ class Measurement:
         for piece in self.pieces:
             if piece.domain.lo <= x <= piece.domain.hi:
                 return x + piece.offset
-        raise ValueError(f"{x} is outside [1..{self.mu}]")
+        raise InvalidArgument(f"{x} is outside [1..{self.mu}]")
 
     def invert(self, y) -> GrossNumber:
         """Index mapping to y; y must lie in the target."""
@@ -159,30 +160,38 @@ class Measurement:
         for piece in self.pieces:
             if piece.domain.lo + piece.offset <= y <= piece.domain.hi + piece.offset:
                 return y - piece.offset
-        raise ValueError(f"{y} is not in the measured set")
+        raise InvalidArgument(f"{y} is not in the measured set")
 
     def __str__(self) -> str:
         return to_text(self).rstrip("\n")
 
 
-def _images(pieces) -> list[tuple[GrossNumber, GrossNumber]]:
-    return [(p.domain.lo + p.offset, p.domain.hi + p.offset) for p in pieces]
+def _joined(runs) -> list[list] | None:
+    """``(lo, hi, offset)`` runs given in order of lo, neighbours with equal offsets joined.
 
-
-def _joined_runs(pairs) -> list[tuple[GrossNumber, GrossNumber]] | None:
-    """Intervals ``(lo, hi)`` sorted once and adjacent ones joined; None if two overlap.
-
-    Disjoint intervals join into the parts of their union, in canonical order.
+    None if two runs overlap.  Runs that all carry the same offset are plain
+    intervals, and join into the parts of their union in canonical order.
     """
-    runs: list[tuple[GrossNumber, GrossNumber]] = []
-    for lo, hi in sorted(pairs, key=itemgetter(0)):
-        if runs and lo <= runs[-1][1]:
-            return None
-        if runs and lo == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], hi)
-        else:
-            runs.append((lo, hi))
-    return runs
+    joined: list[list] = []
+    for lo, hi, offset in runs:
+        if joined:
+            last = joined[-1]
+            if lo <= last[1]:
+                return None
+            if offset == last[2] and lo == last[1] + 1:
+                last[1] = hi
+                continue
+        joined.append([lo, hi, offset])
+    return joined
+
+
+def _image_runs(pieces) -> list[list] | None:
+    images = ((p.domain.lo + p.offset, p.domain.hi + p.offset, 0) for p in pieces)
+    return _joined(sorted(images, key=itemgetter(0)))
+
+
+def _pieces(runs) -> tuple[AffinePiece, ...]:
+    return tuple(AffinePiece(GrossInterval(lo, hi), offset) for lo, hi, offset in runs)
 
 
 # ---------------------------------------------------------------- constructions
@@ -211,6 +220,8 @@ def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) ->
     Runs the construction literally, one element per step, for finite sets
     of at most ``bound`` elements; larger finite sets are refused, since
     the procedure is only legitimate as a finite number of operations.
+    The parts are walked in order, so each step takes the element after
+    the last one taken and no step runs a set difference.
     For sets with infinitely many elements the extraction order is forced
     (step n always picks the n-th smallest element), so the closed-form
     order-preserving measurement is returned instead of an endless loop;
@@ -224,40 +235,24 @@ def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) ->
     steps = size.as_int()
     if steps > bound:
         raise BoundExceeded(f"{steps} extraction steps exceed the configured bound {bound}")
-    try:
-        int_pairs = [(part.lo.as_int(), part.hi.as_int()) for part in s.parts]
-    except ValueError:
-        return _extraction(_extract_symbolic(s, steps), s)
-    return _extraction((v for lo, hi in int_pairs for v in range(lo, hi + 1)), s)
+    pieces = _pieces(_joined(_extraction_steps(s)))
+    return Measurement(mu=size, pieces=pieces, target=s)
 
 
-def _extract_symbolic(s: IntervalSet, steps: int):
-    # Finitely many elements but at least one symbolic endpoint, e.g.
-    # [①-3..①]; each step removes the minimum with exact set arithmetic.
-    remaining = s
-    for _ in range(steps):
-        smallest = remaining.parts[0].lo
-        remaining = difference(remaining, IntervalSet((GrossInterval(smallest, smallest),)))
-        yield smallest
+def _extraction_steps(s: IntervalSet):
+    """(n, n, x - n) for the n-th smallest element x of a set of finitely many elements.
 
-
-def _extraction(elements, target: IntervalSet) -> Measurement:
-    """The measurement that gives index k to the k-th of ``elements``."""
-    pieces = _joined_pieces(
-        (index, index, value - index) for index, value in enumerate(elements, start=1)
-    )
-    return Measurement(mu=pieces[-1].domain.hi, pieces=pieces, target=target)
-
-
-def _joined_pieces(runs) -> tuple[AffinePiece, ...]:
-    """Pieces of (domain lo, domain hi, offset) runs given in order; equal-offset neighbours join."""
-    joined: list[list] = []
-    for lo, hi, offset in runs:
-        if joined and joined[-1][2] == offset and lo == joined[-1][1] + 1:
-            joined[-1][1] = hi
-        else:
-            joined.append([lo, hi, offset])
-    return tuple(AffinePiece(GrossInterval(lo, hi), offset) for lo, hi, offset in joined)
+    Part counts are positive and sum to a finite size, so each is finite.
+    Step n takes the next element of the current part, counted in ints where
+    the part starts at a plain integer and as ``part.lo + k`` otherwise.
+    """
+    index = 0
+    for part in s.parts:
+        start = _plain_int(part.lo)
+        lo = part.lo if start is None else start
+        for k in range(part.count().as_int()):
+            index += 1
+            yield index, index, lo + k - index
 
 
 def concat(first: Measurement, rest: Measurement) -> Measurement:
@@ -317,7 +312,7 @@ def _compose(first, second) -> tuple[AffinePiece, ...]:
         if lo <= hi:
             runs.append((lo - p.offset, hi - p.offset, p.offset + q.offset))
     runs.sort(key=itemgetter(0))
-    return _joined_pieces(runs)
+    return _pieces(_joined(runs))
 
 
 def transport(m: Measurement, bijection) -> Measurement:
@@ -333,15 +328,15 @@ def transport(m: Measurement, bijection) -> Measurement:
     for piece in pieces:
         if not isinstance(piece, AffinePiece):
             raise TypeError("bijection must consist of AffinePiece values")
-    domains = _joined_runs((p.domain.lo, p.domain.hi) for p in pieces)
+    domains = _joined(sorted(((p.domain.lo, p.domain.hi, 0) for p in pieces), key=itemgetter(0)))
     if domains is None:
         raise NotABijection("bijection domains overlap")
-    if domains != [(part.lo, part.hi) for part in m.target.parts]:
+    if domains != [[part.lo, part.hi, 0] for part in m.target.parts]:
         raise NotABijection("bijection domains do not partition the measured set")
-    images = _joined_runs(_images(pieces))
+    images = _image_runs(pieces)
     if images is None:
         raise NotABijection("bijection images overlap")
-    target = IntervalSet(tuple(GrossInterval(lo, hi) for lo, hi in images))
+    target = IntervalSet(tuple(GrossInterval(lo, hi) for lo, hi, _ in images))
     return Measurement(mu=m.mu, pieces=_compose(m.pieces, pieces), target=target)
 
 

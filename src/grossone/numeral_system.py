@@ -257,7 +257,7 @@ def parse_system(descriptor: str) -> NumeralSystem:
         system = BoundedFinite(*values)
         limit = _writable_digits()
         if _exceeds(system.base, system.digits, 10, limit):
-            raise ValueError(f"base**digits has more than {limit} decimal digits")
+            raise InvalidArgument(f"base**digits has more than {limit} decimal digits")
         return system
     except ValueError as exc:
         raise ParseError(f"bad system descriptor ({exc})", descriptor, 0) from None

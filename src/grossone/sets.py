@@ -17,6 +17,7 @@ from operator import attrgetter
 from .errors import (
     EmptyIntervalRejected,
     EmptySet,
+    InvalidArgument,
     NonIntegerEndpoint,
     NonIntegerOffset,
     NotSubsetOfRange,
@@ -88,7 +89,7 @@ class IntervalSet:
             if not isinstance(part, GrossInterval):
                 raise TypeError(f"parts must be GrossInterval, got {part!r}")
             if prev is not None and part.lo <= prev.hi + 1:
-                raise ValueError(f"parts {prev} and {part} are unsorted, overlapping or adjacent")
+                raise InvalidArgument(f"parts {prev} and {part} are unsorted, overlapping or adjacent")
             prev = part
 
     @property
@@ -253,7 +254,7 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     are put back in order, reversed when sign is -1.
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise InvalidArgument("sign must be +1 or -1")
     shift = _gross_integer(offset, "offset", NonIntegerOffset)
     if sign == 1:
         return IntervalSet(tuple(GrossInterval(p.lo + shift, p.hi + shift) for p in s.parts))
