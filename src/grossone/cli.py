@@ -20,7 +20,6 @@ messages, and the ``value`` of a NotExpressible error, keep ① as written.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -231,6 +230,13 @@ def _error_payload(exc: GrossoneError) -> dict:
     return {"error": entry}
 
 
+def _json_line(payload: dict) -> str:
+    # Imported here: text-mode calls never load json.
+    import json
+
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True)
+
+
 def run_command(args) -> int:
     """Run the verb's handler, write its output and return the exit code.
 
@@ -242,13 +248,12 @@ def run_command(args) -> int:
         result, lines = args.handler(args)
     except GrossoneError as exc:
         if as_json:
-            payload = json.dumps(_error_payload(exc), ensure_ascii=False, sort_keys=True)
-            sys.stdout.write(payload + "\n")
+            sys.stdout.write(_json_line(_error_payload(exc)) + "\n")
         else:
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2 if isinstance(exc, ParseError) else 1
     if as_json:
-        text = json.dumps({"result": result}, ensure_ascii=False, sort_keys=True)
+        text = _json_line({"result": result})
     else:
         text = "\n".join(lines)
     if args.ascii:

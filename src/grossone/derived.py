@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite
 from .gnum import (
     GrossNumber,
+    Rational,
     Sign,
     _Scanner,
     _is_gross_integer,
@@ -58,6 +59,41 @@ class MonotoneFn:
         return None if value is None else value <= bound
 
 
+def _placed_by_leading(exponent: Rational, negative: bool, bound: GrossNumber) -> bool | None:
+    """Whether a nonzero v <= bound, knowing only v's leading exponent and sign.
+
+    None when the bound leads with the same exponent.  Otherwise the larger
+    leading exponent dominates, and its term's sign settles the comparison.
+    """
+    if bound.terms:
+        bound_exponent, bound_coefficient = bound.terms[0]
+        if exponent < bound_exponent:
+            return bound_coefficient > 0
+        if exponent == bound_exponent:
+            return None
+    return negative
+
+
+#: Largest size estimate (see _power_size) of a power that Pow.at_most builds
+#: at a probe that is not a plain integer; a larger one is refused.
+_POWER_BUDGET = 1 << 16
+
+
+def _power_size(x: GrossNumber, k: int) -> int:
+    """A size estimate of x**k in bits, for a nonzero x: most terms times bits per coefficient.
+
+    With t terms, x**k has at most C(k+t-1, t-1) terms, and each of its
+    coefficients is a sum of at most t**k products of k coefficients of x,
+    where a coefficient n/d counts as about log2|n| + log2 d bits.
+    """
+    t = len(x.terms)
+    weight = max(abs(c.numerator).bit_length() + c.denominator.bit_length() - 2 for _, c in x.terms)
+    terms = 1
+    for i in range(1, t):
+        terms = terms * (k + i) // i
+    return terms * (k * (weight + (t - 1).bit_length()) + 1)
+
+
 def _placed_by_size(low_bits: int, negative: bool, bound: GrossNumber) -> bool | None:
     """Whether an integer v <= bound, knowing only |v| >= 2**low_bits and its sign.
 
@@ -89,14 +125,29 @@ class Pow(MonotoneFn):
         return x**self.k
 
     def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool:
+        """Whether x**k <= bound, placed from leading terms and sizes where they settle it.
+
+        x**k leads with exponent k times x's leading exponent.  A plain
+        integer left open by that is placed from its bit length or built,
+        and then has at most about twice the bound's bits.  Any other probe
+        is built only within ``_POWER_BUDGET``, and refused past it.
+        """
+        k = self.k
+        if x.terms:
+            exponent, coefficient = x.terms[0]
+            placed = _placed_by_leading(exponent * k, coefficient < 0 and k % 2 == 1, bound)
+            if placed is not None:
+                return placed
         n = _plain_int(x)
         if n is not None:
             # |n|**k >= 2**((bit length of |n|) - 1) * k).
-            low_bits = (abs(n).bit_length() - 1) * self.k
-            placed = _placed_by_size(low_bits, n < 0 and self.k % 2 == 1, bound)
+            low_bits = (abs(n).bit_length() - 1) * k
+            placed = _placed_by_size(low_bits, n < 0 and k % 2 == 1, bound)
             if placed is not None:
                 return placed
-        return x**self.k <= bound
+        elif _power_size(x, k) > _POWER_BUDGET:
+            raise InvalidArgument(f"({x})**{k} is too large to build for a comparison")
+        return x**k <= bound
 
 
 @dataclass(frozen=True)

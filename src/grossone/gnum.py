@@ -119,17 +119,34 @@ class GrossNumber:
 
     def __post_init__(self):
         prev = None
+        retype = False
         for item in self.terms:
             if not (isinstance(item, tuple) and len(item) == 2):
                 raise InvalidArgument(f"malformed term {item!r}")
             exponent, coefficient = item
-            if type(exponent) not in _EXACT_TYPES or type(coefficient) not in _EXACT_TYPES:
-                raise InvalidArgument("term entries must be ints or Fractions")
-            if coefficient == 0:
-                raise InvalidArgument("zero coefficient in canonical form")
+            # The usual term holds ints and non-integral Fractions, and a
+            # nonzero coefficient (a non-integral one never is zero).
+            if not (
+                (
+                    coefficient
+                    if type(coefficient) is int
+                    else type(coefficient) is Fraction and coefficient.denominator != 1
+                )
+                and (type(exponent) is int or type(exponent) is Fraction and exponent.denominator != 1)
+            ):
+                if type(exponent) not in _EXACT_TYPES or type(coefficient) not in _EXACT_TYPES:
+                    raise InvalidArgument("term entries must be ints or Fractions")
+                if coefficient == 0:
+                    raise InvalidArgument("zero coefficient in canonical form")
+                # What is left is an integral Fraction, which only a direct
+                # caller passes.
+                retype = True
             if prev is not None and exponent >= prev:
                 raise InvalidArgument("exponents must be strictly descending")
             prev = exponent
+        if retype:
+            # Held as ints like every built entry, so sums of it stay on int paths.
+            object.__setattr__(self, "terms", tuple((_exact(e), _exact(c)) for e, c in self.terms))
 
     # ---------------------------------------------------------------- factories
 
@@ -194,10 +211,10 @@ class GrossNumber:
     # ---------------------------------------------------------------- arithmetic
 
     def __add__(self, other) -> "GrossNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
+        terms = _operand_terms(other)
+        if terms is None:
             return NotImplemented
-        return _merge(self.terms, other.terms, 1)
+        return _merge(self.terms, terms, 1)
 
     __radd__ = __add__
 
@@ -205,16 +222,16 @@ class GrossNumber:
         return GrossNumber(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other) -> "GrossNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
+        terms = _operand_terms(other)
+        if terms is None:
             return NotImplemented
-        return _merge(self.terms, other.terms, -1)
+        return _merge(self.terms, terms, -1)
 
     def __rsub__(self, other) -> "GrossNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
+        terms = _operand_terms(other)
+        if terms is None:
             return NotImplemented
-        return _merge(other.terms, self.terms, -1)
+        return _merge(terms, self.terms, -1)
 
     def __mul__(self, other) -> "GrossNumber":
         other = _coerce(other)
@@ -248,10 +265,10 @@ class GrossNumber:
     # ---------------------------------------------------------------- ordering
 
     def _compare(self, other) -> Sign:
-        other = _coerce(other)
-        if other is NotImplemented:
+        terms = _operand_terms(other)
+        if terms is None:
             return NotImplemented
-        return _compare_terms(self.terms, other.terms)
+        return _compare_terms(self.terms, terms)
 
     def __lt__(self, other):
         s = self._compare(other)
@@ -270,11 +287,8 @@ class GrossNumber:
         return NotImplemented if s is NotImplemented else s != Sign.NEGATIVE
 
     def __eq__(self, other):
-        if isinstance(other, GrossNumber):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == _coerce(other).terms
-        return NotImplemented
+        terms = _operand_terms(other)
+        return NotImplemented if terms is None else self.terms == terms
 
     def __hash__(self):
         # Finite rationals hash like the rational they equal, so mixed-type
@@ -293,7 +307,22 @@ class GrossNumber:
 
 
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
-    """Canonical ``a + sign * b`` from one pass over two descending term tuples."""
+    """Canonical ``a + sign * b`` from one pass over two descending term tuples.
+
+    A one-term operand at or below the other's last exponent, the shape of
+    ``x + 1`` or ``x - n``, only edits that tuple's tail.
+    """
+    if sign == 1 and len(a) == 1 and b and a[0][0] <= b[-1][0]:
+        a, b = b, a
+    if len(b) == 1 and a and b[0][0] <= a[-1][0]:
+        exponent, coefficient = b[0]
+        last_exponent, last_coefficient = a[-1]
+        if sign != 1:
+            coefficient = -coefficient
+        if exponent < last_exponent:
+            return GrossNumber(a + ((exponent, coefficient),))
+        coefficient = _exact(last_coefficient + coefficient)
+        return GrossNumber(a[:-1] + ((exponent, coefficient),) if coefficient else a[:-1])
     out: list[Term] = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -333,6 +362,20 @@ def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> Sign:
     if len(a) < len(b):
         return Sign.NEGATIVE if b[len(a)][1] > 0 else Sign.POSITIVE
     return Sign.ZERO
+
+
+def _operand_terms(value) -> tuple[Term, ...] | None:
+    """The terms of an operand of ``+``, ``-`` or a comparison; None if it is no number.
+
+    A plain int is read as its own term, with no GrossNumber built for it.
+    """
+    kind = type(value)
+    if kind is GrossNumber:
+        return value.terms
+    if kind is int:
+        return ((0, value),) if value else ()
+    value = _coerce(value)
+    return None if value is NotImplemented else value.terms
 
 
 def _coerce(value) -> GrossNumber:

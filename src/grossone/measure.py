@@ -31,6 +31,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .gnum import (
+    ZERO,
     GrossNumber,
     Sign,
     _Scanner,
@@ -197,21 +198,57 @@ def _pieces(runs) -> tuple[AffinePiece, ...]:
 # ---------------------------------------------------------------- constructions
 
 
+def _nonempty(s: IntervalSet) -> IntervalSet:
+    if s.is_empty:
+        raise EmptySet("the empty set has no measurement")
+    return s
+
+
+def _canonical_runs(s: IntervalSet):
+    """``(domain lo, domain hi, offset)`` of each part's piece in the canonical measurement.
+
+    The offset aligns the next free index block with the part's left
+    endpoint, so the block ends where the part's right endpoint lands.
+    """
+    hi = ZERO
+    for part in s.parts:
+        lo = hi + 1
+        offset = part.lo - lo
+        hi = part.hi - offset
+        yield lo, hi, offset
+
+
 def canonical_measurement(s: IntervalSet) -> Measurement:
     """The order-preserving measurement: k-th smallest element gets index k.
 
     Each part of the set becomes one piece whose offset aligns the next
     free index block with the part's left endpoint.
     """
-    if s.is_empty:
-        raise EmptySet("the empty set has no measurement")
-    pieces = []
-    used = finite(0)
-    for part in s.parts:
-        domain_lo = used + 1
-        used = used + part.count()
-        pieces.append(AffinePiece(GrossInterval(domain_lo, used), part.lo - domain_lo))
-    return Measurement(mu=used, pieces=tuple(pieces), target=s)
+    pieces = _pieces(_canonical_runs(_nonempty(s)))
+    return Measurement(mu=pieces[-1].domain.hi, pieces=pieces, target=s)
+
+
+def _admitted_canonical(s: IntervalSet, admit) -> Measurement:
+    """``canonical_measurement(s)``, built only after ``admit`` has passed its numerals.
+
+    Each numeral that :func:`serialized_numerals` would list is read straight
+    from the set's parts and handed to ``admit`` in that order: mu, counted
+    by ``cardinality``, then the runs as they are walked, then the target's
+    endpoints.  ``admit`` refuses a numeral by raising, and then no
+    Measurement is built.
+    """
+    mu = cardinality(_nonempty(s))
+    runs: list[tuple] = []
+
+    def walked():
+        for run in _canonical_runs(s):
+            runs.append(run)
+            yield run
+
+    for _, values in _rows(mu, walked(), s.parts):
+        for value in values:
+            admit(value)
+    return Measurement(mu=mu, pieces=_pieces(runs), target=s)
 
 
 def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) -> Measurement:
@@ -227,9 +264,7 @@ def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) ->
     order-preserving measurement is returned instead of an endless loop;
     the result is the same measurement the extraction defines.
     """
-    if s.is_empty:
-        raise EmptySet("the empty set has no measurement")
-    size = cardinality(s)
+    size = cardinality(_nonempty(s))
     if classify(size).is_infinite:
         return canonical_measurement(s)
     steps = size.as_int()
@@ -408,13 +443,18 @@ def intersection_split(first: Measurement, second: Measurement) -> tuple[Measure
 # nonzero (an identity block needs no shift), then ("target", (lo, hi)) per part.
 
 
-def _rows(m: Measurement):
-    yield "mu", (m.mu,)
-    for piece in m.pieces:
-        lo, hi = piece.domain.lo, piece.domain.hi
-        yield "piece", (lo, hi) if piece.offset.is_zero else (lo, hi, piece.offset)
-    for part in m.target.parts:
+def _rows(mu: GrossNumber, runs, parts):
+    """The rows of a measurement given as mu, its ``(lo, hi, offset)`` runs and its target's parts."""
+    yield "mu", (mu,)
+    for lo, hi, offset in runs:
+        yield "piece", (lo, hi) if offset.is_zero else (lo, hi, offset)
+    for part in parts:
         yield "target", (part.lo, part.hi)
+
+
+def _measurement_rows(m: Measurement):
+    runs = ((p.domain.lo, p.domain.hi, p.offset) for p in m.pieces)
+    return _rows(m.mu, runs, m.target.parts)
 
 
 def _from_rows(rows) -> Measurement:
@@ -442,7 +482,7 @@ def serialized_numerals(m: Measurement) -> list[GrossNumber]:
     expressible there.
     """
     out: list[GrossNumber] = []
-    for _, values in _rows(m):
+    for _, values in _measurement_rows(m):
         out += values
     return out
 
@@ -454,7 +494,7 @@ def to_text(m: Measurement, ascii_mode: bool = False) -> str:
     offset; ``target`` lines carry one interval each.
     """
     lines = []
-    for kind, values in _rows(m):
+    for kind, values in _measurement_rows(m):
         fields = [format_numeral(x, ascii_mode=ascii_mode) for x in values]
         if kind == "target":
             fields = [f"[{fields[0]}..{fields[1]}]"]
@@ -510,7 +550,7 @@ _JSON_SLOTS = ("lo", "hi", "offset")  # the keys of a piece or target row's nume
 def to_jsonable(m: Measurement, ascii_mode: bool = False) -> dict:
     """JSON-ready dict with every numeral as a string in the numeral grammar."""
     doc: dict = {"mu": None, "pieces": [], "target": []}
-    for kind, values in _rows(m):
+    for kind, values in _measurement_rows(m):
         strings = [format_numeral(x, ascii_mode=ascii_mode) for x in values]
         if kind == "mu":
             doc["mu"] = strings[0]

@@ -207,19 +207,21 @@ def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
 
     Every serialized numeral of the measurement (mu, piece endpoints,
     nonzero offsets, target endpoints) must be expressible; the first one
-    that is not names the failure.  Measurement is relative to the system:
-    {1,2} is measurable with only the numerals 1 and 2, while {1,2,3} is
-    not, because its element count already has no name there.
+    that is not names the failure.  The numerals are read from the set's
+    parts before any Measurement exists, so a refused set builds none.
+    Measurement is relative to the system: {1,2} is measurable with only
+    the numerals 1 and 2, while {1,2,3} is not, because its element count
+    already has no name there.
     """
     # Imported here so that queries about a system alone load neither
     # measure nor sets.
-    from .measure import canonical_measurement, serialized_numerals
+    from .measure import _admitted_canonical
 
-    m = canonical_measurement(s)
-    for value in serialized_numerals(m):
+    def admit(value: GrossNumber):
         if not sys.can_express(value):
             raise NotExpressible(value, sys.describe())
-    return m
+
+    return _admitted_canonical(s, admit)
 
 
 def parse_system(descriptor: str) -> NumeralSystem:

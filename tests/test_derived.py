@@ -1,5 +1,6 @@
 """Inverse-defined numbers: resolution, partial comparison, session bounds."""
 
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,8 +23,17 @@ from grossone.derived import (
     parse_defined,
     resolve_finite,
 )
-from grossone.errors import BelowRange, BoundExceeded, NotFinite, ParseError
-from grossone.gnum import GROSSONE, Sign, classify, cmp, finite, gross_term, parse_numeral
+from grossone.errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite, ParseError
+from grossone.gnum import (
+    GROSSONE,
+    GrossNumber,
+    Sign,
+    classify,
+    cmp,
+    finite,
+    gross_term,
+    parse_numeral,
+)
 
 
 class TestDefinition:
@@ -263,3 +273,52 @@ class TestPowerSizeBudget:
             [sys.executable, "-m", "grossone", *argv], capture_output=True, text=True, timeout=5
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
+
+
+# Probes of one to three terms with fractional and negative exponents and
+# coefficients, and bounds of the same shapes plus plain integers.
+term_exponents = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+term_coefficients = st.one_of(
+    st.integers(-9, 9).filter(bool), st.fractions(-9, 9, max_denominator=4).filter(bool)
+)
+sums = st.lists(st.tuples(term_exponents, term_coefficients), min_size=1, max_size=3).map(
+    GrossNumber.from_terms
+)
+
+
+class TestPowAtNonIntegerProbes:
+    """Leading exponents place x**k; past them it is built within a budget or refused."""
+
+    @seed(12)
+    @given(st.integers(2, 6), sums, st.one_of(sums, st.integers(-50, 50).map(finite)))
+    def test_at_most_equals_building_the_power(self, k, x, bound):
+        assert Pow(k).at_most(x, bound) == (x**k <= bound)
+
+    def test_a_power_past_the_budget_is_refused(self):
+        probe = parse_numeral("①^(1/1000000000)+1")
+        with pytest.raises(InvalidArgument, match="too large to build"):
+            Pow(10**9).at_most(probe, GROSSONE)
+
+    @pytest.mark.parametrize(
+        "probe, code, text",
+        [
+            ("1/2", 0, "invfloor(pow 1000000000, ①)\npositive\n"),
+            ("①+1", 0, "invfloor(pow 1000000000, ①)\nnegative\n"),
+            ("①^(1/1000000000)", 1, ""),
+        ],
+    )
+    def test_cli_answers_or_refuses_in_bounded_time(self, probe, code, text):
+        # Both answers came from building the power, which did not end in 6 s.
+        argv = ["define", "invfloor(pow 1000000000, ①)", "--cmp", probe]
+        proc = subprocess.run(
+            [sys.executable, "-m", "grossone", *argv], capture_output=True, text=True, timeout=5
+        )
+        assert (proc.returncode, proc.stdout) == (code, text)
+
+    def test_a_refusal_keeps_the_json_envelope(self):
+        argv = ["define", "--format", "json", "invfloor(pow 1000000000, ①)", "--cmp", "①^(1/1000000000)"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "grossone", *argv], capture_output=True, text=True, timeout=5
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "InvalidArgument"

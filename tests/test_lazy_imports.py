@@ -29,6 +29,14 @@ def loaded_by_verb(*argv: str) -> set[str]:
     return loaded_after(f"from grossone.cli import main\nmain({list(argv)!r})")
 
 
+def json_loaded_by_verb(*argv: str) -> bool:
+    """Whether a fresh interpreter holds ``json`` after running the verb."""
+    code = f"import sys\nfrom grossone.cli import main\nmain({list(argv)!r})\nprint('json' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
 class TestImportSet:
     CORE = {"cli", "errors", "gnum"}
 
@@ -62,6 +70,13 @@ class TestImportSet:
         assert loaded_by_verb("define", "sqrtfloor(10)") == self.CORE | {"derived"}
         loaded = loaded_by_verb("demo", "halfplane", "--a", "1", "--d", "2")
         assert loaded == self.CORE | {"geometry"}
+
+    @pytest.mark.parametrize(
+        "argv", [("eval", "--", "2①+1"), ("cmp", "①", "①+1"), ("card", "[1..①]\\{1}")]
+    )
+    def test_text_mode_verbs_leave_json_unloaded(self, argv):
+        assert not json_loaded_by_verb(*argv)
+        assert json_loaded_by_verb(argv[0], "--format", "json", *argv[1:])
 
     def test_one_name_loads_its_submodule_and_what_that_imports(self):
         assert loaded_after("import grossone\ngrossone.intersect") == {"errors", "gnum", "sets"}
