@@ -74,41 +74,75 @@ def _placed_by_leading(exponent: Rational, negative: bool, bound: GrossNumber) -
     return negative
 
 
-#: Largest size estimate (see _power_size) of a power that Pow.at_most builds
-#: at a probe that is not a plain integer; a larger one is refused.
-_POWER_BUDGET = 1 << 16
+def _log2_floor(q: Rational) -> int:
+    """The integer f with 2**f <= |q| < 2**(f + 1), for a nonzero q."""
+    n, d = abs(q.numerator), q.denominator
+    f = n.bit_length() - d.bit_length()
+    return f if (n >= d << f if f >= 0 else n << -f >= d) else f - 1
 
 
-def _power_size(x: GrossNumber, k: int) -> int:
-    """A size estimate of x**k in bits, for a nonzero x: most terms times bits per coefficient.
+def _placed_power(
+    coefficient: Rational, exponent: Rational, k: int, bound: GrossNumber
+) -> bool | None:
+    """Whether v = (coefficient * ①**exponent)**k <= bound for k >= 1, without building v.
 
-    With t terms, x**k has at most C(k+t-1, t-1) terms, and each of its
-    coefficients is a sum of at most t**k products of k coefficients of x,
-    where a coefficient n/d counts as about log2|n| + log2 d bits.
+    None when that does not settle it.  v leads with exponent k*exponent;
+    where the bound leads there too, with coefficient b, |v| lies in
+    [2**(k*f), 2**(k*(f + 1))) for f = _log2_floor(coefficient), and is
+    placed against |b| when that range misses the bit range of b.
     """
-    t = len(x.terms)
-    weight = max(abs(c.numerator).bit_length() + c.denominator.bit_length() - 2 for _, c in x.terms)
-    terms = 1
-    for i in range(1, t):
-        terms = terms * (k + i) // i
-    return terms * (k * (weight + (t - 1).bit_length()) + 1)
-
-
-def _placed_by_size(low_bits: int, negative: bool, bound: GrossNumber) -> bool | None:
-    """Whether an integer v <= bound, knowing only |v| >= 2**low_bits and its sign.
-
-    None when that does not settle it.  A finite v lies below every
-    positive infinite bound, and v lies beyond a finite bound when
-    2**low_bits passes the bound's integer part, so a huge power is
-    placed without being built.
-    """
-    exponent, coefficient = bound.terms[0] if bound.terms else (0, 0)
-    if exponent > 0:
-        return coefficient > 0
-    integer_part = int(abs(coefficient)) if exponent == 0 else 0
-    if low_bits >= (integer_part + 1).bit_length():
+    negative = coefficient < 0 and k % 2 == 1
+    placed = _placed_by_leading(exponent * k, negative, bound)
+    if placed is not None:
+        return placed
+    b = bound.terms[0][1]
+    if (b < 0) != negative:
+        return negative
+    f, b_f = _log2_floor(coefficient), _log2_floor(b)
+    if k * (f + 1) <= b_f:  # |v| < |b|
+        return not negative
+    if k * f > b_f:  # |v| > |b|
         return negative
     return None
+
+
+#: Largest cost (see _power_cost) of a power that Pow.at_most builds at a
+#: probe that is not a plain integer; a costlier one is refused.  It is the
+#: largest power of two for which every timed build within it took under
+#: 1 s: over 21 probes of one to four terms with int and Fraction entries,
+#: on one core of a Xeon container under CPython 3.11, the slowest took
+#: 0.93 s.  (①+1)**744 and (3/2)**369727 still build.
+_POWER_BUDGET = 1 << 39
+
+
+def _power_cost(x: GrossNumber, k: int) -> int:
+    """A cost estimate of building x**k, x nonzero: (terms * (coefficient bits + overhead))**2.
+
+    The exponents of x**k are sums of k exponents of x: at most
+    C(k+t-1, t-1) of them for t terms, and all on a grid whose step is the
+    gcd of x's exponent gaps and whose span is k times x's exponent span.  Each
+    coefficient is at most (s*m)**k / m**k, with s the sum of |c| and m
+    the lcm of the denominators.  Squaring multiplies every pair of terms,
+    and each product costs about the square of its bits plus a fixed
+    overhead, larger with Fraction entries.
+    """
+    top = x.terms[0][0]
+    gaps = [Fraction(top - e) for e, _ in x.terms[1:]]
+    terms = 1
+    if gaps:
+        step = gaps[0]
+        for gap in gaps[1:]:
+            step /= (gap / step).denominator  # the gcd of the gaps so far
+        binomial = 1
+        for i in range(1, len(x.terms)):
+            binomial = binomial * (k + i) // i
+        terms = min(k * int(gaps[-1] / step) + 1, binomial)
+    scale = 1
+    for _, c in x.terms:
+        scale *= Fraction(scale, c.denominator).denominator  # the lcm of the denominators so far
+    weight = int(sum(abs(c) for _, c in x.terms) * scale).bit_length() + scale.bit_length() - 2
+    overhead = 250 if all(type(e) is int and type(c) is int for e, c in x.terms) else 2000
+    return (terms * (k * weight + overhead)) ** 2
 
 
 @dataclass(frozen=True)
@@ -125,28 +159,25 @@ class Pow(MonotoneFn):
         return x**self.k
 
     def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool:
-        """Whether x**k <= bound, placed from leading terms and sizes where they settle it.
+        """Whether x**k <= bound, placed without building x**k where that settles it.
 
-        x**k leads with exponent k times x's leading exponent.  A plain
-        integer left open by that is placed from its bit length or built,
-        and then has at most about twice the bound's bits.  Any other probe
-        is built only within ``_POWER_BUDGET``, and refused past it.
+        x**k leads with exponent k times x's leading exponent, and a
+        one-term probe's coefficient**k is placed by bit lengths.  A plain
+        integer left open is built, and then has at most about twice the
+        bound's bits.  Any other probe is built only within
+        ``_POWER_BUDGET``, and refused past it.
         """
         k = self.k
         if x.terms:
             exponent, coefficient = x.terms[0]
-            placed = _placed_by_leading(exponent * k, coefficient < 0 and k % 2 == 1, bound)
+            if len(x.terms) == 1:
+                placed = _placed_power(coefficient, exponent, k, bound)
+            else:
+                placed = _placed_by_leading(exponent * k, coefficient < 0 and k % 2 == 1, bound)
             if placed is not None:
                 return placed
-        n = _plain_int(x)
-        if n is not None:
-            # |n|**k >= 2**((bit length of |n|) - 1) * k).
-            low_bits = (abs(n).bit_length() - 1) * k
-            placed = _placed_by_size(low_bits, n < 0 and k % 2 == 1, bound)
-            if placed is not None:
-                return placed
-        elif _power_size(x, k) > _POWER_BUDGET:
-            raise InvalidArgument(f"({x})**{k} is too large to build for a comparison")
+            if _plain_int(x) is None and _power_cost(x, k) > _POWER_BUDGET:
+                raise InvalidArgument(f"({x})**{k} is too large to build for a comparison")
         return x**k <= bound
 
 
@@ -173,9 +204,8 @@ class ExpBase(MonotoneFn):
 
     def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool | None:
         n = _plain_int(x)
-        if n is not None and n >= 0:
-            # b**n >= 2**((bit length of b) - 1) * n).
-            placed = _placed_by_size((self.b.bit_length() - 1) * n, False, bound)
+        if n is not None and n > 0:
+            placed = _placed_power(self.b, 0, n, bound)
             if placed is not None:
                 return placed
         return super().at_most(x, bound)

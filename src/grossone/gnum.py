@@ -307,22 +307,7 @@ class GrossNumber:
 
 
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
-    """Canonical ``a + sign * b`` from one pass over two descending term tuples.
-
-    A one-term operand at or below the other's last exponent, the shape of
-    ``x + 1`` or ``x - n``, only edits that tuple's tail.
-    """
-    if sign == 1 and len(a) == 1 and b and a[0][0] <= b[-1][0]:
-        a, b = b, a
-    if len(b) == 1 and a and b[0][0] <= a[-1][0]:
-        exponent, coefficient = b[0]
-        last_exponent, last_coefficient = a[-1]
-        if sign != 1:
-            coefficient = -coefficient
-        if exponent < last_exponent:
-            return GrossNumber(a + ((exponent, coefficient),))
-        coefficient = _exact(last_coefficient + coefficient)
-        return GrossNumber(a[:-1] + ((exponent, coefficient),) if coefficient else a[:-1])
+    """Canonical ``a + sign * b`` from one pass over two descending term tuples."""
     out: list[Term] = []
     i = j = 0
     na, nb = len(a), len(b)

@@ -286,6 +286,9 @@ sums = st.lists(st.tuples(term_exponents, term_coefficients), min_size=1, max_si
 )
 
 
+HUGE = "invfloor(pow 1000000000, ①)"
+
+
 class TestPowAtNonIntegerProbes:
     """Leading exponents place x**k; past them it is built within a budget or refused."""
 
@@ -294,29 +297,66 @@ class TestPowAtNonIntegerProbes:
     def test_at_most_equals_building_the_power(self, k, x, bound):
         assert Pow(k).at_most(x, bound) == (x**k <= bound)
 
+    @seed(13)
+    @given(
+        st.integers(1, 60),
+        term_exponents,
+        term_coefficients,
+        st.sampled_from([1, 2, Fraction(1, 2), Fraction(1023, 1024), Fraction(1025, 1024)]),
+        st.sampled_from([0, 1, -1]),
+    )
+    def test_one_term_placement_agrees_near_ties(self, k, exponent, coefficient, ratio, tail):
+        # Bounds whose leading term is close to, or equal to, the power's.
+        x = GrossNumber.from_terms([(exponent, coefficient)])
+        lead = GrossNumber.from_terms([(exponent * k, coefficient**k * ratio)])
+        bound = lead + gross_term(tail, exponent * k - 1)
+        assert Pow(k + 1).at_most(x, bound) == (x ** (k + 1) <= bound)
+
+    @pytest.mark.parametrize(
+        "k, probe, bound",
+        [
+            (70000, "1/2", "5"),
+            (70000, "3/2", "5"),
+            (70000, "-3/2", "-5"),
+            (1000000000, "1/2", "5"),
+            (300, "①+1", "①^300"),
+            (300, "①+1", "①^300+300①^299+①^298"),
+            (200, "①-1/2", "①^200"),
+            (40, "3/7①^(1/2)+5/11①^(1/3)+1/13", "①^20"),
+            (100, "①^(1/2)+①^(1/3)+1", "①^50"),
+        ],
+    )
+    def test_moderate_powers_are_answered(self, k, probe, bound):
+        x, bound = parse_numeral(probe), parse_numeral(bound)
+        want = x**k <= bound if k < 10**6 else True
+        assert Pow(k).at_most(x, bound) == want
+
     def test_a_power_past_the_budget_is_refused(self):
         probe = parse_numeral("①^(1/1000000000)+1")
         with pytest.raises(InvalidArgument, match="too large to build"):
             Pow(10**9).at_most(probe, GROSSONE)
 
     @pytest.mark.parametrize(
-        "probe, code, text",
+        "definition, probe, code, text",
         [
-            ("1/2", 0, "invfloor(pow 1000000000, ①)\npositive\n"),
-            ("①+1", 0, "invfloor(pow 1000000000, ①)\nnegative\n"),
-            ("①^(1/1000000000)", 1, ""),
+            # These two answers came from building the power, which did not end in 6 s.
+            (HUGE, "1/2", 0, f"{HUGE}\npositive\n"),
+            (HUGE, "①+1", 0, f"{HUGE}\nnegative\n"),
+            (HUGE, "①^(1/1000000000)", 1, ""),
+            # Powers that build in well under a second are built, not refused.
+            ("invfloor(pow 70000, 5)", "1/2", 0, "1\nzero\n"),
+            ("invfloor(pow 300, ①^300)", "①+1", 0, "invfloor(pow 300, ①^300)\nnegative\n"),
         ],
     )
-    def test_cli_answers_or_refuses_in_bounded_time(self, probe, code, text):
-        # Both answers came from building the power, which did not end in 6 s.
-        argv = ["define", "invfloor(pow 1000000000, ①)", "--cmp", probe]
+    def test_cli_answers_or_refuses_in_bounded_time(self, definition, probe, code, text):
+        argv = ["define", definition, "--cmp", probe]
         proc = subprocess.run(
             [sys.executable, "-m", "grossone", *argv], capture_output=True, text=True, timeout=5
         )
         assert (proc.returncode, proc.stdout) == (code, text)
 
     def test_a_refusal_keeps_the_json_envelope(self):
-        argv = ["define", "--format", "json", "invfloor(pow 1000000000, ①)", "--cmp", "①^(1/1000000000)"]
+        argv = ["define", "--format", "json", HUGE, "--cmp", "①^(1/1000000000)"]
         proc = subprocess.run(
             [sys.executable, "-m", "grossone", *argv], capture_output=True, text=True, timeout=5
         )

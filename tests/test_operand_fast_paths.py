@@ -1,10 +1,9 @@
 """Plain-int and one-term operands of ``+``, ``-`` and comparisons, against the dict oracle.
 
-A plain int is read as its own term, and a one-term operand at or below
-the other's last exponent only edits that tuple's tail; both must agree
-with ``oracles.poly_add`` and keep every built entry an int where it is
-integral.  Values built directly with Fraction-typed integral entries
-hold them as ints too.
+A plain int is read as its own term.  Sums with it and with one-term
+operands must agree with ``oracles.poly_add`` and keep every built entry
+an int where it is integral.  Values built directly with Fraction-typed
+integral entries hold them as ints too.
 """
 
 from fractions import Fraction
