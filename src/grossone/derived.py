@@ -4,11 +4,11 @@ For a strictly increasing g on positive integers and a positive integer
 kappa with g(1) <= kappa, there is exactly one x with g(x) <= kappa <
 g(x+1).  That x may have no closed form in gross-number arithmetic (the
 integer square root of ① is the standard example), yet it is a perfectly
-definite number: it can be compared against probes y whenever g(y) and
-g(y+1) are themselves computable.  This module keeps such numbers as
-symbolic tokens, resolves them outright when kappa is finite, and offers
-the partial comparison, returning the Incomparable sentinel instead of
-guessing when g cannot be evaluated at the probe.
+definite number: it can be compared against a probe y whenever g is
+computable at the gross-integers next to y.  This module keeps such
+numbers as symbolic tokens, resolves them outright when kappa is finite,
+and offers the partial comparison, returning the Incomparable sentinel
+instead of guessing when g cannot be evaluated there.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from fractions import Fraction
 from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite
 from .gnum import (
     GrossNumber,
-    Rational,
     Sign,
     _Scanner,
+    _compare_terms,
     _is_gross_integer,
     _plain_int,
+    _power_order,
     classify,
     finite,
     format_numeral,
@@ -59,54 +60,26 @@ class MonotoneFn:
         return None if value is None else value <= bound
 
 
-def _placed_by_leading(exponent: Rational, negative: bool, bound: GrossNumber) -> bool | None:
-    """Whether a nonzero v <= bound, knowing only v's leading exponent and sign.
+def _placed_power(x: GrossNumber, k: int, bound: GrossNumber) -> bool | None:
+    """Whether x**k <= bound for a nonzero x and k >= 1, without building x**k.
 
-    None when the bound leads with the same exponent.  Otherwise the larger
-    leading exponent dominates, and its term's sign settles the comparison.
+    None when that does not settle it.  x**k leads with c**k * ①**(k*e)
+    for x's leading term c * ①**e.  The exponent and sign of that term
+    place x**k against the bound's leading term unless both tie; then
+    c**k is placed against the bound's leading coefficient by
+    ``_power_order`` when bit lengths settle it.
     """
-    if bound.terms:
-        bound_exponent, bound_coefficient = bound.terms[0]
-        if exponent < bound_exponent:
-            return bound_coefficient > 0
-        if exponent == bound_exponent:
-            return None
-    return negative
+    exponent, c = x.terms[0]
+    sign = -1 if c < 0 and k % 2 else 1
+    head = ((bound.terms[0][0], bound.sign()),) if bound.terms else ()
+    order = _compare_terms(((exponent * k, sign),), head)
+    if order:
+        return order < 0
+    order = _power_order(c, k, bound.terms[0][1], 1)
+    return None if order is None else (order < 0) == (sign > 0)
 
 
-def _log2_floor(q: Rational) -> int:
-    """The integer f with 2**f <= |q| < 2**(f + 1), for a nonzero q."""
-    n, d = abs(q.numerator), q.denominator
-    f = n.bit_length() - d.bit_length()
-    return f if (n >= d << f if f >= 0 else n << -f >= d) else f - 1
-
-
-def _placed_power(
-    coefficient: Rational, exponent: Rational, k: int, bound: GrossNumber
-) -> bool | None:
-    """Whether v = (coefficient * ①**exponent)**k <= bound for k >= 1, without building v.
-
-    None when that does not settle it.  v leads with exponent k*exponent;
-    where the bound leads there too, with coefficient b, |v| lies in
-    [2**(k*f), 2**(k*(f + 1))) for f = _log2_floor(coefficient), and is
-    placed against |b| when that range misses the bit range of b.
-    """
-    negative = coefficient < 0 and k % 2 == 1
-    placed = _placed_by_leading(exponent * k, negative, bound)
-    if placed is not None:
-        return placed
-    b = bound.terms[0][1]
-    if (b < 0) != negative:
-        return negative
-    f, b_f = _log2_floor(coefficient), _log2_floor(b)
-    if k * (f + 1) <= b_f:  # |v| < |b|
-        return not negative
-    if k * f > b_f:  # |v| > |b|
-        return negative
-    return None
-
-
-#: Largest cost (see _power_cost) of a power that Pow.at_most builds at a
+#: Largest cost (see _power_cost) of a power that Pow.evaluate builds at a
 #: probe that is not a plain integer; a costlier one is refused.  It is the
 #: largest power of two for which every timed build within it took under
 #: 1 s: over 21 probes of one to four terms with int and Fraction entries,
@@ -156,29 +129,20 @@ class Pow(MonotoneFn):
             raise InvalidArgument("exponent must be at least 2")
 
     def evaluate(self, x: GrossNumber) -> GrossNumber:
-        return x**self.k
+        """x**k; refused with InvalidArgument past ``_POWER_BUDGET`` unless x is a plain integer."""
+        k = self.k
+        if _plain_int(x) is None and _power_cost(x, k) > _POWER_BUDGET:
+            raise InvalidArgument(f"({x})**{k} is too large to build for a comparison")
+        return x**k
 
     def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool:
-        """Whether x**k <= bound, placed without building x**k where that settles it.
+        """Whether x**k <= bound, placed by ``_placed_power`` where that settles it.
 
-        x**k leads with exponent k times x's leading exponent, and a
-        one-term probe's coefficient**k is placed by bit lengths.  A plain
-        integer left open is built, and then has at most about twice the
-        bound's bits.  Any other probe is built only within
-        ``_POWER_BUDGET``, and refused past it.
+        Otherwise x**k is built through ``evaluate``.  A plain integer left
+        open then has at most about twice the bound's bits.
         """
-        k = self.k
-        if x.terms:
-            exponent, coefficient = x.terms[0]
-            if len(x.terms) == 1:
-                placed = _placed_power(coefficient, exponent, k, bound)
-            else:
-                placed = _placed_by_leading(exponent * k, coefficient < 0 and k % 2 == 1, bound)
-            if placed is not None:
-                return placed
-            if _plain_int(x) is None and _power_cost(x, k) > _POWER_BUDGET:
-                raise InvalidArgument(f"({x})**{k} is too large to build for a comparison")
-        return x**k <= bound
+        placed = _placed_power(x, self.k, bound) if x.terms else None
+        return self.evaluate(x) <= bound if placed is None else placed
 
 
 @dataclass(frozen=True)
@@ -204,11 +168,8 @@ class ExpBase(MonotoneFn):
 
     def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool | None:
         n = _plain_int(x)
-        if n is not None and n > 0:
-            placed = _placed_power(self.b, 0, n, bound)
-            if placed is not None:
-                return placed
-        return super().at_most(x, bound)
+        placed = _placed_power(finite(self.b), n, bound) if n is not None and n > 0 else None
+        return super().at_most(x, bound) if placed is None else placed
 
 
 @dataclass(frozen=True)
@@ -299,24 +260,33 @@ def resolve_finite(d: DefinedNumeral) -> GrossNumber:
 
 
 def cmp_defined(d: DefinedNumeral, y: GrossNumber | int) -> Sign | _Incomparable:
-    """Place a defined numeral relative to a positive-integer probe.
+    """Place a defined numeral relative to a probe y.
 
-    d < y iff kappa < g(y); d > y iff g(y+1) <= kappa; otherwise d = y.
-    When g cannot be evaluated at the probe the answer is the Incomparable
+    d is a gross-integer and at least 1, since g(1) <= kappa, so d > y for
+    any y < 1.  At a gross-integer y >= 1, d < y iff kappa < g(y), d > y
+    iff g(y+1) <= kappa, and otherwise d = y.  At any other y, d > y iff
+    g(n) <= kappa for the least gross-integer n above y, and else d < y.
+    When g cannot be evaluated where asked the answer is the Incomparable
     sentinel, a value rather than an error.
     """
     y = finite(y)
-    at_y = d.g.at_most(y, d.kappa)
-    if at_y is None:
-        return INCOMPARABLE
-    if not at_y:
-        return Sign.NEGATIVE
-    at_next = d.g.at_most(y + 1, d.kappa)
-    if at_next is None:
-        return INCOMPARABLE
-    if at_next:
+    if y < 1:
         return Sign.POSITIVE
-    return Sign.ZERO
+    if _is_gross_integer(y):
+        at_y = d.g.at_most(y, d.kappa)
+        if not at_y:
+            return INCOMPARABLE if at_y is None else Sign.NEGATIVE
+        n, below_n = y + 1, Sign.ZERO
+    else:
+        # The least gross-integer above y is whole + floor(rest) + 1, for
+        # whole the terms of y with positive exponents and rest the others.
+        rest = GrossNumber(tuple(t for t in y.terms if t[0] <= 0))
+        floor = rest.coefficient(0) // 1
+        n, below_n = y - rest + floor + (0 if rest < floor else 1), Sign.NEGATIVE
+    at_n = d.g.at_most(n, d.kappa)
+    if at_n is None:
+        return INCOMPARABLE
+    return Sign.POSITIVE if at_n else below_n
 
 
 class DefinitionSession:

@@ -234,18 +234,15 @@ class GrossNumber:
         return _merge(terms, self.terms, -1)
 
     def __mul__(self, other) -> "GrossNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
+        terms = _operand_terms(other)
+        if terms is None:
             return NotImplemented
-        return GrossNumber.from_terms(
-            (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
-        )
+        return GrossNumber.from_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in terms)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GrossNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if _operand_terms(other) is None:
             return NotImplemented
         return div_exact(self, other)
 
@@ -349,28 +346,47 @@ def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> Sign:
     return Sign.ZERO
 
 
-def _operand_terms(value) -> tuple[Term, ...] | None:
-    """The terms of an operand of ``+``, ``-`` or a comparison; None if it is no number.
+def _log2_floor(q: Rational) -> int:
+    """The integer f with 2**f <= |q| < 2**(f + 1), for a nonzero q."""
+    n, d = abs(q.numerator), q.denominator
+    f = n.bit_length() - d.bit_length()
+    return f if (n >= d << f if f >= 0 else n << -f >= d) else f - 1
 
-    A plain int is read as its own term, with no GrossNumber built for it.
+
+def _power_order(a: Rational, k: int, b: Rational, j: int) -> int | None:
+    """The sign, -1 or 1, of ``|a|**k - |b|**j`` for nonzero a, b and k, j >= 1.
+
+    ``|a|**k`` lies in ``[2**(k*f), 2**(k*(f + 1)))`` for ``f = _log2_floor(a)``,
+    and ``|b|**j`` likewise; where the two ranges do not overlap they order
+    the powers, and neither power is built.  None where they overlap.
+    """
+    if type(a) is int and type(b) is int:
+        f, g = a.bit_length() - 1, b.bit_length() - 1
+    else:
+        f, g = _log2_floor(a), _log2_floor(b)
+    if k * (f + 1) <= j * g:
+        return -1
+    if k * f >= j * (g + 1):
+        return 1
+    return None
+
+
+def _operand_terms(value) -> tuple[Term, ...] | None:
+    """The terms of an operand of an operator or of ``finite``; None if it is no number.
+
+    An int or a Fraction is read as its own term, with no GrossNumber built for it.
     """
     kind = type(value)
     if kind is GrossNumber:
         return value.terms
-    if kind is int:
-        return ((0, value),) if value else ()
-    value = _coerce(value)
-    return None if value is NotImplemented else value.terms
-
-
-def _coerce(value) -> GrossNumber:
-    if isinstance(value, GrossNumber):
-        return value
-    try:
-        value = _exact(value)
-    except TypeError:
-        return NotImplemented
-    return GrossNumber(((0, value),)) if value else ZERO
+    if kind is not int:
+        if isinstance(value, GrossNumber):
+            return value.terms
+        try:
+            value = _exact(value)
+        except TypeError:
+            return None
+    return ((0, value),) if value else ()
 
 
 def finite(value: Rational | GrossNumber) -> GrossNumber:
@@ -381,10 +397,10 @@ def finite(value: Rational | GrossNumber) -> GrossNumber:
     """
     if isinstance(value, GrossNumber):
         return value
-    coerced = _coerce(value)
-    if coerced is NotImplemented:
+    terms = _operand_terms(value)
+    if terms is None:
         raise TypeError(f"cannot interpret {value!r} as a gross-number")
-    return coerced
+    return GrossNumber(terms)
 
 
 def gross_term(coefficient: Rational = 1, exponent: Rational = 1) -> GrossNumber:

@@ -18,8 +18,9 @@ Three kinds are provided:
   with a bounded number of terms and base-10 digit budgets on coefficient
   numerator, coefficient denominator and (integer) exponent.
 
-Every size test is one exact integer comparison of two powers, settled
-from bit lengths before either power is built (``_exceeds``), so a huge
+Every size test is one exact integer comparison of two powers
+(``_exceeds``), settled from bit lengths by gnum's one two-power bracket
+(``gnum._power_order``) before either power is built, so a huge
 ``digits`` answers at once and no floating point is used.
 """
 
@@ -36,7 +37,7 @@ from .errors import (
     NotExpressible,
     ParseError,
 )
-from .gnum import GrossNumber, Rational, _plain_int, finite, gross_term
+from .gnum import GrossNumber, Rational, _plain_int, _power_order, finite, gross_term
 
 __all__ = [
     "NumeralSystem",
@@ -54,19 +55,17 @@ __all__ = [
 def _exceeds(base: int, exponent: int, other: int, other_exponent: int = 1) -> bool:
     """``base**exponent > other**other_exponent``; bases >= 0, exponents >= 1.
 
-    Settled from bit lengths when they can settle it: with
-    ``k = base.bit_length()``, ``base**exponent`` has between
-    ``exponent*(k-1) + 1`` and ``exponent*k`` bits.  The powers are built
-    only when those two ranges overlap, and then (for bases past 1) each
-    has fewer than four times the other's bits, or twice when
+    Settled by ``gnum._power_order`` from bit lengths when they can settle
+    it.  The powers are built only when they cannot, and then (for bases
+    past 1) each has fewer than four times the other's bits, or twice when
     ``other_exponent`` is 1; so a huge exponent never has its power built.
     """
-    k, j = base.bit_length(), other.bit_length()
-    if exponent * (k - 1) + 1 > other_exponent * j:
-        return True
-    if exponent * k < other_exponent * (j - 1) + 1:
-        return False
-    return base**exponent > other**other_exponent
+    if not (base and other):
+        return base > other
+    order = _power_order(base, exponent, other, other_exponent)
+    if order is None:
+        return base**exponent > other**other_exponent
+    return order > 0
 
 
 def _writable_digits() -> int:

@@ -255,7 +255,7 @@ class TestPowerSizeBudget:
         d = define_by_inverse(Pow(10**9), finite(5))
         assert resolve_finite(d) == 1
         assert cmp_defined(d, finite(3)) == Sign.NEGATIVE
-        assert cmp_defined(d, finite(-3)) == Sign.NEGATIVE
+        assert cmp_defined(d, finite(-3)) == Sign.POSITIVE
         assert cmp_defined(define_by_inverse(Pow(10**9 + 1), finite(5)), finite(-3)) == Sign.POSITIVE
         assert cmp_defined(define_by_inverse(Pow(10**9), GROSSONE), finite(3)) == Sign.POSITIVE
         assert cmp_defined(define_by_inverse(ExpBase(2), finite(5)), finite(10**9)) == Sign.NEGATIVE
@@ -344,7 +344,7 @@ class TestPowAtNonIntegerProbes:
             (HUGE, "①+1", 0, f"{HUGE}\nnegative\n"),
             (HUGE, "①^(1/1000000000)", 1, ""),
             # Powers that build in well under a second are built, not refused.
-            ("invfloor(pow 70000, 5)", "1/2", 0, "1\nzero\n"),
+            ("invfloor(pow 70000, 5)", "1/2", 0, "1\npositive\n"),
             ("invfloor(pow 300, ①^300)", "①+1", 0, "invfloor(pow 300, ①^300)\nnegative\n"),
         ],
     )
@@ -362,3 +362,59 @@ class TestPowAtNonIntegerProbes:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["type"] == "InvalidArgument"
+
+
+# Integer and fractional probes across [-5, 60].
+probes_near_the_value = st.one_of(
+    st.integers(-5, 60),
+    st.fractions(-5, 60, max_denominator=7),
+    st.integers(-5, 59).map(lambda n: Fraction(2 * n + 1, 2)),
+)
+
+
+class TestProbesThatAreNotPositiveGrossIntegers:
+    """d >= 1 tops any probe below 1; a probe that is no gross-integer asks g once, above it."""
+
+    @seed(14)
+    @given(st.integers(2, 5), st.integers(1, 10**6), probes_near_the_value)
+    def test_pow_agrees_with_the_resolved_value(self, k, kappa, y):
+        d = define_by_inverse(Pow(k), finite(kappa))
+        assert cmp_defined(d, finite(y)) == cmp(resolve_finite(d), finite(y))
+
+    @seed(15)
+    @given(st.integers(2, 10), st.integers(0, 10**18), probes_near_the_value)
+    def test_exp_agrees_with_the_resolved_value(self, b, extra, y):
+        d = define_by_inverse(ExpBase(b), finite(b + extra))
+        assert cmp_defined(d, finite(y)) == cmp(resolve_finite(d), finite(y))
+
+    @pytest.mark.parametrize(
+        "probe, want",
+        [
+            ("①-1/2", Sign.POSITIVE),
+            ("①+1/2", Sign.NEGATIVE),
+            ("①-①^-1", Sign.POSITIVE),
+            ("①+①^-1", Sign.NEGATIVE),
+            ("①", Sign.ZERO),
+            ("1/2", Sign.POSITIVE),
+        ],
+    )
+    def test_the_square_root_of_the_unit_squared_is_the_unit(self, probe, want):
+        d = define_by_inverse(Pow(2), GROSSONE**2)
+        assert cmp_defined(d, parse_numeral(probe)) == want
+
+    @pytest.mark.parametrize(
+        "definition, probe, text",
+        [
+            ("sqrtfloor(10)", "5/2", "3\npositive\n"),
+            ("sqrtfloor(①^2)", "①-1/2", "sqrtfloor(①^2)\npositive\n"),
+            ("logfloor(2, 100)", "13/2", "6\nnegative\n"),
+            ("logfloor(3, ①)", "7/2", "logfloor(3, ①)\npositive\n"),
+            ("invfloor(pow 1000000000, 5)", "1/2", "1\npositive\n"),
+        ],
+    )
+    def test_cli(self, definition, probe, text):
+        argv = ["define", definition, "--cmp", probe]
+        proc = subprocess.run(
+            [sys.executable, "-m", "grossone", *argv], capture_output=True, text=True, timeout=5
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
