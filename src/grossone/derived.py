@@ -71,7 +71,7 @@ def _placed_power(x: GrossNumber, k: int, bound: GrossNumber) -> bool | None:
     """
     exponent, c = x.terms[0]
     sign = -1 if c < 0 and k % 2 else 1
-    head = ((bound.terms[0][0], bound.sign()),) if bound.terms else ()
+    head = ((bound.terms[0][0], 1 if bound.terms[0][1] > 0 else -1),) if bound.terms else ()
     order = _compare_terms(((exponent * k, sign),), head)
     if order:
         return order < 0

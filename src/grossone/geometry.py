@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgument
-from .gnum import GROSSONE, GrossNumber, Sign, cmp, finite
+from .gnum import GROSSONE, GrossNumber, finite
 
 __all__ = [
     "RealInterval",
@@ -50,7 +50,7 @@ class RealInterval:
     def __post_init__(self):
         object.__setattr__(self, "lo", finite(self.lo))
         object.__setattr__(self, "hi", finite(self.hi))
-        if cmp(self.lo, self.hi) == Sign.POSITIVE:
+        if self.lo > self.hi:
             raise InvalidArgument(f"interval [{self.lo}, {self.hi}] is reversed")
 
     def length(self) -> GrossNumber:

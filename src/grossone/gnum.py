@@ -70,6 +70,10 @@ class Sign(enum.IntEnum):
     POSITIVE = 1
 
 
+#: The Sign of an order -1, 0 or 1, read as ``_SIGNS[order]`` (index -1 is the last).
+_SIGNS = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)
+
+
 @dataclass(frozen=True)
 class NumberClass:
     """Classification flags of a gross-number.
@@ -183,9 +187,7 @@ class GrossNumber:
         return self.terms[0]
 
     def sign(self) -> Sign:
-        if not self.terms:
-            return Sign.ZERO
-        return Sign.POSITIVE if self.terms[0][1] > 0 else Sign.NEGATIVE
+        return _SIGNS[_compare_terms(self.terms, ())]
 
     def coefficient(self, exponent: Rational) -> Fraction:
         e = _exact(exponent)
@@ -261,27 +263,21 @@ class GrossNumber:
 
     # ---------------------------------------------------------------- ordering
 
-    def _compare(self, other) -> Sign:
-        terms = _operand_terms(other)
-        if terms is None:
-            return NotImplemented
-        return _compare_terms(self.terms, terms)
-
     def __lt__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is NotImplemented else s == Sign.NEGATIVE
+        terms = _operand_terms(other)
+        return NotImplemented if terms is None else _compare_terms(self.terms, terms) < 0
 
     def __le__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is NotImplemented else s != Sign.POSITIVE
+        terms = _operand_terms(other)
+        return NotImplemented if terms is None else _compare_terms(self.terms, terms) <= 0
 
     def __gt__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is NotImplemented else s == Sign.POSITIVE
+        terms = _operand_terms(other)
+        return NotImplemented if terms is None else _compare_terms(self.terms, terms) > 0
 
     def __ge__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is NotImplemented else s != Sign.NEGATIVE
+        terms = _operand_terms(other)
+        return NotImplemented if terms is None else _compare_terms(self.terms, terms) >= 0
 
     def __eq__(self, other):
         terms = _operand_terms(other)
@@ -328,22 +324,22 @@ def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
     return GrossNumber(tuple(out))
 
 
-def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> Sign:
-    """Sign of ``a - b``: the first term where the descending tuples differ decides."""
+def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> int:
+    """The sign, -1, 0 or 1, of ``a - b``: the first place the descending tuples differ decides."""
     for (ea, ca), (eb, cb) in zip(a, b):
         if ea != eb:
             # The larger exponent dominates; its coefficient's sign (negated
             # when it belongs to b) is the sign of the difference.
             if ea > eb:
-                return Sign.POSITIVE if ca > 0 else Sign.NEGATIVE
-            return Sign.NEGATIVE if cb > 0 else Sign.POSITIVE
+                return 1 if ca > 0 else -1
+            return -1 if cb > 0 else 1
         if ca != cb:
-            return Sign.POSITIVE if ca > cb else Sign.NEGATIVE
+            return 1 if ca > cb else -1
     if len(a) > len(b):
-        return Sign.POSITIVE if a[len(b)][1] > 0 else Sign.NEGATIVE
+        return 1 if a[len(b)][1] > 0 else -1
     if len(a) < len(b):
-        return Sign.NEGATIVE if b[len(a)][1] > 0 else Sign.POSITIVE
-    return Sign.ZERO
+        return -1 if b[len(a)][1] > 0 else 1
+    return 0
 
 
 def _log2_floor(q: Rational) -> int:
@@ -477,7 +473,7 @@ def cmp(x: GrossNumber, y: GrossNumber) -> Sign:
     term of x - y is the first place the two canonical term tuples differ,
     so one walk over both decides without building the difference.
     """
-    return _compare_terms(finite(x).terms, finite(y).terms)
+    return _SIGNS[_compare_terms(finite(x).terms, finite(y).terms)]
 
 
 def _is_gross_integer(x: GrossNumber) -> bool:

@@ -117,7 +117,7 @@ class Measurement:
     def __post_init__(self):
         object.__setattr__(self, "mu", finite(self.mu))
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not _is_gross_integer(self.mu) or self.mu.sign() != Sign.POSITIVE:
+        if not _is_gross_integer(self.mu) or self.mu <= 0:
             raise InvalidMeasurement(f"mu must be a positive gross-integer, got {self.mu}")
         if not self.pieces:
             raise InvalidMeasurement("a measurement needs at least one piece")
@@ -392,7 +392,7 @@ def canonical_injection(first: Measurement, second: Measurement) -> tuple[Affine
     measurement: x -> second(first⁻¹(x)).  Requires mu of the first to be
     at most mu of the second so every index stays in range.
     """
-    if compare_measured(first, second) == Sign.POSITIVE:
+    if first.mu > second.mu:
         raise PreconditionViolated(
             f"no canonical injection: {first.mu} elements into {second.mu}"
         )
@@ -422,7 +422,7 @@ def intersection_split(first: Measurement, second: Measurement) -> tuple[Measure
     has beyond the intersection and what the second has beyond it are both
     nonempty and have the same number of elements.
     """
-    if compare_measured(first, second) != Sign.ZERO:
+    if first.mu != second.mu:
         raise PreconditionViolated(
             f"the sets must have the same number of elements, got {first.mu} and {second.mu}"
         )
@@ -613,4 +613,7 @@ def from_json(text: str) -> Measurement:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.doc, exc.pos) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", text, 0) from None
+    except ValueError:
+        # An int literal past the interpreter's int-to-string digit limit.
+        raise ParseError("invalid JSON: number has too many digits", text, 0) from None
     return from_jsonable(data)

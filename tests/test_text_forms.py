@@ -8,6 +8,7 @@ non-bijections that an int-set model rejects.
 
 import json
 import pickle
+from sys import get_int_max_str_digits
 
 import pytest
 from hypothesis import given, seed
@@ -200,6 +201,13 @@ def test_invalid_json_is_a_parse_error_at_the_decoder_offset(doc):
 def test_deeply_nested_json_is_a_parse_error():
     doc = "[" * 100_000
     assert raised(from_json, doc).text == doc
+
+
+@pytest.mark.skipif(not get_int_max_str_digits(), reason="no int-to-string digit limit is set")
+def test_a_json_number_past_the_digit_limit_is_a_parse_error_at_position_0():
+    doc = '{"mu": 1' + "0" * get_int_max_str_digits() + "}"
+    exc = raised(from_json, doc)
+    assert (exc.args[0], exc.text, exc.position) == ("invalid JSON: number has too many digits", doc, 0)
 
 
 def test_a_bad_numeral_names_its_path_and_points_into_the_string():
