@@ -22,6 +22,7 @@ from .gnum import (
     GrossNumber,
     Sign,
     _Scanner,
+    _at_least,
     _compare_terms,
     _is_gross_integer,
     _plain_int,
@@ -125,8 +126,7 @@ class Pow(MonotoneFn):
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InvalidArgument("exponent must be at least 2")
+        _at_least(self.k, 2, "exponent")
 
     def evaluate(self, x: GrossNumber) -> GrossNumber:
         """x**k; refused with InvalidArgument past ``_POWER_BUDGET`` unless x is a plain integer."""
@@ -157,8 +157,7 @@ class ExpBase(MonotoneFn):
     b: int
 
     def __post_init__(self):
-        if self.b < 2:
-            raise InvalidArgument("base must be at least 2")
+        _at_least(self.b, 2, "base")
 
     def evaluate(self, x: GrossNumber) -> GrossNumber | None:
         n = _plain_int(x)
@@ -297,8 +296,7 @@ class DefinitionSession:
     """
 
     def __init__(self, max_definitions: int = 1000):
-        if max_definitions < 1:
-            raise InvalidArgument("max_definitions must be at least 1")
+        _at_least(max_definitions, 1, "max_definitions")
         self.max_definitions = max_definitions
         self._defined: list[DefinedNumeral] = []
 

@@ -122,35 +122,21 @@ class GrossNumber:
     terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
+        # Checks terms from outside; the core builds its own results through ``_built``.
         prev = None
-        retype = False
         for item in self.terms:
             if not (isinstance(item, tuple) and len(item) == 2):
                 raise InvalidArgument(f"malformed term {item!r}")
             exponent, coefficient = item
-            # The usual term holds ints and non-integral Fractions, and a
-            # nonzero coefficient (a non-integral one never is zero).
-            if not (
-                (
-                    coefficient
-                    if type(coefficient) is int
-                    else type(coefficient) is Fraction and coefficient.denominator != 1
-                )
-                and (type(exponent) is int or type(exponent) is Fraction and exponent.denominator != 1)
-            ):
-                if type(exponent) not in _EXACT_TYPES or type(coefficient) not in _EXACT_TYPES:
-                    raise InvalidArgument("term entries must be ints or Fractions")
-                if coefficient == 0:
-                    raise InvalidArgument("zero coefficient in canonical form")
-                # What is left is an integral Fraction, which only a direct
-                # caller passes.
-                retype = True
+            if type(exponent) not in _EXACT_TYPES or type(coefficient) not in _EXACT_TYPES:
+                raise InvalidArgument("term entries must be ints or Fractions")
+            if coefficient == 0:
+                raise InvalidArgument("zero coefficient in canonical form")
             if prev is not None and exponent >= prev:
                 raise InvalidArgument("exponents must be strictly descending")
             prev = exponent
-        if retype:
-            # Held as ints like every built entry, so sums of it stay on int paths.
-            object.__setattr__(self, "terms", tuple((_exact(e), _exact(c)) for e, c in self.terms))
+        # Held as ints where integral, like every built entry, so sums stay on int paths.
+        object.__setattr__(self, "terms", tuple((_exact(e), _exact(c)) for e, c in self.terms))
 
     # ---------------------------------------------------------------- factories
 
@@ -171,8 +157,7 @@ class GrossNumber:
                 merged.pop(e, None)
             else:
                 merged[e] = c
-        ordered = tuple(sorted(merged.items(), key=lambda t: t[0], reverse=True))
-        return GrossNumber(ordered)
+        return _built(tuple(sorted(merged.items(), key=lambda t: t[0], reverse=True)))
 
     # ---------------------------------------------------------------- queries
 
@@ -221,7 +206,7 @@ class GrossNumber:
     __radd__ = __add__
 
     def __neg__(self) -> "GrossNumber":
-        return GrossNumber(tuple((e, -c) for e, c in self.terms))
+        return _built(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other) -> "GrossNumber":
         terms = _operand_terms(other)
@@ -299,6 +284,13 @@ class GrossNumber:
         return f"GrossNumber({format_numeral(self)!r})"
 
 
+def _built(terms: tuple[Term, ...]) -> GrossNumber:
+    """The GrossNumber of terms the core made canonical itself, ints where integral; not re-checked."""
+    x = object.__new__(GrossNumber)
+    object.__setattr__(x, "terms", terms)
+    return x
+
+
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
     """Canonical ``a + sign * b`` from one pass over two descending term tuples."""
     out: list[Term] = []
@@ -321,7 +313,7 @@ def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
             j += 1
     out.extend(a[i:])
     out.extend(b[j:] if sign == 1 else ((e, -c) for e, c in b[j:]))
-    return GrossNumber(tuple(out))
+    return _built(tuple(out))
 
 
 def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> int:
@@ -396,7 +388,7 @@ def finite(value: Rational | GrossNumber) -> GrossNumber:
     terms = _operand_terms(value)
     if terms is None:
         raise TypeError(f"cannot interpret {value!r} as a gross-number")
-    return GrossNumber(terms)
+    return _built(terms)
 
 
 def gross_term(coefficient: Rational = 1, exponent: Rational = 1) -> GrossNumber:
@@ -404,7 +396,7 @@ def gross_term(coefficient: Rational = 1, exponent: Rational = 1) -> GrossNumber
     c = _exact(coefficient)
     if c == 0:
         return ZERO
-    return GrossNumber(((_exact(exponent), c),))
+    return _built(((_exact(exponent), c),))
 
 
 ZERO = GrossNumber()
@@ -462,7 +454,7 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         q_coeff = _exact(Fraction(rem_coeff, lead_coeff))
         quotient.append((q_exp, q_coeff))
         remainder = remainder - gross_term(q_coeff, q_exp) * y
-    return GrossNumber(tuple(quotient))
+    return _built(tuple(quotient))
 
 
 def cmp(x: GrossNumber, y: GrossNumber) -> Sign:
@@ -492,6 +484,14 @@ def _gross_integer(value, what: str, error: type[Exception]) -> GrossNumber:
     if not _is_gross_integer(x):
         raise error(f"{what} {x} is not a gross-integer")
     return x
+
+
+def _at_least(value, least: int, name: str) -> None:
+    """Refuse a size parameter: TypeError unless a plain int, InvalidArgument below ``least``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < least:
+        raise InvalidArgument(f"{name} must be at least {least}")
 
 
 def _plain_int(x: GrossNumber) -> int | None:

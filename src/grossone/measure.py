@@ -148,19 +148,21 @@ class Measurement:
             raise InvalidMeasurement("piece images must cover exactly the target")
 
     def apply(self, x) -> GrossNumber:
-        """Image of index x; x must lie in [1..mu]."""
+        """Image of index x; x must be a gross-integer in [1..mu]."""
         x = finite(x)
-        for piece in self.pieces:
-            if piece.domain.lo <= x <= piece.domain.hi:
-                return x + piece.offset
+        if _is_gross_integer(x):
+            for piece in self.pieces:
+                if piece.domain.lo <= x <= piece.domain.hi:
+                    return x + piece.offset
         raise InvalidArgument(f"{x} is outside [1..{self.mu}]")
 
     def invert(self, y) -> GrossNumber:
-        """Index mapping to y; y must lie in the target."""
+        """Index mapping to y; y must be a gross-integer in the target."""
         y = finite(y)
-        for piece in self.pieces:
-            if piece.domain.lo + piece.offset <= y <= piece.domain.hi + piece.offset:
-                return y - piece.offset
+        if _is_gross_integer(y):
+            for piece in self.pieces:
+                if piece.domain.lo + piece.offset <= y <= piece.domain.hi + piece.offset:
+                    return y - piece.offset
         raise InvalidArgument(f"{y} is not in the measured set")
 
     def __str__(self) -> str:
@@ -506,33 +508,26 @@ _FIELD = re.compile(r"\S+")
 _TEXT_ARITY = {"mu": (1,), "piece": (2, 3), "target": (1,)}  # fields after the kind
 
 
-def _read_target(field: str) -> tuple[GrossNumber, GrossNumber]:
-    scanner = _Scanner(field)
-    bounds = scanner.parse_interval()
-    scanner.finish()
-    return bounds
-
-
 def _text_rows(text: str):
     for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
+        fields = list(_FIELD.finditer(line))
         if not fields:
             continue
-        kind, args = fields[0], fields[1:]
+        kind, args = fields[0].group(), fields[1:]
         try:
             if len(args) not in _TEXT_ARITY.get(kind, ()):
-                raise ParseError(f"unrecognized line {line.strip()!r}", kind, 0)
-            # Each field is read alone: a numeral must not run on into the
-            # next field, as "2①+1 -①-1" would if read as one sum.
-            if kind == "target":
-                yield kind, _read_target(args[0])
-            else:
-                yield kind, tuple([parse_numeral(field) for field in args])
+                raise ParseError(f"unrecognized line {line.strip()!r}", line, fields[0].start())
+            values = []
+            for field in args:
+                # Each field is read alone, up to its own end: a numeral must
+                # not run on into the next field, as "2①+1 -①-1" would if read
+                # as one sum.  Positions are columns of the line.
+                scanner = _Scanner(line[: field.end()], field.start())
+                values += scanner.parse_interval() if kind == "target" else [scanner.parse_sum()]
+                scanner.finish()
+            yield kind, tuple(values)
         except ParseError as exc:
-            # exc.text is the failing field, the first one with that text
-            # since fields are read from left to right.
-            column = next(f.start() for f in _FIELD.finditer(line) if f.group() == exc.text)
-            raise ParseError(f"line {lineno}: {exc.args[0]}", line, column + exc.position) from None
+            raise ParseError(f"line {lineno}: {exc.args[0]}", line, exc.position) from None
 
 
 def from_text(text: str) -> Measurement:

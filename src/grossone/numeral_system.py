@@ -37,7 +37,7 @@ from .errors import (
     NotExpressible,
     ParseError,
 )
-from .gnum import GrossNumber, Rational, _plain_int, _power_order, finite, gross_term
+from .gnum import GrossNumber, Rational, _at_least, _plain_int, _power_order, finite, gross_term
 
 __all__ = [
     "NumeralSystem",
@@ -114,10 +114,8 @@ class BoundedFinite(NumeralSystem):
     base: int = 10
 
     def __post_init__(self):
-        if self.digits < 1:
-            raise InvalidArgument("digits must be at least 1")
-        if self.base < 2:
-            raise InvalidArgument("base must be at least 2")
+        _at_least(self.digits, 1, "digits")
+        _at_least(self.base, 2, "base")
 
     def describe(self) -> str:
         return f"finite:{self.digits}:{self.base}"
@@ -145,8 +143,7 @@ class GrossBudget(NumeralSystem):
 
     def __post_init__(self):
         for name in ("max_terms", "coeff_digits", "exp_digits"):
-            if getattr(self, name) < 1:
-                raise InvalidArgument(f"{name} must be at least 1")
+            _at_least(getattr(self, name), 1, name)
 
     def describe(self) -> str:
         return f"gross:{self.max_terms}:{self.coeff_digits}:{self.exp_digits}"
