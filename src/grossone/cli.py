@@ -14,7 +14,8 @@ non-Unicode terminals.
 
 Handlers return plain strings; :func:`run_command` alone applies
 ``--format`` and ``--ascii``.  ``--ascii`` rewrites results only: error
-messages, and the ``value`` of a NotExpressible error, keep ① as written.
+messages, and the ``value`` of a NotExpressible error, keep ① as written;
+that ``value`` is left out when it is too long to write out.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 # Each verb imports the other submodules it needs (sets, measure, ...) in its
 # handler, so a call loads only those; annotations naming them stay strings.
-from .errors import GrossoneError, NotExpressible, ParseError
+from .errors import GrossoneError, InvalidArgument, NotExpressible, ParseError
 from .gnum import GROSS_ASCII, GROSS_SYMBOL, Sign, classify, cmp, format_numeral, parse_numeral
 
 __all__ = ["main", "console_main", "run_command"]
@@ -225,8 +226,11 @@ def _error_payload(exc: GrossoneError) -> dict:
     if isinstance(exc, ParseError):
         entry["position"] = exc.position
     if isinstance(exc, NotExpressible):
-        entry["value"] = format_numeral(exc.value)
         entry["system"] = exc.system_name
+        try:
+            entry["value"] = format_numeral(exc.value)
+        except InvalidArgument:
+            pass  # too long to write out, as the message says
     return {"error": entry}
 
 

@@ -10,6 +10,18 @@ class GrossoneError(Exception):
     """Base class for every error raised by this package."""
 
 
+def _shown(value) -> str:
+    """``str(value)`` for an error message, or a short stand-in if it is too long to write out.
+
+    A value past the interpreter's int-to-string digit limit cannot be
+    written, and the error that names it must keep its own type.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return "a numeral too long to write out"
+
+
 class ParseError(GrossoneError, ValueError):
     """Malformed numeral, set expression or serialized form."""
 
@@ -100,7 +112,7 @@ class NotExpressible(GrossoneError):
     def __init__(self, value, system_name: str):
         self.value = value
         self.system_name = system_name
-        super().__init__(f"{value} is not expressible in {system_name}")
+        super().__init__(f"{_shown(value)} is not expressible in {system_name}")
 
 
 class BelowRange(GrossoneError):

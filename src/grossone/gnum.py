@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivideByZero, InvalidArgument, NotExact, ParseError
+from .errors import DivideByZero, InvalidArgument, NotExact, ParseError, _shown
 
 __all__ = [
     "GrossNumber",
@@ -60,6 +61,20 @@ _MINUS_CHARS = frozenset("-−")
 # dot starts a decimal part only before digits, so '..' is never swallowed.
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _SPACE = re.compile(r"\s*")  # exactly the characters where str.isspace() holds
+# A whole term in one match: an optional coefficient, then '*'? and the base
+# with an optional exponent, no whitespace inside.  A rational's digit runs
+# may not be followed by '.', '/' or a digit, and its denominator is nonzero;
+# the base may not be followed by '^' it did not read, and a coefficient
+# alone may not be followed by '*' or the base.  So where the character
+# scanner would read on or fail, this does not match, and the scanner runs.
+_RATIONAL = r"([0-9]+)(?:\.([0-9]+)|/(?!0+(?![0-9]))([0-9]+))?(?![./0-9])"
+_TERM = re.compile(
+    rf"(?:{_RATIONAL})?(?:(?(1)\*?)(①|G1)(?:\^(\()?([-+−]?){_RATIONAL}(?(5)\)))?(?!\^)"
+    r"|(?!\s*(?:[*①]|G1)))"
+)
+# No number in a term this short is past any int-to-string limit that can be
+# set, so its digits convert without the scanner's limit check.
+_SHORT_TERM = sys.int_info.str_digits_check_threshold
 
 
 class Sign(enum.IntEnum):
@@ -201,7 +216,7 @@ class GrossNumber:
         terms = _operand_terms(other)
         if terms is None:
             return NotImplemented
-        return _merge(self.terms, terms, 1)
+        return _built(_merge(self.terms, terms, 1))
 
     __radd__ = __add__
 
@@ -212,18 +227,22 @@ class GrossNumber:
         terms = _operand_terms(other)
         if terms is None:
             return NotImplemented
-        return _merge(self.terms, terms, -1)
+        return _built(_merge(self.terms, terms, -1))
 
     def __rsub__(self, other) -> "GrossNumber":
         terms = _operand_terms(other)
         if terms is None:
             return NotImplemented
-        return _merge(terms, self.terms, -1)
+        return _built(_merge(terms, self.terms, -1))
 
     def __mul__(self, other) -> "GrossNumber":
         terms = _operand_terms(other)
         if terms is None:
             return NotImplemented
+        if len(terms) == 1:
+            return _built(_scaled(self.terms, *terms[0]))
+        if len(self.terms) == 1:
+            return _built(_scaled(terms, *self.terms[0]))
         return GrossNumber.from_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in terms)
 
     __rmul__ = __mul__
@@ -291,8 +310,8 @@ def _built(terms: tuple[Term, ...]) -> GrossNumber:
     return x
 
 
-def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
-    """Canonical ``a + sign * b`` from one pass over two descending term tuples."""
+def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, ...]:
+    """The canonical terms of ``a + sign * b``, from one pass over two descending term tuples."""
     out: list[Term] = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -313,7 +332,26 @@ def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> GrossNumber:
             j += 1
     out.extend(a[i:])
     out.extend(b[j:] if sign == 1 else ((e, -c) for e, c in b[j:]))
-    return _built(tuple(out))
+    return tuple(out)
+
+
+def _scaled(terms: tuple[Term, ...], e0: Rational, c0: Rational) -> tuple[Term, ...]:
+    """The canonical terms of ``terms`` times the one term ``c0 * ①^e0``, for ``c0 != 0``.
+
+    Every exponent moves by the same ``e0`` and no product of nonzero
+    coefficients is zero, so the result is already descending and canonical.
+    """
+    out = []
+    for e, c in terms:
+        e += e0
+        c *= c0
+        # A sum or product involving a Fraction is a Fraction, integral or not.
+        if type(e) is not int and e.denominator == 1:
+            e = e.numerator
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        out.append((e, c))
+    return tuple(out)
 
 
 def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> int:
@@ -424,12 +462,14 @@ def mul(x: GrossNumber, y: GrossNumber) -> GrossNumber:
 def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     """The q with q*y == x, whenever a finite-term q exists.
 
-    Both operands are rescaled by a power of ① so their lowest exponents
-    sit at zero, which turns the question into plain divisibility of
-    polynomial-shaped sums; descending long division then either clears
-    the remainder (exact quotient, shifted back) or bottoms out below the
-    divisor's leading exponent, and in that case no finite-term quotient
-    exists at all: NotExact.  Single-term divisors always divide out.
+    Descending long division on term tuples: each step divides the
+    remainder's leading term by the divisor's, which clears it, and
+    subtracts that quotient term times the rest of the divisor from the
+    rest of the remainder in one merge.  No remainder term can fall below
+    the lowest exponent of x, so a quotient term below the lowest exponent
+    of x less that of y could never cancel the remainder's last term: then
+    no finite-term quotient exists at all, NotExact.  Single-term divisors
+    always divide out.
     """
     x = finite(x)
     y = finite(y)
@@ -437,23 +477,23 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         raise DivideByZero("division by zero")
     if x.is_zero:
         return ZERO
-    shift = x.terms[-1][0] - y.terms[-1][0]
-    lead_exp, lead_coeff = y.leading()
+    lead_exp, lead_coeff = y.terms[0]
+    tail = y.terms[1:]
+    lowest = x.terms[-1][0] - y.terms[-1][0]
     quotient: list[Term] = []
-    remainder = x
-    # Remainder exponents stay at or above the trailing exponent of x, and
-    # each step lowers the leading exponent within a fixed discrete
-    # lattice of rationals, so the loop always finishes.  Each step clears
-    # the remainder's leading term, so quotient exponents strictly fall.
-    while not remainder.is_zero:
-        rem_exp, rem_coeff = remainder.leading()
-        if rem_exp - lead_exp < shift:
-            raise NotExact(f"{y} does not divide {x}")
+    remainder = x.terms
+    # Each step lowers the remainder's leading exponent within a fixed
+    # discrete lattice of rationals bounded below, so the loop finishes,
+    # and quotient exponents strictly fall.
+    while remainder:
+        rem_exp, rem_coeff = remainder[0]
         q_exp = _exact(rem_exp - lead_exp)
+        if q_exp < lowest:
+            raise NotExact(f"{_shown(y)} does not divide {_shown(x)}")
         # Fraction(a, b), never a / b: two ints would divide to a float.
         q_coeff = _exact(Fraction(rem_coeff, lead_coeff))
         quotient.append((q_exp, q_coeff))
-        remainder = remainder - gross_term(q_coeff, q_exp) * y
+        remainder = _merge(remainder[1:], _scaled(tail, q_exp, q_coeff), -1)
     return _built(tuple(quotient))
 
 
@@ -574,10 +614,19 @@ def format_numeral(x: GrossNumber, ascii_mode: bool = False) -> str:
 # -------------------------------------------------------------------- parsing
 
 
+def _rational(whole: str, frac: str | None, denom: str | None) -> Rational:
+    """The rational spelt by a number's digit runs: ``whole.frac`` or ``whole/denom``."""
+    if frac is not None:
+        return _exact(Fraction(int(whole + frac), 10 ** len(frac)))
+    if denom is not None:
+        return _exact(Fraction(int(whole), int(denom)))
+    return int(whole)
+
+
 class _Scanner:
     """Character scanner for the numeral grammar; every text grammar builds on it.
 
-    Grammar (whitespace allowed between tokens):
+    Grammar:
 
         numeral  := sign? term (sign term)*
         term     := rational | rational '*'? gross | gross
@@ -586,6 +635,11 @@ class _Scanner:
         rational := number | integer '/' integer
         number   := digits ('.' digits)?
 
+    Whitespace may stand before and after a numeral, around the signs
+    between its terms, around '*' and before the base, after '^', and
+    inside an exponent's parentheses next to them and after its sign.  It
+    may not stand before '^', around '/', inside a number or after the sign
+    of an exponent without parentheses.
     A ParseError's position always counts from the start of ``text``.
     """
 
@@ -644,13 +698,10 @@ class _Scanner:
         self.pos = found.end()
         int_part, _, frac_part = found.group().partition(".")
         try:
-            digits = int(int_part + frac_part)
+            return _rational(int_part, frac_part or None, None)
         except ValueError:
             # Past the interpreter's int-to-string digit limit.
             self.fail("number has too many digits", found.start())
-        if not frac_part:
-            return digits
-        return _exact(Fraction(digits, 10 ** len(frac_part)))
 
     def parse_rational(self) -> Rational:
         value = self.parse_number()
@@ -684,6 +735,21 @@ class _Scanner:
         return sign * self.parse_rational()
 
     def parse_term(self) -> Term:
+        found = _TERM.match(self.text, self.pos)
+        if found is None or not 0 < found.end() - self.pos <= _SHORT_TERM:
+            return self.parse_term_by_characters()
+        self.pos = found.end()
+        whole, frac, denom, base, _, sign, e_whole, e_frac, e_denom = found.groups()
+        coefficient = 1 if whole is None else _rational(whole, frac, denom)
+        if base is None:
+            return 0, coefficient
+        if e_whole is None:
+            return 1, coefficient
+        exponent = _rational(e_whole, e_frac, e_denom)
+        return (-exponent if sign in _MINUS_CHARS else exponent), coefficient
+
+    def parse_term_by_characters(self) -> Term:
+        """The term at ``pos`` read one token at a time, with every error the grammar names."""
         if self.at_gross():
             coefficient = 1
         else:
