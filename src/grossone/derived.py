@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite
+from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite, _shown
 from .gnum import (
     GrossNumber,
     Sign,
@@ -85,7 +85,9 @@ def _placed_power(x: GrossNumber, k: int, bound: GrossNumber) -> bool | None:
 #: largest power of two for which every timed build within it took under
 #: 1 s: over 21 probes of one to four terms with int and Fraction entries,
 #: on one core of a Xeon container under CPython 3.11, the slowest took
-#: 0.93 s.  (①+1)**744 and (3/2)**369727 still build.
+#: 0.93 s.  (①+1)**744 and (3/2)**369727 still build.  Those builds were
+#: timed with a power loop that also squared once past the top bit, so
+#: every build within the budget is now faster and the budget conservative.
 _POWER_BUDGET = 1 << 39
 
 
@@ -132,7 +134,7 @@ class Pow(MonotoneFn):
         """x**k; refused with InvalidArgument past ``_POWER_BUDGET`` unless x is a plain integer."""
         k = self.k
         if _plain_int(x) is None and _power_cost(x, k) > _POWER_BUDGET:
-            raise InvalidArgument(f"({x})**{k} is too large to build for a comparison")
+            raise InvalidArgument(f"({_shown(x)})**{k} is too large to build for a comparison")
         return x**k
 
     def at_most(self, x: GrossNumber, bound: GrossNumber) -> bool:
@@ -202,7 +204,7 @@ class DefinedNumeral:
         kappa = finite(self.kappa)
         object.__setattr__(self, "kappa", kappa)
         if not _is_gross_integer(kappa):
-            raise InvalidArgument(f"kappa must be a gross-integer, got {kappa}")
+            raise InvalidArgument(f"kappa must be a gross-integer, got {_shown(kappa)}")
 
     def __str__(self) -> str:
         return format_defined(self)
@@ -232,7 +234,9 @@ def define_by_inverse(g: MonotoneFn, kappa: GrossNumber | int) -> DefinedNumeral
     if g1 is None:
         raise InvalidArgument("g must be evaluable at 1")
     if d.kappa < g1:
-        raise BelowRange(f"kappa {d.kappa} is below g(1) = {g1}; no positive x qualifies")
+        raise BelowRange(
+            f"kappa {_shown(d.kappa)} is below g(1) = {_shown(g1)}; no positive x qualifies"
+        )
     return d
 
 
@@ -243,7 +247,7 @@ def resolve_finite(d: DefinedNumeral) -> GrossNumber:
     of the arithmetic makes the boundary test sharp.
     """
     if not classify(d.kappa).is_finite:
-        raise NotFinite(f"kappa {d.kappa} is not finite")
+        raise NotFinite(f"kappa {_shown(d.kappa)} is not finite")
     hi = 1
     while d.g.at_most(finite(hi + 1), d.kappa):
         hi *= 2

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _shown
 from .gnum import GROSSONE, GrossNumber, finite
 
 __all__ = [
@@ -51,7 +51,7 @@ class RealInterval:
         object.__setattr__(self, "lo", finite(self.lo))
         object.__setattr__(self, "hi", finite(self.hi))
         if self.lo > self.hi:
-            raise InvalidArgument(f"interval [{self.lo}, {self.hi}] is reversed")
+            raise InvalidArgument(f"interval [{_shown(self.lo)}, {_shown(self.hi)}] is reversed")
 
     def length(self) -> GrossNumber:
         return self.hi - self.lo
@@ -156,7 +156,7 @@ class ClassicalInterval:
 
     def __post_init__(self):
         if not _classical_le(self.lo, self.hi):
-            raise InvalidArgument(f"interval [{self.lo}, {self.hi}] is reversed")
+            raise InvalidArgument(f"interval [{_shown(self.lo)}, {_shown(self.hi)}] is reversed")
 
     def __str__(self) -> str:
         return f"[{self.lo}..{self.hi}]"

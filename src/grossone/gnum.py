@@ -202,12 +202,12 @@ class GrossNumber:
             return Fraction(0)
         if len(self.terms) == 1 and self.terms[0][0] == 0:
             return Fraction(self.terms[0][1])
-        raise InvalidArgument(f"{self} is not a plain rational")
+        raise InvalidArgument(f"{_shown(self)} is not a plain rational")
 
     def as_int(self) -> int:
         q = self.as_fraction()
         if q.denominator != 1:
-            raise InvalidArgument(f"{self} is not a plain integer")
+            raise InvalidArgument(f"{_shown(self)} is not a plain integer")
         return q.numerator
 
     # ---------------------------------------------------------------- arithmetic
@@ -261,8 +261,9 @@ class GrossNumber:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # ---------------------------------------------------------------- ordering
@@ -522,7 +523,7 @@ def _gross_integer(value, what: str, error: type[Exception]) -> GrossNumber:
     """``value`` read through ``finite``; ``error`` names it as ``what`` unless a gross-integer."""
     x = finite(value)
     if not _is_gross_integer(x):
-        raise error(f"{what} {x} is not a gross-integer")
+        raise error(f"{what} {_shown(x)} is not a gross-integer")
     return x
 
 

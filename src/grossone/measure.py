@@ -29,6 +29,7 @@ from .errors import (
     OverlappingTargets,
     ParseError,
     PreconditionViolated,
+    _shown,
 )
 from .gnum import (
     ZERO,
@@ -118,7 +119,7 @@ class Measurement:
         object.__setattr__(self, "mu", finite(self.mu))
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if not _is_gross_integer(self.mu) or self.mu <= 0:
-            raise InvalidMeasurement(f"mu must be a positive gross-integer, got {self.mu}")
+            raise InvalidMeasurement(f"mu must be a positive gross-integer, got {_shown(self.mu)}")
         if not self.pieces:
             raise InvalidMeasurement("a measurement needs at least one piece")
         expected_lo = finite(1)
@@ -127,13 +128,14 @@ class Measurement:
                 raise TypeError("pieces must be AffinePiece values")
             if piece.domain.lo != expected_lo:
                 raise InvalidMeasurement(
-                    f"piece domains must be contiguous from 1: expected lo {expected_lo}, "
-                    f"got {piece.domain.lo}"
+                    f"piece domains must be contiguous from 1: expected lo {_shown(expected_lo)}, "
+                    f"got {_shown(piece.domain.lo)}"
                 )
             expected_lo = piece.domain.hi + 1
         if self.pieces[-1].domain.hi != self.mu:
             raise InvalidMeasurement(
-                f"piece domains must end at mu={self.mu}, got {self.pieces[-1].domain.hi}"
+                f"piece domains must end at mu={_shown(self.mu)}, "
+                f"got {_shown(self.pieces[-1].domain.hi)}"
             )
         # The domains tile [1..mu], so the images hold mu elements exactly
         # when no two of them overlap; their joined runs are then the parts
@@ -154,7 +156,7 @@ class Measurement:
             for piece in self.pieces:
                 if piece.domain.lo <= x <= piece.domain.hi:
                     return x + piece.offset
-        raise InvalidArgument(f"{x} is outside [1..{self.mu}]")
+        raise InvalidArgument(f"{_shown(x)} is outside [1..{_shown(self.mu)}]")
 
     def invert(self, y) -> GrossNumber:
         """Index mapping to y; y must be a gross-integer in the target."""
@@ -163,7 +165,7 @@ class Measurement:
             for piece in self.pieces:
                 if piece.domain.lo + piece.offset <= y <= piece.domain.hi + piece.offset:
                     return y - piece.offset
-        raise InvalidArgument(f"{y} is not in the measured set")
+        raise InvalidArgument(f"{_shown(y)} is not in the measured set")
 
     def __str__(self) -> str:
         return to_text(self).rstrip("\n")
@@ -271,7 +273,9 @@ def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) ->
         return canonical_measurement(s)
     steps = size.as_int()
     if steps > bound:
-        raise BoundExceeded(f"{steps} extraction steps exceed the configured bound {bound}")
+        raise BoundExceeded(
+            f"{_shown(steps)} extraction steps exceed the configured bound {_shown(bound)}"
+        )
     pieces = _pieces(_joined(_extraction_steps(s)))
     return Measurement(mu=size, pieces=pieces, target=s)
 
@@ -301,14 +305,9 @@ def concat(first: Measurement, rest: Measurement) -> Measurement:
     """
     shared = intersect(first.target, rest.target)
     if not shared.is_empty:
-        raise OverlappingTargets(f"targets share {shared}")
-    shifted = tuple(
-        AffinePiece(
-            GrossInterval(p.domain.lo + first.mu, p.domain.hi + first.mu),
-            p.offset - first.mu,
-        )
-        for p in rest.pieces
-    )
+        raise OverlappingTargets(f"targets share {_shown(shared)}")
+    mu = first.mu
+    shifted = _pieces((p.domain.lo + mu, p.domain.hi + mu, p.offset - mu) for p in rest.pieces)
     return Measurement(
         mu=first.mu + rest.mu,
         pieces=first.pieces + shifted,
@@ -318,9 +317,8 @@ def concat(first: Measurement, rest: Measurement) -> Measurement:
 
 def invert_pieces(pieces) -> tuple[AffinePiece, ...]:
     """Pieces of the inverse bijection, sorted by their new domains."""
-    flipped = [AffinePiece(p.image, -p.offset) for p in pieces]
-    flipped.sort(key=lambda p: p.domain.lo)
-    return tuple(flipped)
+    flipped = ((p.domain.lo + p.offset, p.domain.hi + p.offset, -p.offset) for p in pieces)
+    return _pieces(sorted(flipped, key=itemgetter(0)))
 
 
 def _compose(first, second) -> tuple[AffinePiece, ...]:
@@ -396,7 +394,7 @@ def canonical_injection(first: Measurement, second: Measurement) -> tuple[Affine
     """
     if first.mu > second.mu:
         raise PreconditionViolated(
-            f"no canonical injection: {first.mu} elements into {second.mu}"
+            f"no canonical injection: {_shown(first.mu)} elements into {_shown(second.mu)}"
         )
     # The inverse's images are exactly [1..first.mu], and the sweep stops
     # when they run out, so second's domains past first.mu are never used.
@@ -410,7 +408,7 @@ def complement_measurement(whole: Measurement, part: Measurement) -> Measurement
     exactly whole.mu - part.mu, strictly positive for a proper subset.
     """
     if not is_subset(part.target, whole.target):
-        raise NotASubset(f"{part.target} is not a subset of {whole.target}")
+        raise NotASubset(f"{_shown(part.target)} is not a subset of {_shown(whole.target)}")
     remainder = difference(whole.target, part.target)
     if remainder.is_empty:
         raise EmptySet("the part is the entire set; nothing remains to measure")
@@ -426,7 +424,8 @@ def intersection_split(first: Measurement, second: Measurement) -> tuple[Measure
     """
     if first.mu != second.mu:
         raise PreconditionViolated(
-            f"the sets must have the same number of elements, got {first.mu} and {second.mu}"
+            "the sets must have the same number of elements, "
+            f"got {_shown(first.mu)} and {_shown(second.mu)}"
         )
     a, b = first.target, second.target
     if intersect(a, b).is_empty:

@@ -21,6 +21,7 @@ from .errors import (
     NonIntegerEndpoint,
     NonIntegerOffset,
     NotSubsetOfRange,
+    _shown,
 )
 from .gnum import GROSSONE, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, finite
 
@@ -63,7 +64,7 @@ class GrossInterval:
         object.__setattr__(self, "lo", _gross_integer(lo, "lower endpoint", NonIntegerEndpoint))
         object.__setattr__(self, "hi", _gross_integer(hi, "upper endpoint", NonIntegerEndpoint))
         if lo > hi:
-            raise EmptyIntervalRejected(f"[{lo}..{hi}] has no elements")
+            raise EmptyIntervalRejected(f"[{_shown(lo)}..{_shown(hi)}] has no elements")
 
     def count(self) -> GrossNumber:
         return self.hi - self.lo + 1
@@ -89,7 +90,9 @@ class IntervalSet:
             if not isinstance(part, GrossInterval):
                 raise TypeError(f"parts must be GrossInterval, got {part!r}")
             if prev is not None and part.lo <= prev.hi + 1:
-                raise InvalidArgument(f"parts {prev} and {part} are unsorted, overlapping or adjacent")
+                raise InvalidArgument(
+                    f"parts {_shown(prev)} and {_shown(part)} are unsorted, overlapping or adjacent"
+                )
             prev = part
 
     @property
@@ -261,29 +264,27 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     return IntervalSet(tuple(GrossInterval(shift - p.hi, shift - p.lo) for p in reversed(s.parts)))
 
 
+def _only_part_in_range(s: IntervalSet, bound, error: type[Exception]) -> GrossInterval | None:
+    """The only part of s, or None; s must lie inside [1..bound], and ``error`` names a bad bound."""
+    whole = IntervalSet((GrossInterval(1, _gross_integer(bound, "bound", error)),))
+    if not is_subset(s, whole):
+        raise NotSubsetOfRange(f"{_shown(s)} is not a subset of {_shown(whole)}")
+    return s.parts[0] if len(s.parts) == 1 else None
+
+
 def is_initial_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> GrossNumber | None:
     """The n with s == [1..n], or None; s must live inside [1..bound].
 
     This is the shape a set must have to be measured by the identity map.
     """
-    whole = IntervalSet((GrossInterval(1, _gross_integer(bound, "bound", NonIntegerEndpoint)),))
-    if not is_subset(s, whole):
-        raise NotSubsetOfRange(f"{s} is not a subset of {whole}")
-    if len(s.parts) == 1 and s.parts[0].lo == 1:
-        return s.parts[0].hi
-    return None
+    part = _only_part_in_range(s, bound, NonIntegerEndpoint)
+    return part.hi if part is not None and part.lo == 1 else None
 
 
 def is_final_segment(s: IntervalSet, bound: GrossNumber | int = GROSSONE) -> GrossNumber | None:
     """The n with s == [n..bound], or None; s must live inside [1..bound]."""
-    # Reflect through the range so final segments of [1..bound] become
-    # initial ones, then translate the witness back.
-    bound = _gross_integer(bound, "bound", NonIntegerOffset)
-    mirrored = map_affine(s, -1, bound + 1)
-    length = is_initial_segment(mirrored, bound)
-    if length is None:
-        return None
-    return bound + 1 - length
+    part = _only_part_in_range(s, bound, NonIntegerOffset)
+    return part.lo if part is not None and part.hi == bound else None
 
 
 def union_initial_segments(bound: GrossNumber | int = GROSSONE) -> IntervalSet:

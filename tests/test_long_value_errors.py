@@ -5,14 +5,24 @@ NotExpressible error still carries the value itself and the system.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from grossone.cli import main
-from grossone.errors import NotExact, NotExpressible
+from grossone.errors import (
+    EmptyIntervalRejected,
+    NonIntegerEndpoint,
+    NotASubset,
+    NotExact,
+    NotExpressible,
+    NotSubsetOfRange,
+    OverlappingTargets,
+)
 from grossone.gnum import GROSSONE, div_exact, finite
+from grossone.measure import canonical_measurement, complement_measurement, concat
 from grossone.numeral_system import measure_in, parse_system
-from grossone.sets import interval, make_set
+from grossone.sets import interval, is_final_segment, is_initial_segment, make_set
 
 LONG = 10**5000
 
@@ -40,3 +50,39 @@ def test_the_cli_envelope_leaves_out_a_value_too_long_to_write(capsys):
         "message": "a numeral too long to write out is not expressible in finite:2:10",
         "system": "finite:2:10",
     }
+
+
+# Each error below names a value at LONG in its message, and keeps its own type.
+
+
+def test_a_long_fractional_endpoint_is_no_integer_endpoint():
+    with pytest.raises(NonIntegerEndpoint, match="^lower endpoint a numeral too long to write out is not"):
+        interval(finite(LONG) + Fraction(1, 2), finite(LONG) + 1)
+
+
+def test_a_long_reversed_interval_is_empty():
+    with pytest.raises(EmptyIntervalRejected) as info:
+        interval(finite(LONG) + 5, finite(LONG))
+    assert str(info.value) == (
+        "[a numeral too long to write out..a numeral too long to write out] has no elements"
+    )
+
+
+def test_a_long_part_outside_the_range_is_no_subset_of_it():
+    for test in (is_initial_segment, is_final_segment):
+        with pytest.raises(NotSubsetOfRange) as info:
+            test(make_set([interval(LONG, LONG)]), 5)
+        assert str(info.value) == "a numeral too long to write out is not a subset of [1..5]"
+
+
+def test_long_targets_that_overlap_do_not_concatenate():
+    m = canonical_measurement(make_set([interval(LONG, LONG + 1)]))
+    with pytest.raises(OverlappingTargets, match="^targets share a numeral too long"):
+        concat(m, m)
+
+
+def test_a_long_part_outside_the_whole_is_no_subset():
+    whole = canonical_measurement(make_set([interval(1, 3)]))
+    part = canonical_measurement(make_set([interval(LONG, LONG)]))
+    with pytest.raises(NotASubset, match="^a numeral too long to write out is not a subset of "):
+        complement_measurement(whole, part)
