@@ -10,14 +10,15 @@ class GrossoneError(Exception):
     """Base class for every error raised by this package."""
 
 
-def _shown(value) -> str:
-    """``str(value)`` for an error message, or a short stand-in if it is too long to write out.
+def _shown(value, write=str) -> str:
+    """``write(value)`` for an error message, or a short stand-in if it is too long to write out.
 
-    A value past the interpreter's int-to-string digit limit cannot be
-    written, and the error that names it must keep its own type.
+    ``write`` is ``str`` or ``repr``.  A value past the interpreter's
+    int-to-string digit limit cannot be written, and the error that names it
+    must keep its own type.
     """
     try:
-        return str(value)
+        return write(value)
     except ValueError:
         return "a numeral too long to write out"
 

@@ -75,6 +75,11 @@ _TERM = re.compile(
 # No number in a term this short is past any int-to-string limit that can be
 # set, so its digits convert without the scanner's limit check.
 _SHORT_TERM = sys.int_info.str_digits_check_threshold
+# A whole numeral that is a plain integer: a sign touching a digit run that no
+# '.', '/' or digit follows, and that no '*', sign or base follows after any
+# whitespace.  Where the numeral reads on, this does not match; a '^' after it
+# is never read, as no exponent follows a bare coefficient.
+_PLAIN_INT = re.compile(r"([+\-−]?)([0-9]+)(?![./0-9])(?!\s*(?:[*+\-−]|①|G1))")
 
 
 class Sign(enum.IntEnum):
@@ -141,7 +146,7 @@ class GrossNumber:
         prev = None
         for item in self.terms:
             if not (isinstance(item, tuple) and len(item) == 2):
-                raise InvalidArgument(f"malformed term {item!r}")
+                raise InvalidArgument(f"malformed term {_shown(item, repr)}")
             exponent, coefficient = item
             if type(exponent) not in _EXACT_TYPES or type(coefficient) not in _EXACT_TYPES:
                 raise InvalidArgument("term entries must be ints or Fractions")
@@ -426,7 +431,7 @@ def finite(value: Rational | GrossNumber) -> GrossNumber:
         return value
     terms = _operand_terms(value)
     if terms is None:
-        raise TypeError(f"cannot interpret {value!r} as a gross-number")
+        raise TypeError(f"cannot interpret {_shown(value, repr)} as a gross-number")
     return _built(terms)
 
 
@@ -784,8 +789,16 @@ class _Scanner:
         return lo, hi
 
     def parse_sum(self) -> GrossNumber:
-        terms: list[Term] = []
         self.skip_ws()
+        found = _PLAIN_INT.match(self.text, self.pos)
+        if found is not None and found.end() - self.pos <= _SHORT_TERM:
+            self.pos = found.end()
+            sign, digits = found.groups()
+            value = int(digits)
+            if not value:
+                return ZERO
+            return _built(((0, -value if sign in _MINUS_CHARS else value),))
+        terms: list[Term] = []
         sign = self.take_sign() or 1
         self.skip_ws()
         while True:
@@ -803,7 +816,13 @@ class _Scanner:
 
 
 def parse_numeral_prefix(text: str, pos: int = 0) -> tuple[GrossNumber, int]:
-    """Parse the longest numeral starting at ``pos``; returns (value, end)."""
+    """Parse the longest numeral starting at ``pos``; returns (value, end).
+
+    ``pos`` is an int from 0 to ``len(text)``, counted from the start.
+    """
+    _at_least(pos, 0, "pos")
+    if pos > len(text):
+        raise InvalidArgument(f"pos must be at most {len(text)}, the length of the text")
     scanner = _Scanner(text, pos)
     value = scanner.parse_sum()
     return value, scanner.pos

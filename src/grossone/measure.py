@@ -103,12 +103,18 @@ class AffinePiece:
 
 @dataclass(frozen=True)
 class Measurement:
-    """A validated bijection from [1..mu] onto ``target``.
+    """A bijection from [1..mu] onto ``target``.
 
-    Construction reads ``mu`` through ``finite`` and re-checks the full
-    invariant, so any Measurement in hand is a genuine measurement:
-    domains partition [1..mu] contiguously, images are pairwise disjoint
-    and cover the target exactly, and mu equals the target's element count.
+    Any Measurement in hand is a genuine measurement: domains partition
+    [1..mu] contiguously, images are pairwise disjoint and cover the target
+    exactly, and mu equals the target's element count.  ``Measurement(...)``
+    reads ``mu`` through ``finite`` and re-checks that full invariant, and
+    so does every construction from outside data or from pieces a caller
+    supplies: ``from_text``, ``from_json``, ``transport``,
+    ``min_extraction_measurement`` and ``measure_in``.
+    ``canonical_measurement`` (and through it ``complement_measurement`` and
+    ``intersection_split``) and ``concat`` build results that are bijections
+    by construction, and do not check them again.
     """
 
     mu: GrossNumber
@@ -199,6 +205,29 @@ def _pieces(runs) -> tuple[AffinePiece, ...]:
     return tuple(AffinePiece(GrossInterval(lo, hi), offset) for lo, hi, offset in runs)
 
 
+def _proven(mu: GrossNumber, runs, target: IntervalSet) -> Measurement:
+    """The Measurement of ``(lo, hi, offset)`` runs this module proved a bijection onto ``target``.
+
+    Not re-checked: the endpoints and offsets are gross-integer GrossNumbers,
+    the domains tile [1..mu] in order and the images cover the canonical
+    target exactly, because the construction that calls this made them so.
+    """
+    pieces = []
+    for lo, hi, offset in runs:
+        domain = object.__new__(GrossInterval)
+        object.__setattr__(domain, "lo", lo)
+        object.__setattr__(domain, "hi", hi)
+        piece = object.__new__(AffinePiece)
+        object.__setattr__(piece, "domain", domain)
+        object.__setattr__(piece, "offset", offset)
+        pieces.append(piece)
+    m = object.__new__(Measurement)
+    object.__setattr__(m, "mu", mu)
+    object.__setattr__(m, "pieces", tuple(pieces))
+    object.__setattr__(m, "target", target)
+    return m
+
+
 # ---------------------------------------------------------------- constructions
 
 
@@ -228,8 +257,10 @@ def canonical_measurement(s: IntervalSet) -> Measurement:
     Each part of the set becomes one piece whose offset aligns the next
     free index block with the part's left endpoint.
     """
-    pieces = _pieces(_canonical_runs(_nonempty(s)))
-    return Measurement(mu=pieces[-1].domain.hi, pieces=pieces, target=s)
+    if not isinstance(s, IntervalSet):
+        raise TypeError(f"expected an IntervalSet, got {type(s).__name__}")
+    runs = list(_canonical_runs(_nonempty(s)))
+    return _proven(runs[-1][1], runs, s)
 
 
 def _admitted_canonical(s: IntervalSet, admit) -> Measurement:
@@ -303,16 +334,16 @@ def concat(first: Measurement, rest: Measurement) -> Measurement:
     which is why the element count of a whole is the count of a part plus
     the count of the complement.
     """
+    if not (isinstance(first, Measurement) and isinstance(rest, Measurement)):
+        kinds = f"{type(first).__name__} and {type(rest).__name__}"
+        raise TypeError(f"expected two Measurements, got {kinds}")
     shared = intersect(first.target, rest.target)
     if not shared.is_empty:
         raise OverlappingTargets(f"targets share {_shown(shared)}")
     mu = first.mu
-    shifted = _pieces((p.domain.lo + mu, p.domain.hi + mu, p.offset - mu) for p in rest.pieces)
-    return Measurement(
-        mu=first.mu + rest.mu,
-        pieces=first.pieces + shifted,
-        target=union(first.target, rest.target),
-    )
+    runs = [(p.domain.lo, p.domain.hi, p.offset) for p in first.pieces]
+    runs += [(p.domain.lo + mu, p.domain.hi + mu, p.offset - mu) for p in rest.pieces]
+    return _proven(mu + rest.mu, runs, union(first.target, rest.target))
 
 
 def invert_pieces(pieces) -> tuple[AffinePiece, ...]:

@@ -88,7 +88,7 @@ class IntervalSet:
         prev = None
         for part in self.parts:
             if not isinstance(part, GrossInterval):
-                raise TypeError(f"parts must be GrossInterval, got {part!r}")
+                raise TypeError(f"parts must be GrossInterval, got {_shown(part, repr)}")
             if prev is not None and part.lo <= prev.hi + 1:
                 raise InvalidArgument(
                     f"parts {_shown(prev)} and {_shown(part)} are unsorted, overlapping or adjacent"

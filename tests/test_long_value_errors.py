@@ -12,6 +12,7 @@ import pytest
 from grossone.cli import main
 from grossone.errors import (
     EmptyIntervalRejected,
+    InvalidArgument,
     NonIntegerEndpoint,
     NotASubset,
     NotExact,
@@ -19,10 +20,10 @@ from grossone.errors import (
     NotSubsetOfRange,
     OverlappingTargets,
 )
-from grossone.gnum import GROSSONE, div_exact, finite
+from grossone.gnum import GROSSONE, GrossNumber, div_exact, finite
 from grossone.measure import canonical_measurement, complement_measurement, concat
 from grossone.numeral_system import measure_in, parse_system
-from grossone.sets import interval, is_final_segment, is_initial_segment, make_set
+from grossone.sets import IntervalSet, interval, is_final_segment, is_initial_segment, make_set
 
 LONG = 10**5000
 
@@ -86,3 +87,18 @@ def test_a_long_part_outside_the_whole_is_no_subset():
     part = canonical_measurement(make_set([interval(LONG, LONG)]))
     with pytest.raises(NotASubset, match="^a numeral too long to write out is not a subset of "):
         complement_measurement(whole, part)
+
+
+def test_a_long_value_of_no_numeric_type_is_no_gross_number():
+    with pytest.raises(TypeError, match="^cannot interpret a numeral too long to write out as a gross-number$"):
+        finite([LONG])
+
+
+def test_a_long_malformed_term_is_an_invalid_argument():
+    with pytest.raises(InvalidArgument, match="^malformed term a numeral too long to write out$"):
+        GrossNumber(((0, LONG, 1),))
+
+
+def test_a_long_value_is_no_part_of_a_set():
+    with pytest.raises(TypeError, match="^parts must be GrossInterval, got a numeral too long"):
+        IntervalSet((LONG,))
