@@ -27,6 +27,7 @@ from .gnum import (
     _is_gross_integer,
     _plain_int,
     _power_order,
+    _text_arg,
     classify,
     finite,
     format_numeral,
@@ -358,6 +359,7 @@ def parse_defined(text: str) -> DefinedNumeral:
     The whole form is read before g is built, and a ParseError's position
     counts from the start of ``text``.
     """
+    _text_arg(text)
     scanner = _Scanner(text)
     head = scanner.read_name()
     if head not in ("sqrtfloor", "logfloor", "invfloor"):

@@ -540,6 +540,12 @@ def _at_least(value, least: int, name: str) -> None:
         raise InvalidArgument(f"{name} must be at least {least}")
 
 
+def _text_arg(value, name: str = "text") -> None:
+    """Refuse a text argument that is not a str with TypeError, before any scanning."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a str, got {type(value).__name__}")
+
+
 def _plain_int(x: GrossNumber) -> int | None:
     """x as an int when it is a finite gross-integer (zero or one exponent-0 term), else None."""
     exponent, coefficient = x.terms[0] if x.terms else (0, 0)
@@ -820,6 +826,7 @@ def parse_numeral_prefix(text: str, pos: int = 0) -> tuple[GrossNumber, int]:
 
     ``pos`` is an int from 0 to ``len(text)``, counted from the start.
     """
+    _text_arg(text)
     _at_least(pos, 0, "pos")
     if pos > len(text):
         raise InvalidArgument(f"pos must be at most {len(text)}, the length of the text")
@@ -830,6 +837,7 @@ def parse_numeral_prefix(text: str, pos: int = 0) -> tuple[GrossNumber, int]:
 
 def parse_numeral(text: str) -> GrossNumber:
     """Parse a complete numeral; raises ParseError with a position otherwise."""
+    _text_arg(text)
     scanner = _Scanner(text)
     value = scanner.parse_sum()
     scanner.finish()

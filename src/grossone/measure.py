@@ -39,6 +39,7 @@ from .gnum import (
     _gross_integer,
     _is_gross_integer,
     _plain_int,
+    _text_arg,
     classify,
     cmp,
     finite,
@@ -110,11 +111,11 @@ class Measurement:
     exactly, and mu equals the target's element count.  ``Measurement(...)``
     reads ``mu`` through ``finite`` and re-checks that full invariant, and
     so does every construction from outside data or from pieces a caller
-    supplies: ``from_text``, ``from_json``, ``transport``,
-    ``min_extraction_measurement`` and ``measure_in``.
-    ``canonical_measurement`` (and through it ``complement_measurement`` and
-    ``intersection_split``) and ``concat`` build results that are bijections
-    by construction, and do not check them again.
+    supplies: ``from_text``, ``from_json``, ``transport`` and
+    ``min_extraction_measurement``.  ``canonical_measurement`` (and through
+    it ``complement_measurement``, ``intersection_split`` and
+    ``numeral_system.measure_in``) and ``concat`` build results that are
+    bijections by construction, and do not check them again.
     """
 
     mu: GrossNumber
@@ -237,20 +238,6 @@ def _nonempty(s: IntervalSet) -> IntervalSet:
     return s
 
 
-def _canonical_runs(s: IntervalSet):
-    """``(domain lo, domain hi, offset)`` of each part's piece in the canonical measurement.
-
-    The offset aligns the next free index block with the part's left
-    endpoint, so the block ends where the part's right endpoint lands.
-    """
-    hi = ZERO
-    for part in s.parts:
-        lo = hi + 1
-        offset = part.lo - lo
-        hi = part.hi - offset
-        yield lo, hi, offset
-
-
 def canonical_measurement(s: IntervalSet) -> Measurement:
     """The order-preserving measurement: k-th smallest element gets index k.
 
@@ -259,31 +246,15 @@ def canonical_measurement(s: IntervalSet) -> Measurement:
     """
     if not isinstance(s, IntervalSet):
         raise TypeError(f"expected an IntervalSet, got {type(s).__name__}")
-    runs = list(_canonical_runs(_nonempty(s)))
-    return _proven(runs[-1][1], runs, s)
-
-
-def _admitted_canonical(s: IntervalSet, admit) -> Measurement:
-    """``canonical_measurement(s)``, built only after ``admit`` has passed its numerals.
-
-    Each numeral that :func:`serialized_numerals` would list is read straight
-    from the set's parts and handed to ``admit`` in that order: mu, counted
-    by ``cardinality``, then the runs as they are walked, then the target's
-    endpoints.  ``admit`` refuses a numeral by raising, and then no
-    Measurement is built.
-    """
-    mu = cardinality(_nonempty(s))
-    runs: list[tuple] = []
-
-    def walked():
-        for run in _canonical_runs(s):
-            runs.append(run)
-            yield run
-
-    for _, values in _rows(mu, walked(), s.parts):
-        for value in values:
-            admit(value)
-    return Measurement(mu=mu, pieces=_pieces(runs), target=s)
+    runs = []
+    hi = ZERO
+    for part in _nonempty(s).parts:
+        # Aligned at the part's left endpoint, the block ends at its right one.
+        lo = hi + 1
+        offset = part.lo - lo
+        hi = part.hi - offset
+        runs.append((lo, hi, offset))
+    return _proven(hi, runs, s)
 
 
 def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) -> Measurement:
@@ -475,18 +446,14 @@ def intersection_split(first: Measurement, second: Measurement) -> tuple[Measure
 # nonzero (an identity block needs no shift), then ("target", (lo, hi)) per part.
 
 
-def _rows(mu: GrossNumber, runs, parts):
-    """The rows of a measurement given as mu, its ``(lo, hi, offset)`` runs and its target's parts."""
-    yield "mu", (mu,)
-    for lo, hi, offset in runs:
-        yield "piece", (lo, hi) if offset.is_zero else (lo, hi, offset)
-    for part in parts:
+def _rows(m: Measurement):
+    """The rows of a measurement, in the order every form spells them out."""
+    yield "mu", (m.mu,)
+    for p in m.pieces:
+        lo, hi = p.domain.lo, p.domain.hi
+        yield "piece", (lo, hi) if p.offset.is_zero else (lo, hi, p.offset)
+    for part in m.target.parts:
         yield "target", (part.lo, part.hi)
-
-
-def _measurement_rows(m: Measurement):
-    runs = ((p.domain.lo, p.domain.hi, p.offset) for p in m.pieces)
-    return _rows(m.mu, runs, m.target.parts)
 
 
 def _from_rows(rows) -> Measurement:
@@ -513,10 +480,7 @@ def serialized_numerals(m: Measurement) -> list[GrossNumber]:
     a set inside a numeral system means exactly that each of these is
     expressible there.
     """
-    out: list[GrossNumber] = []
-    for _, values in _measurement_rows(m):
-        out += values
-    return out
+    return [x for _, values in _rows(m) for x in values]
 
 
 def to_text(m: Measurement, ascii_mode: bool = False) -> str:
@@ -526,7 +490,7 @@ def to_text(m: Measurement, ascii_mode: bool = False) -> str:
     offset; ``target`` lines carry one interval each.
     """
     lines = []
-    for kind, values in _measurement_rows(m):
+    for kind, values in _rows(m):
         fields = [format_numeral(x, ascii_mode=ascii_mode) for x in values]
         if kind == "target":
             fields = [f"[{fields[0]}..{fields[1]}]"]
@@ -566,6 +530,7 @@ def from_text(text: str) -> Measurement:
     A ParseError carries the offending line as its text and the column in
     that line as its position.
     """
+    _text_arg(text)
     return _from_rows(_text_rows(text))
 
 
@@ -575,7 +540,7 @@ _JSON_SLOTS = ("lo", "hi", "offset")  # the keys of a piece or target row's nume
 def to_jsonable(m: Measurement, ascii_mode: bool = False) -> dict:
     """JSON-ready dict with every numeral as a string in the numeral grammar."""
     doc: dict = {"mu": None, "pieces": [], "target": []}
-    for kind, values in _measurement_rows(m):
+    for kind, values in _rows(m):
         strings = [format_numeral(x, ascii_mode=ascii_mode) for x in values]
         if kind == "mu":
             doc["mu"] = strings[0]

@@ -37,7 +37,7 @@ from .errors import (
     NotExpressible,
     ParseError,
 )
-from .gnum import GrossNumber, Rational, _at_least, _plain_int, _power_order, finite, gross_term
+from .gnum import GrossNumber, Rational, _at_least, _plain_int, _power_order, _text_arg, finite, gross_term
 
 __all__ = [
     "NumeralSystem",
@@ -201,23 +201,22 @@ def min_infinite(sys: NumeralSystem) -> GrossNumber:
 def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     """Canonical measurement of s, admitted only if the system can write it.
 
-    Every serialized numeral of the measurement (mu, piece endpoints,
-    nonzero offsets, target endpoints) must be expressible; the first one
-    that is not names the failure.  The numerals are read from the set's
-    parts before any Measurement exists, so a refused set builds none.
-    Measurement is relative to the system: {1,2} is measurable with only
-    the numerals 1 and 2, while {1,2,3} is not, because its element count
-    already has no name there.
+    The measurement is written out first; then every numeral of it, in
+    the order ``serialized_numerals`` lists them (mu, piece endpoints,
+    nonzero offsets, target endpoints), must be expressible, and the first
+    one that is not names the failure.  Measurement is relative to the
+    system: {1,2} is measurable with only the numerals 1 and 2, while
+    {1,2,3} is not, because its element count already has no name there.
     """
     # Imported here so that queries about a system alone load neither
     # measure nor sets.
-    from .measure import _admitted_canonical
+    from .measure import canonical_measurement, serialized_numerals
 
-    def admit(value: GrossNumber):
+    m = canonical_measurement(s)
+    for value in serialized_numerals(m):
         if not sys.can_express(value):
             raise NotExpressible(value, sys.describe())
-
-    return _admitted_canonical(s, admit)
+    return m
 
 
 def parse_system(descriptor: str) -> NumeralSystem:
@@ -228,6 +227,7 @@ def parse_system(descriptor: str) -> NumeralSystem:
     is unsigned ASCII digits, few enough to read as an int; a field that
     is not is reported at its own offset in the descriptor.
     """
+    _text_arg(descriptor, "descriptor")
     fields = descriptor.split(":")
     if fields == ["piraha"]:
         return Piraha()

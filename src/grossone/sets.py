@@ -23,7 +23,7 @@ from .errors import (
     NotSubsetOfRange,
     _shown,
 )
-from .gnum import GROSSONE, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, finite
+from .gnum import GROSSONE, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
 
 __all__ = [
     "GrossInterval",
@@ -411,6 +411,7 @@ class _SetScanner(_Scanner):
 
 def parse_set_expression(text: str) -> IntervalSet:
     """Evaluate a set expression; see :class:`_SetScanner` for the grammar."""
+    _text_arg(text)
     scanner = _SetScanner(text)
     result = scanner.parse_expr()
     scanner.finish()

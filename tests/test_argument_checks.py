@@ -5,7 +5,9 @@ point that is no gross-integer is neither an index nor a member.  Size
 parameters of systems, defined functions and sessions are plain ints: a
 float or a bool is a TypeError, and a too small int keeps its
 InvalidArgument.  The text reader reports each field's error at its
-column of the line.
+column of the line.  Every entry point that reads text refuses an
+argument that is no ``str`` with one TypeError, before any scanning;
+``from_json`` still takes bytes, as ``json.loads`` does.
 """
 
 import re
@@ -13,11 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from grossone.derived import DefinitionSession, ExpBase, Pow
+from grossone.derived import DefinitionSession, ExpBase, Pow, parse_defined
 from grossone.errors import InvalidArgument, ParseError
-from grossone.gnum import GROSSONE, finite, gross_term, parse_numeral
-from grossone.measure import canonical_measurement, from_text
-from grossone.numeral_system import BoundedFinite, GrossBudget, expressible, max_finite
+from grossone.gnum import GROSSONE, finite, gross_term, parse_numeral, parse_numeral_prefix
+from grossone.measure import canonical_measurement, from_json, from_text, to_json
+from grossone.numeral_system import BoundedFinite, GrossBudget, expressible, max_finite, parse_system
 from grossone.sets import parse_set_expression
 
 HALF = Fraction(1, 2)
@@ -141,3 +143,28 @@ def test_text_fields_are_read_one_by_one():
     m = from_text("mu ①-6\npiece 1 3\npiece 4 ①-6 6\ntarget [1..3]\n  target\t[10..①]  \n")
     assert m == canonical_measurement(parse_set_expression("[1..3]|[10..①]"))
     assert m.mu == parse_numeral("①-6")
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (parse_numeral, b"12", "text must be a str, got bytes"),
+        (parse_numeral, None, "text must be a str, got NoneType"),
+        (parse_numeral, 12, "text must be a str, got int"),
+        (parse_numeral_prefix, b"12", "text must be a str, got bytes"),
+        (parse_set_expression, b"[1..2]", "text must be a str, got bytes"),
+        (parse_defined, b"sqrtfloor(4)", "text must be a str, got bytes"),
+        (parse_system, None, "descriptor must be a str, got NoneType"),
+        (parse_system, b"piraha", "descriptor must be a str, got bytes"),
+        (from_text, b"mu 1", "text must be a str, got bytes"),
+        (from_text, ["mu 1"], "text must be a str, got list"),
+    ],
+)
+def test_text_entry_points_refuse_what_is_no_str(read, text, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        read(text)
+
+
+def test_json_still_reads_bytes():
+    m = canonical_measurement(parse_set_expression("[1..3]|[10..①]"))
+    assert from_json(to_json(m).encode()) == m

@@ -1,8 +1,9 @@
-"""measure_in gates a set on numerals read from its parts, before any Measurement exists.
+"""measure_in gates a set on the numerals of its written-out measurement.
 
-The reference is the gate on a built measurement: a set is admitted
-exactly when every numeral of ``serialized_numerals(canonical_measurement(s))``
-is expressible, and the first one that is not names the refusal.
+A set is admitted exactly when every numeral of
+``serialized_numerals(canonical_measurement(s))`` is expressible, and
+then its measurement is that canonical one; otherwise the first numeral
+in that order that is not expressible names the refusal.
 """
 
 from random import Random
@@ -91,20 +92,6 @@ def test_the_empty_set_has_no_measurement_in_any_system(sys_):
         measure_in(sys_, EMPTY)
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """Every Measurement validated while the test runs."""
-    seen = []
-    validate = Measurement.__post_init__
-
-    def counting(self):
-        validate(self)
-        seen.append(self)
-
-    monkeypatch.setattr(Measurement, "__post_init__", counting)
-    return seen
-
-
 @pytest.mark.parametrize(
     "sys_, parts, value",
     [
@@ -114,14 +101,8 @@ def built(monkeypatch):
         (GrossBudget(2, 2, 1), [(1, 5), (200, 201)], 194),
     ],
 )
-def test_a_refused_set_builds_no_measurement(built, sys_, parts, value):
+def test_a_refused_set_names_its_first_unwritable_numeral(sys_, parts, value):
     s = make_set(interval(lo, hi) for lo, hi in parts)
     with pytest.raises(NotExpressible) as info:
         measure_in(sys_, s)
     assert info.value.value == value
-    assert built == []
-
-
-def test_an_admitted_set_builds_one_validated_measurement(built):
-    m = measure_in(Piraha(), make_set([interval(1, 2)]))
-    assert built == [m]

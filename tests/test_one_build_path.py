@@ -1,7 +1,10 @@
 """Each result is built one way.
 
-Every ``AffinePiece`` a construction in ``measure`` makes comes from
-``_pieces``, and ``_from_rows`` builds the pieces of outside data; the
+Every ``AffinePiece`` a construction in ``measure`` makes comes from one
+of three builders: ``_pieces`` validates the pieces of computed runs,
+``_proven`` builds those of a result proved by construction without the
+validator (``tests/test_trusted_builds.py`` guards it), and
+``_from_rows`` validates the pieces of outside data.  The
 segment tests of ``sets`` read their answer off the set's only part after
 one shared ``[1..bound]`` range check, so an error names the caller's set.
 """

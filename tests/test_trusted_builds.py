@@ -1,7 +1,7 @@
 """Measurements the library proves by construction are built once, unchecked, and are still bijections.
 
-``canonical_measurement`` (and through it ``complement_measurement`` and
-``intersection_split``) and ``concat`` build their results with
+``canonical_measurement`` (and through it ``complement_measurement``,
+``intersection_split`` and ``measure_in``) and ``concat`` build their results with
 ``measure._proven``, which runs no validator.  Each result must equal what
 the validating constructor makes of the same mu, pieces and target; the
 trusted builder stays inside ``measure`` with exactly those two callers;
@@ -19,6 +19,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
+from grossone.errors import NotExpressible
 from grossone.gnum import GrossNumber, finite
 from grossone.measure import (
     Measurement,
@@ -27,6 +28,7 @@ from grossone.measure import (
     concat,
     intersection_split,
 )
+from grossone.numeral_system import BoundedFinite, GrossBudget, Piraha, measure_in
 from grossone.sets import GrossInterval, difference, interval, intersect, make_set, map_affine, union
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "grossone"
@@ -66,6 +68,13 @@ def test_every_trusted_result_passes_the_validator(n):
     if not intersect(a, moved).is_empty and moved != a:
         for part in intersection_split(m_a, canonical_measurement(moved)):
             assert_validated(part)
+    # Parts inside [1..3], so that the two-numeral system admits some.
+    tiny = oracles.random_finite_set(rng, 1, 3, 2)
+    for sys_, s in ((Piraha(), tiny), (BoundedFinite(3), a), (GrossBudget(2, 3, 1), a)):
+        try:
+            assert_validated(measure_in(sys_, s))
+        except NotExpressible:
+            pass
 
 
 # ---------------------------------------------------------------- where the trusted builder is named
@@ -131,6 +140,8 @@ def test_canonical_measurement_refuses_a_set_of_another_type():
         canonical_measurement(duck)
     with pytest.raises(TypeError):
         canonical_measurement([interval(1, 3)])
+    with pytest.raises(TypeError, match="^expected an IntervalSet, got list$"):
+        measure_in(Piraha(), [1])
 
 
 def test_concat_refuses_an_operand_of_another_type():
