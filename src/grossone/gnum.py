@@ -76,10 +76,11 @@ _TERM = re.compile(
 # set, so its digits convert without the scanner's limit check.
 _SHORT_TERM = sys.int_info.str_digits_check_threshold
 # A whole numeral that is a plain integer: a sign touching a digit run that no
-# '.', '/' or digit follows, and that no '*', sign or base follows after any
-# whitespace.  Where the numeral reads on, this does not match; a '^' after it
-# is never read, as no exponent follows a bare coefficient.
-_PLAIN_INT = re.compile(r"([+\-−]?)([0-9]+)(?![./0-9])(?!\s*(?:[*+\-−]|①|G1))")
+# '/', digit or decimal part follows, and that no '*', sign or base follows
+# after any whitespace.  Where the numeral reads on, this does not match; a
+# '^' after it is never read, as no exponent follows a bare coefficient, and
+# a '.' not before a digit (the '..' of an interval) ends the numeral.
+_PLAIN_INT = re.compile(r"([+\-−]?)([0-9]+)(?![/0-9]|\.[0-9])(?!\s*(?:[*+\-−]|①|G1))")
 
 
 class Sign(enum.IntEnum):

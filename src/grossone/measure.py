@@ -49,6 +49,7 @@ from .gnum import (
 from .sets import (
     GrossInterval,
     IntervalSet,
+    _set_arg,
     cardinality,
     difference,
     intersect,
@@ -244,11 +245,9 @@ def canonical_measurement(s: IntervalSet) -> Measurement:
     Each part of the set becomes one piece whose offset aligns the next
     free index block with the part's left endpoint.
     """
-    if not isinstance(s, IntervalSet):
-        raise TypeError(f"expected an IntervalSet, got {type(s).__name__}")
     runs = []
     hi = ZERO
-    for part in _nonempty(s).parts:
+    for part in _nonempty(_set_arg(s)).parts:
         # Aligned at the part's left endpoint, the block ends at its right one.
         lo = hi + 1
         offset = part.lo - lo

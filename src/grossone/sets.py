@@ -54,6 +54,10 @@ class GrossInterval:
     Endpoints are read through ``finite`` and must be gross-integers.
     Empty intervals are rejected rather than normalized away, because an
     explicit empty part never has a canonical place in an interval union.
+    ``GrossInterval(...)``, ``interval``, ``map_affine``, ``convex_hull``,
+    ``union_initial_segments`` and the parser check their endpoints; the
+    parts that ``union``, ``intersect``, ``difference`` and ``make_set``
+    compute from parts already in hand are built by ``_span`` unchecked.
     """
 
     lo: GrossNumber
@@ -80,15 +84,23 @@ def interval(lo, hi) -> GrossInterval:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Canonical finite union of disjoint, non-adjacent intervals."""
+    """Canonical finite union of disjoint, non-adjacent intervals.
+
+    ``IntervalSet(...)`` checks that its parts are intervals, sorted,
+    disjoint and non-adjacent, and so do the sets of ``map_affine``,
+    ``convex_hull`` and ``union_initial_segments``.  ``union``,
+    ``intersect``, ``difference`` and ``make_set`` build sets that their
+    sweeps make canonical, through ``_canonical``, and do not check them
+    again; they first refuse an operand that is not an IntervalSet (for
+    ``make_set``, an item that is not a GrossInterval).
+    """
 
     parts: tuple[GrossInterval, ...] = ()
 
     def __post_init__(self):
         prev = None
         for part in self.parts:
-            if not isinstance(part, GrossInterval):
-                raise TypeError(f"parts must be GrossInterval, got {_shown(part, repr)}")
+            _part_arg(part)
             if prev is not None and part.lo <= prev.hi + 1:
                 raise InvalidArgument(
                     f"parts {_shown(prev)} and {_shown(part)} are unsorted, overlapping or adjacent"
@@ -123,21 +135,65 @@ class IntervalSet:
 EMPTY = IntervalSet()
 
 
+def _part_arg(part) -> None:
+    if not isinstance(part, GrossInterval):
+        raise TypeError(f"parts must be GrossInterval, got {_shown(part, repr)}")
+
+
+def _set_arg(s) -> IntervalSet:
+    """``s``, refused unless it is an IntervalSet, whose parts the sweeps trust to be canonical."""
+    if not isinstance(s, IntervalSet):
+        raise TypeError(f"expected an IntervalSet, got {type(s).__name__}")
+    return s
+
+
+def _span(lo: GrossNumber, hi: GrossNumber) -> GrossInterval:
+    """``[lo..hi]``, not re-checked: the caller tested ``lo <= hi``.
+
+    Both ends are endpoints of parts in hand, or such endpoints moved by 1,
+    so they are gross-integer GrossNumbers already.
+    """
+    part = object.__new__(GrossInterval)
+    object.__setattr__(part, "lo", lo)
+    object.__setattr__(part, "hi", hi)
+    return part
+
+
+def _canonical(parts) -> IntervalSet:
+    """The set of ``parts``, not re-checked: the sweep that yields them emits them canonical.
+
+    Overlaps and gaps of canonical sets, walked in order, come out sorted,
+    disjoint and non-adjacent, and so does a merge of sorted parts that
+    joins every part touching the one before it.
+    """
+    s = object.__new__(IntervalSet)
+    object.__setattr__(s, "parts", tuple(parts))
+    return s
+
+
 def make_set(intervals) -> IntervalSet:
     """Canonical set from any iterable of intervals (overlap allowed)."""
-    return _coalesce(sorted(intervals, key=lambda p: (p.lo, p.hi)))
+    parts = list(intervals)
+    for part in parts:
+        _part_arg(part)
+    parts.sort(key=attrgetter("lo"))
+    return _coalesce(parts)
 
 
 def _coalesce(ordered) -> IntervalSet:
-    """Canonical set from intervals sorted by lower endpoint."""
+    """Canonical set from intervals sorted by lower endpoint.
+
+    Each part that starts at most one past the last merged part joins it,
+    so the merged parts stay sorted and are neither overlapping nor adjacent.
+    """
     merged: list[GrossInterval] = []
     for part in ordered:
         if merged and part.lo <= merged[-1].hi + 1:
             if part.hi > merged[-1].hi:
-                merged[-1] = GrossInterval(merged[-1].lo, part.hi)
+                merged[-1] = _span(merged[-1].lo, part.hi)
         else:
             merged.append(part)
-    return IntervalSet(tuple(merged))
+    return _canonical(merged)
 
 
 # ------------------------------------------------------------------ set algebra
@@ -158,12 +214,12 @@ def _sorted_merge(a: tuple[GrossInterval, ...], b: tuple[GrossInterval, ...]):
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return _coalesce(_sorted_merge(a.parts, b.parts))
+    return _coalesce(_sorted_merge(_set_arg(a).parts, _set_arg(b).parts))
 
 
 def _cut(lo: GrossNumber, part: GrossInterval) -> GrossInterval:
-    """``[lo..part.hi]``, reusing ``part`` when ``lo`` is its own lower endpoint."""
-    return part if lo is part.lo else GrossInterval(lo, part.hi)
+    """``[lo..part.hi]`` for ``lo <= part.hi``, reusing ``part`` when ``lo`` is its own lower endpoint."""
+    return part if lo is part.lo else _span(lo, part.hi)
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -171,7 +227,7 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     # every overlapping pair is met once.  Overlaps of canonical sets come
     # out sorted, disjoint and non-adjacent, hence already canonical.
     out: list[GrossInterval] = []
-    ap, bp = a.parts, b.parts
+    ap, bp = _set_arg(a).parts, _set_arg(b).parts
     i = j = 0
     while i < len(ap) and j < len(bp):
         p, q = ap[i], bp[j]
@@ -184,14 +240,14 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             j += 1
         if lo <= first.hi:
             out.append(_cut(lo, first))
-    return IntervalSet(tuple(out))
+    return _canonical(out)
 
 
-def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+def _uncovered(a: IntervalSet, b: IntervalSet):
+    """The parts of ``a - b``, in order; the gaps of b inside the parts of a."""
     # Sweep over b alongside a: parts of b that end below the current part
     # of a can never meet a later one, and the part of b that reaches past
     # it is kept for the next part of a.
-    out: list[GrossInterval] = []
     bp = b.parts
     j = 0
     for p in a.parts:
@@ -201,14 +257,17 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         while j < len(bp) and bp[j].lo <= p.hi:
             q = bp[j]
             if q.lo > lo:
-                out.append(GrossInterval(lo, q.lo - 1))
+                yield _span(lo, q.lo - 1)
             if q.hi >= p.hi:
                 break  # q covers the rest of p
             lo = q.hi + 1
             j += 1
         else:
-            out.append(_cut(lo, p))
-    return IntervalSet(tuple(out))
+            yield _cut(lo, p)
+
+
+def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return _canonical(_uncovered(_set_arg(a), _set_arg(b)))
 
 
 def cardinality(s: IntervalSet) -> GrossNumber:
@@ -237,7 +296,8 @@ def contains(s: IntervalSet, value) -> bool:
 
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
-    return difference(a, b).is_empty
+    """Whether b covers a; the sweep of ``difference`` stops at the first uncovered part."""
+    return next(_uncovered(_set_arg(a), _set_arg(b)), None) is None
 
 
 def convex_hull(s: IntervalSet) -> IntervalSet:
@@ -395,18 +455,26 @@ class _SetScanner(_Scanner):
                 return result
 
     def parse_expr(self) -> IntervalSet:
-        result = self.parse_meet()
+        # The operands of a run of '|' are gathered and merged once, at a
+        # '\' or at the end, so a chain of n unions costs one sort of the
+        # parts rather than n sweeps over the union so far.
+        run = [self.parse_meet()]
         while True:
             self.skip_ws()
             op = self.peek()
             if op == "|":
                 self.pos += 1
-                result = union(result, self.parse_meet())
+                run.append(self.parse_meet())
             elif op == "\\":
                 self.pos += 1
-                result = difference(result, self.parse_meet())
+                run = [difference(_merged(run), self.parse_meet())]
             else:
-                return result
+                return _merged(run)
+
+
+def _merged(sets: list[IntervalSet]) -> IntervalSet:
+    """The union of one or more sets."""
+    return sets[0] if len(sets) == 1 else make_set([p for s in sets for p in s.parts])
 
 
 def parse_set_expression(text: str) -> IntervalSet:

@@ -25,6 +25,7 @@ LIMIT = gnum._SHORT_TERM
 SHORT_TEXTS = [
     "3 ①", "- 3", "7 / 2", "−5", "[1..3]", "-0", "3 .5", "3 ^2", "3G", "3.", "3..4", "+0", "007",
     "3\n+4", "3 5", "3*", " 42 ", "1+①", "-12①", "4G1", "8/0", "9.0", "", " ", "+", "−0",
+    "[1.5..3]", "3..", "[-2..G1]", "[12..①-1]",
 ]
 # Digit runs around the one-match length limit and the int-to-string limit.
 LONG_TEXTS = [
@@ -112,6 +113,15 @@ def test_a_plain_integer_builds_no_term_list(monkeypatch, text, value):
 
     monkeypatch.setattr(GrossNumber, "from_terms", staticmethod(refuse))
     assert parse_numeral(text).terms == (((0, value),) if value else ())
+
+
+def test_interval_endpoints_build_no_term_list(monkeypatch):
+    def refuse(pairs):
+        raise AssertionError("the term scanner ran")
+
+    monkeypatch.setattr(GrossNumber, "from_terms", staticmethod(refuse))
+    assert str(parse_set_expression("[1..3]|[-12 .. 40]")) == "[-12..40]"
+    assert from_text("mu 3\npiece 1 3 4\ntarget [5..7]\n").mu == 3
 
 
 def test_a_term_past_the_plain_integer_still_goes_to_the_scanner():
