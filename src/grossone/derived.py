@@ -86,9 +86,12 @@ def _placed_power(x: GrossNumber, k: int, bound: GrossNumber) -> bool | None:
 #: largest power of two for which every timed build within it took under
 #: 1 s: over 21 probes of one to four terms with int and Fraction entries,
 #: on one core of a Xeon container under CPython 3.11, the slowest took
-#: 0.93 s.  (①+1)**744 and (3/2)**369727 still build.  Those builds were
-#: timed with a power loop that also squared once past the top bit, so
-#: every build within the budget is now faster and the budget conservative.
+#: 0.93 s, with a power loop that also squared once past the top bit.
+#: (①+1)**744 and (3/2)**369727 still build.  With the present loop and
+#: product merge (gnum._merged), on a 2-core container under CPython
+#: 3.11.7, (①+1)**744 takes 0.09 s (0.14-0.21 s with a merge that read
+#: every product pair through gnum._exact) and (3/2)**369727 0.33 s, so
+#: the budget is conservative.
 _POWER_BUDGET = 1 << 39
 
 

@@ -25,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DivideByZero, InvalidArgument, NotExact, ParseError, _shown
 
@@ -165,20 +166,11 @@ class GrossNumber:
     def from_terms(pairs) -> "GrossNumber":
         """Build the canonical gross-number from (exponent, coefficient) pairs.
 
+        Each entry is read as an exact rational (a float is a TypeError).
         Like exponents are merged and zero coefficients dropped, so any
         ordering or duplication in the input yields the same value.
         """
-        merged: dict[Rational, Rational] = {}
-        for exponent, coefficient in pairs:
-            e = _exact(exponent)
-            c = _exact(coefficient)
-            if e in merged:
-                c = _exact(merged[e] + c)
-            if c == 0:
-                merged.pop(e, None)
-            else:
-                merged[e] = c
-        return _built(tuple(sorted(merged.items(), key=lambda t: t[0], reverse=True)))
+        return _built(_canonical_terms([(_exact(e), _exact(c)) for e, c in pairs]))
 
     # ---------------------------------------------------------------- queries
 
@@ -249,7 +241,9 @@ class GrossNumber:
             return _built(_scaled(self.terms, *terms[0]))
         if len(self.terms) == 1:
             return _built(_scaled(terms, *self.terms[0]))
-        return GrossNumber.from_terms((e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in terms)
+        scale = _key_scale(self.terms, terms)
+        a, b = _keyed(self.terms, scale), _keyed(terms, scale)
+        return _built(_unkeyed(_merged((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b), scale))
 
     __rmul__ = __mul__
 
@@ -359,6 +353,76 @@ def _scaled(terms: tuple[Term, ...], e0: Rational, c0: Rational) -> tuple[Term, 
             c = c.numerator
         out.append((e, c))
     return tuple(out)
+
+
+# Exponents are merged and sorted as int keys ``e * L``, L the lcm of their
+# denominators, while L fits one machine word.  Past it the keys would be
+# long ints, costlier than the exponents themselves, so each exponent is
+# then its own key, as for L == 1.
+_WORD = sys.maxsize
+
+
+def _key_scale(*term_lists) -> int | None:
+    """L, the lcm of the exponents' denominators in ``term_lists``; None once L passes one word."""
+    scale = 1
+    for terms in term_lists:
+        for e, _ in terms:
+            if type(e) is not int and scale % e.denominator:
+                # Times d / gcd(scale, d), the denominator of scale / d: the lcm.
+                scale *= Fraction(scale, e.denominator).denominator
+                if scale > _WORD:
+                    return None
+    return scale
+
+
+def _keyed(terms, scale: int | None) -> list[Term] | tuple[Term, ...]:
+    """``terms`` with each exponent ``e`` keyed as the int ``e * scale``; unchanged for 1 or None."""
+    if scale is None or scale == 1:
+        return terms
+    return [(e * scale if type(e) is int else e.numerator * (scale // e.denominator), c) for e, c in terms]
+
+
+def _unkeyed(terms, scale: int | None) -> tuple[Term, ...]:
+    """The terms of keyed ``terms``, each key turned back into its exact exponent."""
+    if scale == 1:
+        return tuple(terms)
+    if scale is None:
+        # Sums and differences of Fraction exponents may be integral Fractions.
+        return tuple((_exact(e), c) for e, c in terms)
+    out = []
+    for k, c in terms:
+        e, r = divmod(k, scale)
+        out.append((Fraction(k, scale) if r else e, c))
+    return tuple(out)
+
+
+_first = itemgetter(0)
+
+
+def _merged(pairs) -> list[Term]:
+    """The canonical keyed terms of (key, coefficient) pairs: like keys summed, zeros dropped, descending."""
+    merged: dict = {}
+    for k, c in pairs:
+        if k in merged:
+            c += merged[k]
+        merged[k] = c
+    out = []
+    for k, c in sorted(merged.items(), key=_first, reverse=True):
+        if type(c) is int:
+            if c:
+                out.append((k, c))
+        elif c.denominator != 1:
+            out.append((k, c))
+        elif c:
+            # A sum or product involving a Fraction is a Fraction, integral or not.
+            out.append((k, c.numerator))
+    return out
+
+
+def _canonical_terms(pairs: list[Term]) -> tuple[Term, ...]:
+    """The canonical terms of exact (exponent, coefficient) pairs in any order, repeats allowed."""
+    scale = _key_scale(pairs)
+    return _unkeyed(_merged(_keyed(pairs, scale)), scale)
 
 
 def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> int:
@@ -484,11 +548,14 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         raise DivideByZero("division by zero")
     if x.is_zero:
         return ZERO
-    lead_exp, lead_coeff = y.terms[0]
-    tail = y.terms[1:]
-    lowest = x.terms[-1][0] - y.terms[-1][0]
+    # The division runs on int exponent keys (see _key_scale).
+    scale = _key_scale(x.terms, y.terms)
+    dividend, divisor = _keyed(x.terms, scale), _keyed(y.terms, scale)
+    lead_exp, lead_coeff = divisor[0]
+    tail = divisor[1:]
+    lowest = dividend[-1][0] - divisor[-1][0]
     quotient: list[Term] = []
-    remainder = x.terms
+    remainder = dividend
     # Each step lowers the remainder's leading exponent within a fixed
     # discrete lattice of rationals bounded below, so the loop finishes,
     # and quotient exponents strictly fall.
@@ -501,7 +568,7 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         q_coeff = _exact(Fraction(rem_coeff, lead_coeff))
         quotient.append((q_exp, q_coeff))
         remainder = _merge(remainder[1:], _scaled(tail, q_exp, q_coeff), -1)
-    return _built(tuple(quotient))
+    return _built(_unkeyed(quotient, scale))
 
 
 def cmp(x: GrossNumber, y: GrossNumber) -> Sign:
@@ -819,7 +886,7 @@ class _Scanner:
                 break
             sign = nxt
             self.skip_ws()
-        return GrossNumber.from_terms(terms)
+        return _built(_canonical_terms(terms))
 
 
 def parse_numeral_prefix(text: str, pos: int = 0) -> tuple[GrossNumber, int]:

@@ -23,7 +23,7 @@ from .errors import (
     NotSubsetOfRange,
     _shown,
 )
-from .gnum import GROSSONE, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
+from .gnum import GROSSONE, ZERO, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
 
 __all__ = [
     "GrossInterval",
@@ -271,28 +271,40 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 
 def cardinality(s: IntervalSet) -> GrossNumber:
-    """Exact element count; ``[1..①]`` has ① elements, not a limit symbol."""
-    # The sum of hi - lo + 1 over the parts, accumulated term by term.
-    terms = [(0, len(s.parts))]
-    for part in s.parts:
-        terms.extend(part.hi.terms)
-        terms.extend((e, -c) for e, c in part.lo.terms)
-    return GrossNumber.from_terms(terms)
+    """Exact element count; ``[1..①]`` has ① elements, not a limit symbol.
+
+    The sum of ``hi - lo + 1`` over the parts.  Parts with plain-integer
+    endpoints add to an int count; only the others are summed as
+    gross-numbers.
+    """
+    parts = _set_arg(s).parts
+    count = len(parts)
+    gross = ZERO
+    for part in parts:
+        lo, hi = part.lo.terms, part.hi.terms
+        # A gross-integer endpoint is a plain integer when it is zero or its
+        # leading exponent is 0; then it is the one int term ``(0, c)``.
+        if (not lo or lo[0][0] == 0) and (not hi or hi[0][0] == 0):
+            count += (hi[0][1] if hi else 0) - (lo[0][1] if lo else 0)
+        else:
+            gross = gross + part.hi - part.lo
+    return gross + count
 
 
 def extrema(s: IntervalSet) -> tuple[GrossNumber, GrossNumber]:
     """(minimum, maximum) of a nonempty set."""
-    if not s.parts:
+    if not _set_arg(s).parts:
         raise EmptySet("empty set has no extrema")
     return s.parts[0].lo, s.parts[-1].hi
 
 
 def contains(s: IntervalSet, value) -> bool:
+    parts = _set_arg(s).parts
     x = finite(value)
     if not _is_gross_integer(x):
         return False
-    k = bisect_right(s.parts, x, key=attrgetter("lo")) - 1
-    return k >= 0 and x <= s.parts[k].hi
+    k = bisect_right(parts, x, key=attrgetter("lo")) - 1
+    return k >= 0 and x <= parts[k].hi
 
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
@@ -302,7 +314,7 @@ def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
 
 def convex_hull(s: IntervalSet) -> IntervalSet:
     """Smallest single interval containing the set."""
-    if not s.parts:
+    if not _set_arg(s).parts:
         raise EmptySet("empty set has no hull")
     lo, hi = extrema(s)
     return IntervalSet((GrossInterval(lo, hi),))
@@ -316,6 +328,7 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     image of a canonical set keeps its gaps: it is canonical once the parts
     are put back in order, reversed when sign is -1.
     """
+    _set_arg(s)
     if sign not in (1, -1):
         raise InvalidArgument("sign must be +1 or -1")
     shift = _gross_integer(offset, "offset", NonIntegerOffset)

@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in here is deliberately naive: dict-of-exponents polynomial
-arithmetic, Python sets of ints as the set model, linear scans for
-inverse functions.  sympy's polynomials give a second, independent check
-of products and exact quotients.  The point is that none of it shares
+arithmetic and term merging, Python sets of ints as the set model, linear
+scans for inverse functions.  sympy's polynomials give a second,
+independent check of products and exact quotients.  The point is that none of it shares
 code with the library under test.
 """
 
@@ -81,6 +81,37 @@ def sympy_div(p: dict, q: dict) -> dict | None:
     if not remainder.is_zero:
         return None
     return _from_sympy(quotient, la - lb)
+
+
+def _exact(value):
+    """An int or Fraction entry as an int when integral, else as a Fraction."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def reference_terms(pairs) -> tuple:
+    """Canonical terms of exact (exponent, coefficient) pairs: merged in a dict on the exponents, then sorted."""
+    merged: dict = {}
+    for exponent, coefficient in pairs:
+        e = _exact(exponent)
+        c = _exact(coefficient)
+        if e in merged:
+            c = _exact(merged[e] + c)
+        if c == 0:
+            merged.pop(e, None)
+        else:
+            merged[e] = c
+    return tuple(sorted(merged.items(), key=lambda t: t[0], reverse=True))
+
+
+def reference_cardinality(s: IntervalSet) -> tuple:
+    """The terms of the element count of s: hi - lo + 1 over the parts, as one flat term list."""
+    terms = [(0, len(s.parts))]
+    for part in s.parts:
+        terms.extend(part.hi.terms)
+        terms.extend((e, -c) for e, c in part.lo.terms)
+    return reference_terms(terms)
 
 
 def set_model(s: IntervalSet) -> set[int]:

@@ -23,7 +23,9 @@ from grossone.sets import (
     EMPTY,
     GrossInterval,
     IntervalSet,
+    cardinality,
     contains,
+    convex_hull,
     difference,
     intersect,
     interval,
@@ -121,6 +123,16 @@ def test_the_set_operations_refuse_an_operand_of_another_type(operation):
         operation([interval(1, 3)], s)
     with pytest.raises(TypeError, match="^expected an IntervalSet, got NoneType$"):
         operation(None, None)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda s: contains(s, 2), cardinality, convex_hull, lambda s: map_affine(s, 1, 0)],
+    ids=["contains", "cardinality", "convex_hull", "map_affine"],
+)
+def test_the_set_readers_refuse_an_operand_of_another_type(read):
+    with pytest.raises(TypeError, match="^expected an IntervalSet, got list$"):
+        read([interval(1, 3)])
 
 
 def test_the_set_operators_refuse_an_operand_of_another_type():
