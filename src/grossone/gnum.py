@@ -25,7 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import ge, gt, itemgetter, le, lt
 
 from .errors import DivideByZero, InvalidArgument, NotExact, ParseError, _shown
 
@@ -130,6 +130,28 @@ def _exact(value: Rational) -> Rational:
 
 # Exact types only: bool and float entries are rejected, not converted.
 _EXACT_TYPES = (int, Fraction)
+
+
+def _ordering(test):
+    """The GrossNumber method for the order ``test``, one of ``lt``, ``le``, ``gt`` and ``ge``.
+
+    When both operands are one term on the same exponent, plain integers
+    above all, ``test`` reads their two coefficients directly; otherwise it
+    reads the sign of ``_compare_terms``.  A non-number gives NotImplemented.
+    """
+
+    def method(self, other):
+        terms = _operand_terms(other)
+        if terms is None:
+            return NotImplemented
+        own = self.terms
+        if len(own) == 1 == len(terms) and own[0][0] == terms[0][0]:
+            return test(own[0][1], terms[0][1])
+        return test(_compare_terms(own, terms), 0)
+
+    method.__name__ = f"__{test.__name__}__"
+    method.__qualname__ = f"GrossNumber.{method.__name__}"
+    return method
 
 
 @dataclass(frozen=True)
@@ -268,21 +290,10 @@ class GrossNumber:
 
     # ---------------------------------------------------------------- ordering
 
-    def __lt__(self, other):
-        terms = _operand_terms(other)
-        return NotImplemented if terms is None else _compare_terms(self.terms, terms) < 0
-
-    def __le__(self, other):
-        terms = _operand_terms(other)
-        return NotImplemented if terms is None else _compare_terms(self.terms, terms) <= 0
-
-    def __gt__(self, other):
-        terms = _operand_terms(other)
-        return NotImplemented if terms is None else _compare_terms(self.terms, terms) > 0
-
-    def __ge__(self, other):
-        terms = _operand_terms(other)
-        return NotImplemented if terms is None else _compare_terms(self.terms, terms) >= 0
+    __lt__ = _ordering(lt)
+    __le__ = _ordering(le)
+    __gt__ = _ordering(gt)
+    __ge__ = _ordering(ge)
 
     def __eq__(self, other):
         terms = _operand_terms(other)
@@ -312,7 +323,18 @@ def _built(terms: tuple[Term, ...]) -> GrossNumber:
 
 
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, ...]:
-    """The canonical terms of ``a + sign * b``, from one pass over two descending term tuples."""
+    """The canonical terms of ``a + sign * b``, from one pass over two descending term tuples.
+
+    When ``a`` and ``b`` are one term each on the same exponent with int
+    coefficients, plain integers above all, the two coefficients are summed
+    directly.  Fraction coefficients take the loop, whose ``_exact`` turns an
+    integral sum into an int.
+    """
+    if len(a) == 1 == len(b):
+        (ea, ca), (eb, cb) = a[0], b[0]
+        if ea == eb and type(ca) is int and type(cb) is int:
+            c = ca + cb if sign == 1 else ca - cb
+            return ((ea, c),) if c else ()
     out: list[Term] = []
     i = j = 0
     na, nb = len(a), len(b)

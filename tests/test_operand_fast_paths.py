@@ -4,15 +4,23 @@ A plain int is read as its own term.  Sums with it and with one-term
 operands must agree with ``oracles.poly_add`` and keep every built entry
 an int where it is integral.  Values built directly with Fraction-typed
 integral entries hold them as ints too.
+
+Two one-term operands on the same exponent take a direct path in sums
+(``gnum._merge``) and in the order operators (``gnum._ordering``); the
+properties from ``test_one_term_sums_and_differences_follow_the_oracle`` on
+check that path.  They fix no ``max_examples``, so the ``deep`` Hypothesis
+profile (``--hypothesis-profile=deep``) runs each on ten times the examples.
 """
 
+import operator
 from fractions import Fraction
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from grossone.gnum import ZERO, GrossNumber, gross_term
+import pytest
+from grossone.gnum import ZERO, GrossNumber, _compare_terms, finite, gross_term
 
 exponents = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 coefficients = st.one_of(
@@ -109,3 +117,97 @@ def test_fraction_typed_twins_of_a_sum():
     assert all(type(v) is int for term in twin.terms for v in term)
     half = GrossNumber(((Fraction(1, 2), Fraction(4)),))
     assert half.terms == ((Fraction(1, 2), 4),) and type(half.terms[0][1]) is int
+
+
+# Two one-term operands, mostly on one exponent, with equal coefficients
+# drawn often enough to reach the cancelling and the equal cases.
+coefficient_pairs = st.one_of(st.tuples(coefficients, coefficients), coefficients.map(lambda c: (c, c)))
+same_exponent_pairs = st.tuples(exponents, coefficient_pairs).map(
+    lambda t: (gross_term(t[1][0], t[0]), gross_term(t[1][1], t[0]))
+)
+one_term_pairs = st.one_of(same_exponent_pairs, st.tuples(one_terms, one_terms))
+
+
+@seed(2028)
+@given(one_term_pairs)
+def test_one_term_sums_and_differences_follow_the_oracle(pair):
+    x, y = pair
+    check_sums(x, y)
+    (ex, cx), (ey, cy) = x.terms[0], y.terms[0]
+    if ex == ey:
+        for got, c in [(x + y, cx + cy), (x - y, cx - cy)]:
+            assert got.terms == (((ex, c),) if c else ())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: finite(3) - 3,
+        lambda: 3 - finite(3),
+        lambda: finite(-4) + 4,
+        lambda: finite(7) - finite(7),
+        lambda: gross_term(2, 1) - gross_term(2, 1),
+        lambda: gross_term(-5, Fraction(1, 2)) + gross_term(5, Fraction(1, 2)),
+        lambda: gross_term(Fraction(2, 3), -1) - gross_term(Fraction(2, 3), -1),
+    ],
+)
+def test_a_cancelling_one_term_pair_is_zero(make):
+    got = make()
+    assert got.terms == () and got == ZERO
+    assert hash(got) == hash(0)
+
+
+# n + r/d with 0 < r < d: never integral.
+non_integral = st.tuples(st.integers(-50, 50), st.integers(2, 9), st.integers(1, 8)).map(
+    lambda t: t[0] + Fraction(1 + t[2] % (t[1] - 1), t[1])
+)
+
+
+@seed(2029)
+@given(exponents, non_integral, st.integers(-(10**12), 10**12))
+def test_fractions_with_an_integral_sum_give_an_int(e, c, k):
+    x, y = gross_term(c, e), gross_term(k - c, e)
+    for got, want in [(x + y, k), (y + x, k), (gross_term(k + c, e) - x, k)]:
+        assert got.terms == (((e, want),) if want else ())
+        assert_normal(got)
+
+
+ORDERS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@seed(2030)
+@given(
+    st.one_of(
+        one_term_pairs,
+        st.tuples(one_terms, plain),
+        st.tuples(plain, one_terms),
+        st.tuples(plain.map(finite), plain),
+        st.tuples(plain, plain.map(finite)),
+        # Longer values that share all terms but one: only the fallback may decide.
+        st.tuples(numbers, one_term_pairs).map(lambda t: (t[0] + t[1][0], t[0] + t[1][1])),
+    )
+)
+def test_one_term_orderings_follow_the_sign_of_compare_terms(pair):
+    x, y = pair
+    s = _compare_terms(finite(x).terms, finite(y).terms)
+    got = tuple(order(x, y) for order in ORDERS)
+    assert got == (s < 0, s <= 0, s > 0, s >= 0), (x, y)
+    assert all(type(v) is bool for v in got)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("other", [1.5, 0.0, "1", "①"])
+def test_orderings_refuse_floats_and_strings(order, other):
+    for x in (finite(2), GrossNumber(), gross_term(3, 2)):
+        with pytest.raises(TypeError):
+            order(x, other)
+        with pytest.raises(TypeError):
+            order(other, x)
+
+
+@pytest.mark.parametrize("name", ["__lt__", "__le__", "__gt__", "__ge__"])
+def test_ordering_methods_carry_their_own_names(name):
+    method = getattr(GrossNumber, name)
+    assert method.__name__ == name
+    assert method.__qualname__ == f"GrossNumber.{name}"
+    assert method.__module__ == "grossone.gnum"
