@@ -377,40 +377,28 @@ def _scaled(terms: tuple[Term, ...], e0: Rational, c0: Rational) -> tuple[Term, 
     return tuple(out)
 
 
-# Exponents are merged and sorted as int keys ``e * L``, L the lcm of their
-# denominators, while L fits one machine word.  Past it the keys would be
-# long ints, costlier than the exponents themselves, so each exponent is
-# then its own key, as for L == 1.
-_WORD = sys.maxsize
-
-
-def _key_scale(*term_lists) -> int | None:
-    """L, the lcm of the exponents' denominators in ``term_lists``; None once L passes one word."""
+def _key_scale(*term_lists) -> int:
+    """L, the lcm of the exponents' denominators in ``term_lists``."""
     scale = 1
     for terms in term_lists:
         for e, _ in terms:
             if type(e) is not int and scale % e.denominator:
                 # Times d / gcd(scale, d), the denominator of scale / d: the lcm.
                 scale *= Fraction(scale, e.denominator).denominator
-                if scale > _WORD:
-                    return None
     return scale
 
 
-def _keyed(terms, scale: int | None) -> list[Term] | tuple[Term, ...]:
-    """``terms`` with each exponent ``e`` keyed as the int ``e * scale``; unchanged for 1 or None."""
-    if scale is None or scale == 1:
+def _keyed(terms, scale: int) -> list[Term] | tuple[Term, ...]:
+    """``terms`` with each exponent ``e`` keyed as the int ``e * scale``; unchanged for 1."""
+    if scale == 1:
         return terms
     return [(e * scale if type(e) is int else e.numerator * (scale // e.denominator), c) for e, c in terms]
 
 
-def _unkeyed(terms, scale: int | None) -> tuple[Term, ...]:
+def _unkeyed(terms, scale: int) -> tuple[Term, ...]:
     """The terms of keyed ``terms``, each key turned back into its exact exponent."""
     if scale == 1:
         return tuple(terms)
-    if scale is None:
-        # Sums and differences of Fraction exponents may be integral Fractions.
-        return tuple((_exact(e), c) for e, c in terms)
     out = []
     for k, c in terms:
         e, r = divmod(k, scale)
@@ -583,7 +571,7 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     # and quotient exponents strictly fall.
     while remainder:
         rem_exp, rem_coeff = remainder[0]
-        q_exp = _exact(rem_exp - lead_exp)
+        q_exp = rem_exp - lead_exp
         if q_exp < lowest:
             raise NotExact(f"{_shown(y)} does not divide {_shown(x)}")
         # Fraction(a, b), never a / b: two ints would divide to a float.

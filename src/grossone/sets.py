@@ -468,26 +468,35 @@ class _SetScanner(_Scanner):
                 return result
 
     def parse_expr(self) -> IntervalSet:
-        # The operands of a run of '|' are gathered and merged once, at a
-        # '\' or at the end, so a chain of n unions costs one sort of the
-        # parts rather than n sweeps over the union so far.
-        run = [self.parse_meet()]
+        operands = [(True, self.parse_meet())]
         while True:
             self.skip_ws()
             op = self.peek()
-            if op == "|":
+            if op == "|" or op == "\\":
                 self.pos += 1
-                run.append(self.parse_meet())
-            elif op == "\\":
-                self.pos += 1
-                run = [difference(_merged(run), self.parse_meet())]
+                operands.append((op == "|", self.parse_meet()))
             else:
-                return _merged(run)
+                return _chain(operands)[0]
 
 
-def _merged(sets: list[IntervalSet]) -> IntervalSet:
-    """The union of one or more sets."""
-    return sets[0] if len(sets) == 1 else make_set([p for s in sets for p in s.parts])
+def _chain(operands: list[tuple[bool, IntervalSet]]) -> tuple[IntervalSet, IntervalSet]:
+    """(value, cover) of a chain of ``(kept, set)`` operands, the cover being their union.
+
+    '|' and '\\' bind equally and associate left, so x is in the value exactly
+    when the last operand that holds x is kept: x in the right half's cover
+    takes its answer from the right half.  Each halving sweeps every part
+    once, so n operands with N parts in all cost O(N log n).
+    """
+    if len(operands) == 1:
+        kept, s = operands[0]
+        return (s if kept else EMPTY), s
+    mid = len(operands) // 2
+    left, left_cover = _chain(operands[:mid])
+    right, right_cover = _chain(operands[mid:])
+    cover = union(left_cover, right_cover)
+    if left is left_cover and right is right_cover:
+        return cover, cover
+    return union(difference(left, right_cover), right), cover
 
 
 def parse_set_expression(text: str) -> IntervalSet:

@@ -2,10 +2,10 @@
 
 ``gnum`` merges and orders the terms of a parsed numeral, of a multi-term
 product and of an exact quotient on int exponent keys ``e * L``, with L the
-lcm of the exponents' denominators, and on the exponents themselves once L
-passes one machine word.  ``oracles.reference_terms`` merges exact
-exponents in a dict and sorts them.  Every result must equal it term for
-term, with each entry an ``int`` when integral and a ``Fraction`` otherwise.
+lcm of the exponents' denominators, however large L grows.
+``oracles.reference_terms`` merges exact exponents in a dict and sorts them.
+Every result must equal it term for term, with each entry an ``int`` when
+integral and a ``Fraction`` otherwise.
 
 No property here fixes ``max_examples``, so the ``deep`` Hypothesis
 profile (``--hypothesis-profile=deep``) runs each on ten times the examples.
@@ -143,7 +143,7 @@ def test_a_quotient_with_no_finite_form_is_refused(x, y, term):
         div_exact(dividend, y)
 
 
-# ---------------------------------------------------------------- the word-size fallback
+# ---------------------------------------------------------------- lcms past one word
 
 PRIMES = [p for p in range(2, 400) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
@@ -162,7 +162,7 @@ def test_exponents_past_one_word_of_lcm_agree_with_the_reference(case):
     primes = rng.sample(PRIMES, 24)
     x = prime_numeral(rng, primes)
     y = prime_numeral(rng, rng.sample(PRIMES, 3))
-    assert gnum._key_scale(x.terms) is None  # the product of 24 primes passes one word
+    assert gnum._key_scale(x.terms) > sys.maxsize  # the product of 24 primes passes one word
     pairs = list(x.terms)
     rng.shuffle(pairs)
     assert_same_terms(parse_numeral(text_of(pairs)).terms, oracles.reference_terms(pairs))
@@ -175,8 +175,8 @@ def test_exponents_past_one_word_of_lcm_agree_with_the_reference(case):
 def test_two_operands_within_one_word_whose_joint_lcm_is_not():
     rng = Random(21005)
     x, y = prime_numeral(rng, PRIMES[:9]), prime_numeral(rng, PRIMES[9:18])
-    assert gnum._key_scale(x.terms) is not None and gnum._key_scale(y.terms) is not None
-    assert gnum._key_scale(x.terms, y.terms) is None
+    assert gnum._key_scale(x.terms) <= sys.maxsize and gnum._key_scale(y.terms) <= sys.maxsize
+    assert gnum._key_scale(x.terms, y.terms) > sys.maxsize
     product = x * y
     want = oracles.reference_terms((e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms)
     assert_same_terms(product.terms, want)
@@ -189,7 +189,7 @@ def test_an_lcm_at_the_word_limit(bits):
     tiny = Fraction(1, 2**bits)
     x = GrossNumber.from_terms([(1, 3), (tiny, -1), (-tiny, 2), (Fraction(-1, 2), 5)])
     y = GrossNumber.from_terms([(tiny, 1), (0, -7)])
-    assert (gnum._key_scale(x.terms) is None) == (2**bits > sys.maxsize)
+    assert (gnum._key_scale(x.terms) > sys.maxsize) == (2**bits > sys.maxsize)
     want = oracles.reference_terms((e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms)
     assert_same_terms((x * y).terms, want)
     assert_same_terms(div_exact(x * y, y).terms, x.terms)

@@ -10,6 +10,8 @@ Two one-term operands on the same exponent take a direct path in sums
 properties from ``test_one_term_sums_and_differences_follow_the_oracle`` on
 check that path.  They fix no ``max_examples``, so the ``deep`` Hypothesis
 profile (``--hypothesis-profile=deep``) runs each on ten times the examples.
+The three properties before them run three times the loaded profile's
+examples, so ``deep`` scales them too.
 """
 
 import operator
@@ -21,6 +23,9 @@ from hypothesis import strategies as st
 import oracles
 import pytest
 from grossone.gnum import ZERO, GrossNumber, _compare_terms, finite, gross_term
+
+# Read when the module is collected, after the --hypothesis-profile option is applied.
+THRICE = 3 * settings().max_examples
 
 exponents = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 coefficients = st.one_of(
@@ -73,21 +78,21 @@ def check_sums(x: GrossNumber, y):
 
 
 @seed(2024)
-@settings(max_examples=150)
+@settings(max_examples=THRICE)
 @given(numbers, plain)
 def test_plain_operands_add_and_subtract_like_the_oracle(x, n):
     check_sums(x, n)
 
 
 @seed(2025)
-@settings(max_examples=150)
+@settings(max_examples=THRICE)
 @given(numbers, st.one_of(one_terms, numbers))
 def test_one_term_and_general_operands_add_and_subtract_like_the_oracle(x, y):
     check_sums(x, y)
 
 
 @seed(2026)
-@settings(max_examples=150)
+@settings(max_examples=THRICE)
 @given(numbers, plain)
 def test_comparisons_with_plain_operands_follow_the_sign_of_the_difference(x, n):
     s = sign_of(oracles.poly_add(poly(x), neg(poly(n))))
