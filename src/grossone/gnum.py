@@ -83,6 +83,23 @@ _SHORT_TERM = sys.int_info.str_digits_check_threshold
 # a '.' not before a digit (the '..' of an interval) ends the numeral.
 _PLAIN_INT = re.compile(r"([+\-−]?)([0-9]+)(?![/0-9]|\.[0-9])(?!\s*(?:[*+\-−]|①|G1))")
 
+# A whole text that _PLAIN_INT reads to its end: its lookaheads all hold there.
+_INT_FIELD = re.compile(r"[+\-−]?[0-9]+")
+
+
+def _int_field(text: str) -> int | None:
+    """``text`` as an int when all of it is a plain integer that ``parse_sum`` reads in one match.
+
+    That is a sign (``+``, ``-`` or ``−``) or none, then ASCII digits,
+    leading zeros allowed, in at most ``_SHORT_TERM`` characters.  Anything
+    else, surrounding whitespace included, gives None and is left to the
+    scanner, with its errors and positions.
+    """
+    if len(text) <= _SHORT_TERM and _INT_FIELD.fullmatch(text):
+        # int() reads '+' and '-' but not the Unicode minus sign.
+        return -int(text[1:]) if text[0] == "−" else int(text)
+    return None
+
 
 class Sign(enum.IntEnum):
     """Three-way comparison outcome, ordered NEGATIVE < ZERO < POSITIVE."""

@@ -13,7 +13,6 @@ rather than an existence claim.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from operator import itemgetter
@@ -37,6 +36,7 @@ from .gnum import (
     Sign,
     _Scanner,
     _gross_integer,
+    _int_field,
     _is_gross_integer,
     _plain_int,
     _text_arg,
@@ -110,11 +110,13 @@ class Measurement:
     Any Measurement in hand is a genuine measurement: domains partition
     [1..mu] contiguously, images are pairwise disjoint and cover the target
     exactly, and mu equals the target's element count.  ``Measurement(...)``
-    reads ``mu`` through ``finite`` and re-checks that full invariant, and
-    so does every construction from outside data or from pieces a caller
-    supplies: ``from_text``, ``from_json``, ``transport`` and
-    ``min_extraction_measurement``.  ``canonical_measurement`` (and through
-    it ``complement_measurement``, ``intersection_split`` and
+    reads ``mu`` through ``finite`` and checks that full invariant with
+    ``_check_runs``, and so does every construction from pieces a caller
+    supplies: ``transport`` and ``min_extraction_measurement``.
+    ``from_text`` and ``from_json`` run the same check once over the runs
+    they read, with plain integers as ints, and build the result unchecked
+    after it.  ``canonical_measurement`` (and through it
+    ``complement_measurement``, ``intersection_split`` and
     ``numeral_system.measure_in``) and ``concat`` build results that are
     bijections by construction, and do not check them again.
     """
@@ -126,36 +128,7 @@ class Measurement:
     def __post_init__(self):
         object.__setattr__(self, "mu", finite(self.mu))
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        if not _is_gross_integer(self.mu) or self.mu <= 0:
-            raise InvalidMeasurement(f"mu must be a positive gross-integer, got {_shown(self.mu)}")
-        if not self.pieces:
-            raise InvalidMeasurement("a measurement needs at least one piece")
-        expected_lo = finite(1)
-        for piece in self.pieces:
-            if not isinstance(piece, AffinePiece):
-                raise TypeError("pieces must be AffinePiece values")
-            if piece.domain.lo != expected_lo:
-                raise InvalidMeasurement(
-                    f"piece domains must be contiguous from 1: expected lo {_shown(expected_lo)}, "
-                    f"got {_shown(piece.domain.lo)}"
-                )
-            expected_lo = piece.domain.hi + 1
-        if self.pieces[-1].domain.hi != self.mu:
-            raise InvalidMeasurement(
-                f"piece domains must end at mu={_shown(self.mu)}, "
-                f"got {_shown(self.pieces[-1].domain.hi)}"
-            )
-        # The domains tile [1..mu], so the images hold mu elements exactly
-        # when no two of them overlap; their joined runs are then the parts
-        # that the canonical target must list part for part, which makes mu
-        # the target's element count.
-        runs = _image_runs(self.pieces)
-        if runs is None:
-            raise InvalidMeasurement("piece images must be pairwise disjoint")
-        if not isinstance(self.target, IntervalSet) or runs != [
-            [part.lo, part.hi, 0] for part in self.target.parts
-        ]:
-            raise InvalidMeasurement("piece images must cover exactly the target")
+        _check_runs(self.mu, map(_run, self.pieces), self.target)
 
     def apply(self, x) -> GrossNumber:
         """Image of index x; x must be a gross-integer in [1..mu]."""
@@ -179,6 +152,48 @@ class Measurement:
         return to_text(self).rstrip("\n")
 
 
+def _run(piece) -> tuple:
+    """The ``(lo, hi, offset)`` run of a piece a caller supplied."""
+    if not isinstance(piece, AffinePiece):
+        raise TypeError("pieces must be AffinePiece values")
+    return piece.domain.lo, piece.domain.hi, piece.offset
+
+
+def _check_runs(mu, runs, target) -> None:
+    """Refuse with InvalidMeasurement unless ``runs`` measure ``target`` with ``mu`` elements.
+
+    ``mu`` and the entries of each ``(lo, hi, offset)`` run are ints or
+    gross-integer GrossNumbers, and ``runs`` is read once, in order.  Ints
+    are added as ints.  The domains must tile [1..mu] from 1, so the images
+    hold mu elements exactly when no two of them overlap; their joined runs
+    are then the parts that the canonical target must list part for part,
+    which makes mu the target's element count.
+    """
+    if not (type(mu) is int or _is_gross_integer(mu)) or mu <= 0:
+        raise InvalidMeasurement(f"mu must be a positive gross-integer, got {_shown(finite(mu))}")
+    images = []
+    expected_lo = 1
+    for lo, hi, offset in runs:
+        if lo != expected_lo:
+            raise InvalidMeasurement(
+                f"piece domains must be contiguous from 1: expected lo {_shown(finite(expected_lo))}, "
+                f"got {_shown(finite(lo))}"
+            )
+        expected_lo = hi + 1
+        images.append((lo + offset, hi + offset, 0))
+    if not images:
+        raise InvalidMeasurement("a measurement needs at least one piece")
+    if hi != mu:
+        raise InvalidMeasurement(
+            f"piece domains must end at mu={_shown(finite(mu))}, got {_shown(finite(hi))}"
+        )
+    joined = _joined(sorted(images, key=itemgetter(0)))
+    if joined is None:
+        raise InvalidMeasurement("piece images must be pairwise disjoint")
+    if not isinstance(target, IntervalSet) or joined != [[part.lo, part.hi, 0] for part in target.parts]:
+        raise InvalidMeasurement("piece images must cover exactly the target")
+
+
 def _joined(runs) -> list[list] | None:
     """``(lo, hi, offset)`` runs given in order of lo, neighbours with equal offsets joined.
 
@@ -198,11 +213,6 @@ def _joined(runs) -> list[list] | None:
     return joined
 
 
-def _image_runs(pieces) -> list[list] | None:
-    images = ((p.domain.lo + p.offset, p.domain.hi + p.offset, 0) for p in pieces)
-    return _joined(sorted(images, key=itemgetter(0)))
-
-
 def _pieces(runs) -> tuple[AffinePiece, ...]:
     return tuple(AffinePiece(GrossInterval(lo, hi), offset) for lo, hi, offset in runs)
 
@@ -212,7 +222,8 @@ def _proven(mu: GrossNumber, runs, target: IntervalSet) -> Measurement:
 
     Not re-checked: the endpoints and offsets are gross-integer GrossNumbers,
     the domains tile [1..mu] in order and the images cover the canonical
-    target exactly, because the construction that calls this made them so.
+    target exactly, because the construction that calls this made them so,
+    or, for ``_from_rows``, because ``_check_runs`` has just checked them.
     """
     pieces = []
     for lo, hi, offset in runs:
@@ -369,10 +380,11 @@ def transport(m: Measurement, bijection) -> Measurement:
         raise NotABijection("bijection domains overlap")
     if domains != [[part.lo, part.hi, 0] for part in m.target.parts]:
         raise NotABijection("bijection domains do not partition the measured set")
-    images = _image_runs(pieces)
-    if images is None:
+    images = ((p.domain.lo + p.offset, p.domain.hi + p.offset, 0) for p in pieces)
+    runs = _joined(sorted(images, key=itemgetter(0)))
+    if runs is None:
         raise NotABijection("bijection images overlap")
-    target = IntervalSet(tuple(GrossInterval(lo, hi) for lo, hi, _ in images))
+    target = IntervalSet(tuple(GrossInterval(lo, hi) for lo, hi, _ in runs))
     return Measurement(mu=m.mu, pieces=_compose(m.pieces, pieces), target=target)
 
 
@@ -456,19 +468,33 @@ def _rows(m: Measurement):
 
 
 def _from_rows(rows) -> Measurement:
-    """The measurement that rows like those of _rows describe, validated."""
-    mu, pieces, targets = None, [], []
+    """The measurement that rows like those of _rows describe, validated.
+
+    A row's numerals are ints where they are plain integers and GrossNumbers
+    otherwise.  Each row is checked as it is read, as ``GrossInterval`` and
+    ``AffinePiece`` check their fields, with the gross-integer test skipped
+    for ints; the invariant is checked once, by ``_check_runs``, and the
+    result is built through ``_proven``.
+    """
+    mu, runs, targets = None, [], []
     for kind, values in rows:
         if kind == "mu":
             (mu,) = values
         elif kind == "piece":
+            lo, hi = values[0], values[1]
+            if type(lo) is not int or type(hi) is not int or lo > hi:
+                GrossInterval(lo, hi)  # raises unless both are gross-integers and lo <= hi
             offset = values[2] if len(values) == 3 else 0
-            pieces.append(AffinePiece(GrossInterval(values[0], values[1]), offset))
+            if type(offset) is not int:
+                offset = _gross_integer(offset, "offset", NonIntegerOffset)
+            runs.append((lo, hi, offset))
         else:
             targets.append(GrossInterval(*values))
     if mu is None:
         raise InvalidMeasurement("missing mu line")
-    return Measurement(mu=mu, pieces=tuple(pieces), target=make_set(targets))
+    target = make_set(targets)
+    _check_runs(mu, runs, target)
+    return _proven(finite(mu), [(finite(lo), finite(hi), finite(off)) for lo, hi, off in runs], target)
 
 
 def serialized_numerals(m: Measurement) -> list[GrossNumber]:
@@ -512,19 +538,38 @@ def _text_rows(text: str):
                 raise ParseError(f"unrecognized line {line.strip()!r}", line, fields[0].start())
             values = []
             for field in args:
-                # Each field is read alone, up to its own end: a numeral must
-                # not run on into the next field, as "2①+1 -①-1" would if read
-                # as one sum.  Positions are columns of the line.
-                scanner = _Scanner(line[: field.end()], field.start())
-                values += scanner.parse_interval() if kind == "target" else [scanner.parse_sum()]
-                scanner.finish()
+                values += _text_numerals(line, field, kind == "target")
             yield kind, tuple(values)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc.args[0]}", line, exc.position) from None
 
 
+def _text_numerals(line: str, field: re.Match, target: bool) -> tuple:
+    """The numerals of one field of ``line``: a target's two endpoints, else one numeral.
+
+    A plain integer, and each end of a target ``[a..b]`` when both are
+    plain, is read as an int.  Any other field is read alone by the scanner,
+    up to its own end: a numeral must not run on into the next field, as
+    "2①+1 -①-1" would if read as one sum.  Positions are columns of the line.
+    """
+    word = field.group()
+    if not target:
+        value = _int_field(word)
+        if value is not None:
+            return (value,)
+    elif word[0] == "[" and word[-1] == "]":
+        lo, _, hi = word[1:-1].partition("..")
+        ends = _int_field(lo), _int_field(hi)
+        if None not in ends:
+            return ends
+    scanner = _Scanner(line[: field.end()], field.start())
+    values = scanner.parse_interval() if target else (scanner.parse_sum(),)
+    scanner.finish()
+    return values
+
+
 def from_text(text: str) -> Measurement:
-    """Parse the line-based form; the result is re-validated on construction.
+    """Parse the line-based form; the bijection is checked once, as it is read.
 
     A ParseError carries the offending line as its text and the column in
     that line as its position.
@@ -560,8 +605,12 @@ def _json_member(container: dict, key: str, kind: type, where: str):
     return value
 
 
-def _json_numeral(container: dict, key: str, where: str) -> GrossNumber:
+def _json_numeral(container: dict, key: str, where: str) -> int | GrossNumber:
+    """The numeral string ``container[key]``: an int when it is a plain integer, else parsed."""
     text = _json_member(container, key, str, where)
+    value = _int_field(text)
+    if value is not None:
+        return value
     try:
         return parse_numeral(text)
     except ParseError as exc:
@@ -582,7 +631,7 @@ def _json_rows(data):
 
 
 def from_jsonable(data: dict) -> Measurement:
-    """Inverse of :func:`to_jsonable`; the result is re-validated on construction.
+    """Inverse of :func:`to_jsonable`; the bijection is checked once, as it is read.
 
     A malformed document raises ParseError naming the JSON path at fault,
     such as ``$.pieces[0].hi``; content that is no bijection raises
@@ -592,10 +641,15 @@ def from_jsonable(data: dict) -> Measurement:
 
 
 def to_json(m: Measurement, ascii_mode: bool = False) -> str:
+    # json is imported here, so that text-mode calls never load it.
+    import json
+
     return json.dumps(to_jsonable(m, ascii_mode=ascii_mode), ensure_ascii=False, sort_keys=True)
 
 
 def from_json(text: str) -> Measurement:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

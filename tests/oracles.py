@@ -7,13 +7,16 @@ independent check of products and exact quotients.  The point is that none of it
 code with the library under test.
 """
 
+import re
 from fractions import Fraction
 from random import Random
 
 import sympy
 
-from grossone.gnum import GROSSONE, GrossNumber, finite
-from grossone.sets import IntervalSet, interval, make_set
+from grossone.errors import InvalidMeasurement, ParseError
+from grossone.gnum import GROSSONE, GrossNumber, _Scanner, finite, parse_numeral
+from grossone.measure import AffinePiece, Measurement
+from grossone.sets import GrossInterval, IntervalSet, interval, make_set
 
 
 def poly_from(x: GrossNumber) -> dict[Fraction, Fraction]:
@@ -169,3 +172,86 @@ def linear_scan_inverse(g, kappa: int) -> int:
     while g(x + 1) <= kappa:
         x += 1
     return x
+
+
+# A measurement reader that reads every numeral with the scanner into a
+# GrossNumber, builds a validated GrossInterval and AffinePiece per row and
+# leaves the whole invariant to Measurement's validator: the library's
+# reader before it read plain integers as ints and checked the runs once.
+
+_FIELD = re.compile(r"\S+")
+_TEXT_ARITY = {"mu": (1,), "piece": (2, 3), "target": (1,)}
+_JSON_SLOTS = ("lo", "hi", "offset")
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _reference_text_rows(text: str):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = list(_FIELD.finditer(line))
+        if not fields:
+            continue
+        kind, args = fields[0].group(), fields[1:]
+        try:
+            if len(args) not in _TEXT_ARITY.get(kind, ()):
+                raise ParseError(f"unrecognized line {line.strip()!r}", line, fields[0].start())
+            values = []
+            for field in args:
+                scanner = _Scanner(line[: field.end()], field.start())
+                values += scanner.parse_interval() if kind == "target" else [scanner.parse_sum()]
+                scanner.finish()
+            yield kind, tuple(values)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc.args[0]}", line, exc.position) from None
+
+
+def _reference_json_member(container: dict, key: str, kind: type, where: str):
+    value = container.get(key)
+    if not isinstance(value, kind):
+        raise ParseError(f"expected {_JSON_KINDS[kind]}", f"{where}.{key}", 0)
+    return value
+
+
+def _reference_json_numeral(container: dict, key: str, where: str) -> GrossNumber:
+    text = _reference_json_member(container, key, str, where)
+    try:
+        return parse_numeral(text)
+    except ParseError as exc:
+        raise ParseError(f"{where}.{key}: {exc.args[0]}", text, exc.position) from None
+
+
+def _reference_json_rows(data):
+    if not isinstance(data, dict):
+        raise ParseError("expected an object", "$", 0)
+    yield "mu", (_reference_json_numeral(data, "mu", "$"),)
+    for kind, key in (("piece", "pieces"), ("target", "target")):
+        for i, entry in enumerate(_reference_json_member(data, key, list, "$")):
+            where = f"$.{key}[{i}]"
+            if not isinstance(entry, dict):
+                raise ParseError("expected an object", where, 0)
+            count = 3 if kind == "piece" and "offset" in entry else 2
+            yield kind, tuple([_reference_json_numeral(entry, slot, where) for slot in _JSON_SLOTS[:count]])
+
+
+def _reference_from_rows(rows) -> Measurement:
+    mu, pieces, targets = None, [], []
+    for kind, values in rows:
+        if kind == "mu":
+            (mu,) = values
+        elif kind == "piece":
+            offset = values[2] if len(values) == 3 else 0
+            pieces.append(AffinePiece(GrossInterval(values[0], values[1]), offset))
+        else:
+            targets.append(GrossInterval(*values))
+    if mu is None:
+        raise InvalidMeasurement("missing mu line")
+    return Measurement(mu=mu, pieces=tuple(pieces), target=make_set(targets))
+
+
+def reference_from_text(text: str) -> Measurement:
+    """The measurement of the line-based form, read field by field with the scanner."""
+    return _reference_from_rows(_reference_text_rows(text))
+
+
+def reference_from_jsonable(data) -> Measurement:
+    """The measurement of a JSON-ready document, read numeral by numeral with ``parse_numeral``."""
+    return _reference_from_rows(_reference_json_rows(data))

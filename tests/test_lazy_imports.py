@@ -72,7 +72,8 @@ class TestImportSet:
         assert loaded == self.CORE | {"geometry"}
 
     @pytest.mark.parametrize(
-        "argv", [("eval", "--", "2①+1"), ("cmp", "①", "①+1"), ("card", "[1..①]\\{1}")]
+        "argv",
+        [("eval", "--", "2①+1"), ("cmp", "①", "①+1"), ("card", "[1..①]\\{1}"), ("measure", "[4..①]")],
     )
     def test_text_mode_verbs_leave_json_unloaded(self, argv):
         assert not json_loaded_by_verb(*argv)

@@ -1,10 +1,11 @@
 """Each result is built one way.
 
 Every ``AffinePiece`` a construction in ``measure`` makes comes from one
-of three builders: ``_pieces`` validates the pieces of computed runs,
-``_proven`` builds those of a result proved by construction without the
-validator (``tests/test_trusted_builds.py`` guards it), and
-``_from_rows`` validates the pieces of outside data.  The
+of two builders: ``_pieces`` validates the pieces of computed runs, and
+``_proven`` builds those of a result proved by construction, or of
+outside data that ``_from_rows`` has just checked with the validator's own
+check, without validating them again (``tests/test_trusted_builds.py``
+guards it).  So ``_pieces`` is the only caller of ``AffinePiece(``.  The
 segment tests of ``sets`` read their answer off the set's only part after
 one shared ``[1..bound]`` range check, so an error names the caller's set.
 """
@@ -45,7 +46,7 @@ def functions_calling(path: Path, name: str) -> set[str]:
 
 
 def test_only_the_two_builders_construct_pieces():
-    assert functions_calling(SOURCE / "measure.py", "AffinePiece") == {"_pieces", "_from_rows"}
+    assert functions_calling(SOURCE / "measure.py", "AffinePiece") == {"_pieces"}
 
 
 def test_the_final_segment_test_reads_the_set_itself():

@@ -1,7 +1,9 @@
 """A numeral that is a plain integer is read in one match, with the same outcome as the term scanner.
 
-The reference is the same parser with the plain-integer pattern swapped for
-one that never matches, so that every text goes through the term scanner.
+The reference is the same parser with the plain-integer patterns (the one
+``parse_sum`` matches and the whole-field one the measurement readers match)
+swapped for one that never matches, so that every text goes through the term
+scanner.
 Each entry point must give the same value (term for term, int or Fraction
 alike) and end, or the same error type, message and position.
 """
@@ -40,6 +42,7 @@ def term_scanner_only():
     """Every numeral read by the term scanner, as before the plain-integer match."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gnum, "_PLAIN_INT", NEVER)
+        patch.setattr(gnum, "_INT_FIELD", NEVER)
         yield
 
 

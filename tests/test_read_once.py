@@ -1,0 +1,287 @@
+"""The measurement readers read plain integers as ints and check the bijection once.
+
+``from_text`` and ``from_jsonable`` read a field that is a plain integer as
+an int, check each row as it comes, check the whole invariant once with
+``measure._check_runs`` (the check ``Measurement``'s validator runs) and
+build through ``measure._proven``.  The reference in ``tests/oracles.py``
+reads every numeral with the scanner and builds a validated piece per row.
+On seeded measurements (finite, with a ① tail, with wide numerals, and
+with pieces out of image order) and on mutations of their rows, both
+readers must give the same measurement, entry types included, or the same
+error type and message, and for a ParseError the same text and position.
+"""
+
+import json
+from random import Random
+
+from hypothesis import given, seed
+from hypothesis import strategies as st
+
+import oracles
+from grossone.errors import GrossoneError, ParseError
+from grossone.gnum import _PLAIN_INT, _SHORT_TERM, GROSSONE, GrossNumber, _int_field, format_numeral, parse_numeral
+from grossone.measure import (
+    AffinePiece,
+    _rows,
+    canonical_measurement,
+    from_json,
+    from_jsonable,
+    from_text,
+    transport,
+)
+from grossone.sets import interval, make_set
+from test_one_build_path import SOURCE, functions_calling
+
+SLOTS = ("lo", "hi", "offset")
+
+# Fields that replace one numeral: not gross-integers, plain integers in
+# every spelling the one-match read takes, and digit runs on both sides of
+# the one-match length limit and past the int-to-string limit.
+LITERALS = [
+    "1/2", "①-3", "+5", "−5", "-5", "007", "-0", "+0", "0", "1.5", "2①", "①", "G1-1", "5x", "",
+    "9" * _SHORT_TERM, "9" * (_SHORT_TERM + 1), "-" + "9" * (_SHORT_TERM - 1), "-" + "9" * _SHORT_TERM,
+    "9" * 4301,
+]
+# Whole target fields of the line-based form, bracketed or not, with ends
+# that are plain integers or not.
+TARGET_FIELDS = [
+    "[1..2]", "[007..+9]", "[−3..-0]", "1..2]", "[1..2", "x1..2]", "[1..2)", "[1...2]", "[1.2]",
+    "[1..2..3]", "[..2]", "[1..]", "[]", "[", "]", "[1.5..2]", "[1..①]", "[-①..-①+1]", "[1..2]]",
+    f"[1..{'9' * _SHORT_TERM}]", f"[{'0' * (_SHORT_TERM - 1)}1..{'9' * (_SHORT_TERM + 1)}]",
+]
+
+
+def outcome(read, arg):
+    """What a reader makes of ``arg``: the measurement's repr, or the error it raises."""
+    try:
+        m = read(arg)
+    except GrossoneError as exc:
+        if isinstance(exc, ParseError):
+            return type(exc), exc.args[0], exc.text, exc.position
+        return type(exc), str(exc)
+    # repr tells an int entry from a GrossNumber; every entry must be a GrossNumber.
+    for piece in m.pieces:
+        assert type(piece.offset) is GrossNumber
+        assert type(piece.domain.lo) is GrossNumber and type(piece.domain.hi) is GrossNumber
+    assert type(m.mu) is GrossNumber
+    return repr(m)
+
+
+# ---------------------------------------------------------------- rows as written
+
+
+def written_rows(m) -> list[list]:
+    """The rows of ``m`` as ``[kind, numeral strings]``, as every form spells them out."""
+    return [[kind, [format_numeral(x) for x in values]] for kind, values in _rows(m)]
+
+
+def as_text(rows, rng: Random | None = None) -> str:
+    """The line-based form of ``rows``; with ``rng``, padded with random whitespace."""
+
+    def gap():
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3))) if rng else " "
+
+    lines = []
+    for kind, fields in rows:
+        if kind == "target" and len(fields) == 2:
+            fields = [f"[{fields[0]}..{fields[1]}]"]
+        line = gap().join([kind, *fields])
+        lines.append(gap() + line + gap() if rng else line)
+        if rng and rng.random() < 0.2:
+            lines.append(gap())
+    return "\n".join(lines) + "\n"
+
+
+def as_jsonable(rows, rng: Random | None = None) -> dict:
+    """The JSON-ready form of ``rows``; the last mu row gives mu, and none leaves it out."""
+
+    def pad(field):
+        return f"{' ' * rng.randint(0, 2)}{field}{' ' * rng.randint(0, 2)}" if rng else field
+
+    doc: dict = {"pieces": [], "target": []}
+    for kind, fields in rows:
+        if kind == "mu":
+            doc["mu"] = pad(fields[0])
+        else:
+            doc["pieces" if kind == "piece" else "target"].append(dict(zip(SLOTS, map(pad, fields))))
+    return doc
+
+
+def assert_same(rows, rng: Random | None = None):
+    text = as_text(rows, rng)
+    assert outcome(from_text, text) == outcome(oracles.reference_from_text, text), text
+    doc = as_jsonable(rows, rng)
+    assert outcome(from_jsonable, doc) == outcome(oracles.reference_from_jsonable, doc), doc
+
+
+# ---------------------------------------------------------------- measurements
+
+
+def wide_set(rng: Random):
+    """Parts at numerals of up to about 700 digits, some of them infinite."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        base = rng.choice([-1, 1]) * 10 ** rng.randint(1, 700) + rng.randint(-9, 9)
+        if rng.random() < 0.3:
+            base = base * GROSSONE + rng.randint(-3, 3)
+        parts.append(interval(base, base + rng.randint(0, 5)))
+    return make_set(parts)
+
+
+def random_measurement(rng: Random):
+    kind = rng.choice(["finite", "tail", "wide"])
+    if kind == "finite":
+        s = oracles.random_finite_set(rng, -60, 400, 6)
+    elif kind == "tail":
+        s = oracles.random_symbolic_set(rng)
+    else:
+        s = wide_set(rng)
+    m = canonical_measurement(s)
+    if rng.random() < 0.4:
+        # Move the parts to fresh places in a shuffled order, so the pieces'
+        # images no longer come in the order of their domains.
+        parts = list(s.parts)
+        rng.shuffle(parts)
+        place, bijection = rng.randint(-30, 30), []
+        for part in parts:
+            offset = place - part.lo
+            bijection.append(AffinePiece(part, offset))
+            place = part.hi + offset + rng.randint(2, 9)
+        m = transport(m, bijection)
+    return m
+
+
+def mutated(rows: list[list], rng: Random) -> list[list]:
+    """``rows`` with one random fault or respelling."""
+    rows = [[kind, list(fields)] for kind, fields in rows]
+    if not rows:
+        return rows
+    how = rng.choice(["shift", "drop", "swap", "duplicate", "literal", "offset", "zeros", "bracket"])
+    i = rng.randrange(len(rows))
+    kind, fields = rows[i]
+    if how == "shift":
+        j = rng.randrange(len(fields))
+        fields[j] = format_numeral(parse_numeral(fields[j]) + rng.choice([-1, 1]))
+    elif how == "drop":
+        del rows[i]
+    elif how == "swap":
+        k = rng.randrange(len(rows))
+        rows[i], rows[k] = rows[k], rows[i]
+    elif how == "duplicate":
+        pieces = [row for row in rows if row[0] == "piece"]
+        if pieces:
+            rows.insert(rng.randrange(len(rows) + 1), ["piece", list(rng.choice(pieces)[1])])
+    elif how == "literal":
+        fields[rng.randrange(len(fields))] = rng.choice(LITERALS)
+    elif how == "offset":
+        # An explicit zero offset, however spelt, on a piece that has none.
+        pieces = [row for row in rows if row[0] == "piece" and len(row[1]) == 2]
+        if pieces:
+            rng.choice(pieces)[1].append(rng.choice(["0", "-0", "+0", "000", "−0"]))
+    elif how == "bracket":
+        # A target row spelt as one whole field, written out as it stands.
+        targets = [row for row in rows if row[0] == "target"]
+        if targets:
+            rng.choice(targets)[1][:] = [rng.choice(TARGET_FIELDS)]
+    else:
+        # The same value spelt with leading zeros, up to or past the one-match length limit.
+        j = rng.randrange(len(fields))
+        sign, digits = ("-", fields[j][1:]) if fields[j].startswith("-") else ("", fields[j])
+        if digits.isdigit():
+            width = rng.choice([_SHORT_TERM, _SHORT_TERM + 1]) - len(sign)
+            fields[j] = sign + digits.zfill(width)
+    return rows
+
+
+@seed(20261019)
+@given(st.integers(0, 2**32 - 1))
+def test_the_readers_agree_with_the_reference(n):
+    rng = Random(n)
+    rows = written_rows(random_measurement(rng))
+    assert_same(rows)
+    assert_same(rows, rng)
+    for _ in range(6):
+        variant = mutated(rows, rng)
+        assert_same(variant)
+        if rng.random() < 0.3:
+            assert_same(mutated(variant, rng), rng)
+
+
+def test_every_literal_in_every_slot():
+    m = canonical_measurement(make_set([interval(-4, 2), interval(7, 9), interval(20, GROSSONE - 3)]))
+    rows = written_rows(m)
+    for i, (_, fields) in enumerate(rows):
+        for j in range(len(fields) + (1 if rows[i][0] == "piece" and len(fields) == 2 else 0)):
+            for literal in LITERALS:
+                variant = [[kind, list(f)] for kind, f in rows]
+                if j < len(fields):
+                    variant[i][1][j] = literal
+                else:
+                    variant[i][1].append(literal)
+                assert_same(variant)
+
+
+def test_every_spelling_of_a_target_field():
+    rows = [["mu", ["2"]], ["piece", ["1", "2", "0"]], ["target", None]]
+    for field in TARGET_FIELDS:
+        rows[-1][1] = [field]
+        text = as_text(rows)
+        assert outcome(from_text, text) == outcome(oracles.reference_from_text, text), text
+
+
+def test_json_text_goes_through_the_same_reader():
+    m = canonical_measurement(make_set([interval(1, 3), interval(10, GROSSONE)]))
+    doc = as_jsonable(written_rows(m))
+    doc["pieces"][1]["offset"] = "00" + doc["pieces"][1]["offset"]
+    text = json.dumps(doc)
+    assert from_json(text) == oracles.reference_from_jsonable(doc)
+    doc["target"][0]["hi"] = "−0"
+    assert outcome(from_json, json.dumps(doc)) == outcome(oracles.reference_from_jsonable, doc)
+
+
+# ---------------------------------------------------------------- the plain-integer read
+
+
+FIELD_TEXTS = [
+    "0", "-0", "+0", "−0", "007", "+5", "−5", "5 ", " 5", "5\n", "1_000", "٣", "5.", "5.0", "5/1",
+    "5①", "5G1", "5*", "--5", "+-5", "", "-", "①",
+    *("9" * n for n in (_SHORT_TERM - 1, _SHORT_TERM, _SHORT_TERM + 1)),
+    *(s + "8" * n for s in "+-−" for n in (_SHORT_TERM - 1, _SHORT_TERM)),
+]
+
+
+def plain_int_read(text: str) -> int | None:
+    """What ``parse_sum``'s one-match read makes of the whole of ``text``, else None."""
+    found = _PLAIN_INT.match(text)
+    if found is None or found.end() != len(text) or len(text) > _SHORT_TERM:
+        return None
+    return parse_numeral(text).as_int()
+
+
+def check_int_field(text: str):
+    value = _int_field(text)
+    assert value == plain_int_read(text), text
+    assert value is None or type(value) is int
+
+
+def test_the_plain_integer_read_follows_the_one_match_grammar():
+    for text in FIELD_TEXTS:
+        check_int_field(text)
+
+
+@seed(20261020)
+@given(st.text(alphabet="0123456789+-−./*①G1 _", max_size=12))
+def test_the_plain_integer_read_on_random_fields(text):
+    check_int_field(text)
+
+
+# ---------------------------------------------------------------- one check, one build
+
+
+def test_the_validator_and_the_readers_share_one_check():
+    def callers(name):
+        return functions_calling(SOURCE / "measure.py", name)
+
+    assert callers("_check_runs") == {"Measurement", "__post_init__", "_from_rows"}
+    assert "_from_rows" in callers("_proven")
+    assert "_from_rows" not in callers("AffinePiece") | callers("Measurement")

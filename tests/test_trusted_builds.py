@@ -2,11 +2,14 @@
 
 ``canonical_measurement`` (and through it ``complement_measurement``,
 ``intersection_split`` and ``measure_in``) and ``concat`` build their results with
-``measure._proven``, which runs no validator.  Each result must equal what
-the validating constructor makes of the same mu, pieces and target; the
-trusted builder stays inside ``measure`` with exactly those two callers;
-and an operand that is not the library's own type is refused before
-anything is built.
+``measure._proven``, which runs no validator.  ``_from_rows``, the reader
+under ``from_text`` and ``from_json``, also builds through it, after
+checking the runs it read once with the validator's own check
+(``tests/test_read_once.py`` compares it with a reader that validates
+every piece).  Each result must equal what the validating constructor
+makes of the same mu, pieces and target; the trusted builder stays inside
+``measure`` with exactly those three callers; and an operand that is not
+the library's own type is refused before anything is built.
 """
 
 import ast
@@ -125,7 +128,7 @@ def test_only_measure_defines_the_trusted_builder_and_two_constructions_call_it(
     for path in sorted(SOURCE.glob("*.py")):
         defined, users = sites(path.read_text(encoding="utf-8"), "_proven")
         if path.name == "measure.py":
-            assert defined and users == {"canonical_measurement", "concat"}
+            assert defined and users == {"canonical_measurement", "concat", "_from_rows"}
         else:
             assert not defined and users == set(), path.name
 
