@@ -699,14 +699,18 @@ def _term_str(exponent: Rational, coefficient: Rational) -> str:
 def format_numeral(x: GrossNumber, ascii_mode: bool = False) -> str:
     """Canonical rendering; ``parse_numeral(format_numeral(x)) == x``.
 
-    ``ascii_mode`` writes the base as ``G1`` instead of ``①``.
+    ``ascii_mode`` writes the base as ``G1`` instead of ``①``.  A finite
+    rational, plain integers above all, is its one coefficient written by
+    ``str``; other values are written term by term.
     """
-    x = finite(x)
-    if x.is_zero:
+    terms = finite(x).terms
+    if not terms:
         return "0"
     chunks = []
     try:
-        for exponent, coefficient in x.terms:
+        if len(terms) == 1 and terms[0][0] == 0:
+            return str(terms[0][1])
+        for exponent, coefficient in terms:
             piece = _term_str(exponent, coefficient)
             if chunks and not piece.startswith("-"):
                 chunks.append("+")

@@ -31,7 +31,6 @@ from .errors import (
     _shown,
 )
 from .gnum import (
-    ZERO,
     GrossNumber,
     Sign,
     _Scanner,
@@ -49,6 +48,7 @@ from .gnum import (
 from .sets import (
     GrossInterval,
     IntervalSet,
+    _int_ends,
     _set_arg,
     cardinality,
     difference,
@@ -217,25 +217,26 @@ def _pieces(runs) -> tuple[AffinePiece, ...]:
     return tuple(AffinePiece(GrossInterval(lo, hi), offset) for lo, hi, offset in runs)
 
 
-def _proven(mu: GrossNumber, runs, target: IntervalSet) -> Measurement:
+def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
     """The Measurement of ``(lo, hi, offset)`` runs this module proved a bijection onto ``target``.
 
-    Not re-checked: the endpoints and offsets are gross-integer GrossNumbers,
-    the domains tile [1..mu] in order and the images cover the canonical
-    target exactly, because the construction that calls this made them so,
-    or, for ``_from_rows``, because ``_check_runs`` has just checked them.
+    Not re-checked: mu, the endpoints and the offsets are ints or
+    gross-integer GrossNumbers, the domains tile [1..mu] in order and the
+    images cover the canonical target exactly, because the construction that
+    calls this made them so, or, for ``_from_rows``, because ``_check_runs``
+    has just checked them.  Ints are stored as GrossNumbers through ``finite``.
     """
     pieces = []
     for lo, hi, offset in runs:
         domain = object.__new__(GrossInterval)
-        object.__setattr__(domain, "lo", lo)
-        object.__setattr__(domain, "hi", hi)
+        object.__setattr__(domain, "lo", finite(lo))
+        object.__setattr__(domain, "hi", finite(hi))
         piece = object.__new__(AffinePiece)
         object.__setattr__(piece, "domain", domain)
-        object.__setattr__(piece, "offset", offset)
+        object.__setattr__(piece, "offset", finite(offset))
         pieces.append(piece)
     m = object.__new__(Measurement)
-    object.__setattr__(m, "mu", mu)
+    object.__setattr__(m, "mu", finite(mu))
     object.__setattr__(m, "pieces", tuple(pieces))
     object.__setattr__(m, "target", target)
     return m
@@ -254,15 +255,19 @@ def canonical_measurement(s: IntervalSet) -> Measurement:
     """The order-preserving measurement: k-th smallest element gets index k.
 
     Each part of the set becomes one piece whose offset aligns the next
-    free index block with the part's left endpoint.
+    free index block with the part's left endpoint.  The runs are computed
+    on ints while the parts have plain-integer ends and as gross-numbers
+    from the first part that has not; they become GrossNumbers only as the
+    pieces are built.
     """
     runs = []
-    hi = ZERO
+    hi = 0
     for part in _nonempty(_set_arg(s)).parts:
         # Aligned at the part's left endpoint, the block ends at its right one.
+        part_lo, part_hi = _int_ends(part) or (part.lo, part.hi)
         lo = hi + 1
-        offset = part.lo - lo
-        hi = part.hi - offset
+        offset = part_lo - lo
+        hi = part_hi - offset
         runs.append((lo, hi, offset))
     return _proven(hi, runs, s)
 
@@ -494,7 +499,7 @@ def _from_rows(rows) -> Measurement:
         raise InvalidMeasurement("missing mu line")
     target = make_set(targets)
     _check_runs(mu, runs, target)
-    return _proven(finite(mu), [(finite(lo), finite(hi), finite(off)) for lo, hi, off in runs], target)
+    return _proven(mu, runs, target)
 
 
 def serialized_numerals(m: Measurement) -> list[GrossNumber]:

@@ -201,19 +201,25 @@ def min_infinite(sys: NumeralSystem) -> GrossNumber:
 def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     """Canonical measurement of s, admitted only if the system can write it.
 
-    The measurement is written out first; then every numeral of it, in
-    the order ``serialized_numerals`` lists them (mu, piece endpoints,
-    nonzero offsets, target endpoints), must be expressible, and the first
-    one that is not names the failure.  Measurement is relative to the
+    Every numeral of the written-out measurement, in the order
+    ``serialized_numerals`` lists them (mu, piece endpoints, nonzero
+    offsets, target endpoints), must be expressible, and the first one that
+    is not names the failure.  The count mu comes first, so it is gated
+    before anything is built: a set whose count the system cannot write is
+    refused without its measurement.  Measurement is relative to the
     system: {1,2} is measurable with only the numerals 1 and 2, while
     {1,2,3} is not, because its element count already has no name there.
     """
     # Imported here so that queries about a system alone load neither
     # measure nor sets.
-    from .measure import canonical_measurement, serialized_numerals
+    from .measure import _nonempty, canonical_measurement, serialized_numerals
+    from .sets import _set_arg, cardinality
 
+    mu = cardinality(_nonempty(_set_arg(s)))
+    if not sys.can_express(mu):
+        raise NotExpressible(mu, sys.describe())
     m = canonical_measurement(s)
-    for value in serialized_numerals(m):
+    for value in serialized_numerals(m)[1:]:
         if not sys.can_express(value):
             raise NotExpressible(value, sys.describe())
     return m

@@ -52,6 +52,8 @@ class GrossInterval:
     """Closed integer interval ``[lo..hi]`` with ``lo <= hi``.
 
     Endpoints are read through ``finite`` and must be gross-integers.
+    Two ints with ``lo <= hi`` are taken as they are, since every int is a
+    gross-integer; anything else is checked.
     Empty intervals are rejected rather than normalized away, because an
     explicit empty part never has a canonical place in an interval union.
     ``GrossInterval(...)``, ``interval``, ``map_affine``, ``convex_hull``,
@@ -64,7 +66,12 @@ class GrossInterval:
     hi: GrossNumber
 
     def __post_init__(self):
-        lo, hi = finite(self.lo), finite(self.hi)
+        lo, hi = self.lo, self.hi
+        if type(lo) is int and type(hi) is int and lo <= hi:
+            object.__setattr__(self, "lo", finite(lo))
+            object.__setattr__(self, "hi", finite(hi))
+            return
+        lo, hi = finite(lo), finite(hi)
         object.__setattr__(self, "lo", _gross_integer(lo, "lower endpoint", NonIntegerEndpoint))
         object.__setattr__(self, "hi", _gross_integer(hi, "upper endpoint", NonIntegerEndpoint))
         if lo > hi:
@@ -180,19 +187,42 @@ def make_set(intervals) -> IntervalSet:
     return _coalesce(parts)
 
 
+def _int_ends(part: GrossInterval) -> tuple[int, int] | None:
+    """``(lo, hi)`` of a part as ints when both endpoints are plain integers, else None."""
+    lo, hi = part.lo.terms, part.hi.terms
+    # A gross-integer endpoint is a plain integer when it is zero or its
+    # leading exponent is 0; then it is the one int term ``(0, c)``.
+    if (not lo or lo[0][0] == 0) and (not hi or hi[0][0] == 0):
+        return (lo[0][1] if lo else 0), (hi[0][1] if hi else 0)
+    return None
+
+
 def _coalesce(ordered) -> IntervalSet:
     """Canonical set from intervals sorted by lower endpoint.
 
     Each part that starts at most one past the last merged part joins it,
     so the merged parts stay sorted and are neither overlapping nor adjacent.
+    While the last merged part ends at a plain integer and the part read has
+    plain-integer ends, the test runs on ints and no ``hi + 1`` is built.
     """
     merged: list[GrossInterval] = []
+    top = None  # merged[-1].hi as an int, when the part that set it had int ends
     for part in ordered:
-        if merged and part.lo <= merged[-1].hi + 1:
-            if part.hi > merged[-1].hi:
-                merged[-1] = _span(merged[-1].lo, part.hi)
+        ends = _int_ends(part)
+        if ends is not None and top is not None:
+            joins, longer = ends[0] <= top + 1, ends[1] > top
+        elif merged:
+            joins = part.lo <= merged[-1].hi + 1
+            longer = joins and part.hi > merged[-1].hi
         else:
+            joins = False
+        if not joins:
             merged.append(part)
+        elif longer:
+            merged[-1] = _span(merged[-1].lo, part.hi)
+        else:
+            continue
+        top = None if ends is None else ends[1]
     return _canonical(merged)
 
 
@@ -281,11 +311,9 @@ def cardinality(s: IntervalSet) -> GrossNumber:
     count = len(parts)
     gross = ZERO
     for part in parts:
-        lo, hi = part.lo.terms, part.hi.terms
-        # A gross-integer endpoint is a plain integer when it is zero or its
-        # leading exponent is 0; then it is the one int term ``(0, c)``.
-        if (not lo or lo[0][0] == 0) and (not hi or hi[0][0] == 0):
-            count += (hi[0][1] if hi else 0) - (lo[0][1] if lo else 0)
+        ends = _int_ends(part)
+        if ends is not None:
+            count += ends[1] - ends[0]
         else:
             gross = gross + part.hi - part.lo
     return gross + count

@@ -13,8 +13,28 @@ from random import Random
 
 import sympy
 
-from grossone.errors import InvalidMeasurement, ParseError
-from grossone.gnum import GROSSONE, GrossNumber, _Scanner, finite, parse_numeral
+from grossone.errors import (
+    EmptyIntervalRejected,
+    EmptySet,
+    InvalidArgument,
+    InvalidMeasurement,
+    NonIntegerEndpoint,
+    NotExpressible,
+    ParseError,
+    _shown,
+)
+from grossone.gnum import (
+    GROSS_ASCII,
+    GROSS_SYMBOL,
+    GROSSONE,
+    ZERO,
+    GrossNumber,
+    _gross_integer,
+    _Scanner,
+    _term_str,
+    finite,
+    parse_numeral,
+)
 from grossone.measure import AffinePiece, Measurement
 from grossone.sets import GrossInterval, IntervalSet, interval, make_set
 
@@ -255,3 +275,85 @@ def reference_from_text(text: str) -> Measurement:
 def reference_from_jsonable(data) -> Measurement:
     """The measurement of a JSON-ready document, read numeral by numeral with ``parse_numeral``."""
     return _reference_from_rows(_reference_json_rows(data))
+
+
+# The measure layer's numerals as GrossNumbers throughout: the library's
+# paths before it kept plain integers as ints.  Each returns plain data
+# (GrossNumbers and tuples of them), so that no result passes through the
+# constructors under test.
+
+
+def reference_interval(lo, hi) -> tuple[GrossNumber, GrossNumber]:
+    """The endpoints ``GrossInterval(lo, hi)`` stores, each read through ``finite`` and checked."""
+    lo, hi = finite(lo), finite(hi)
+    lo = _gross_integer(lo, "lower endpoint", NonIntegerEndpoint)
+    hi = _gross_integer(hi, "upper endpoint", NonIntegerEndpoint)
+    if lo > hi:
+        raise EmptyIntervalRejected(f"[{_shown(lo)}..{_shown(hi)}] has no elements")
+    return lo, hi
+
+
+def reference_coalesce(parts) -> list[tuple[GrossNumber, GrossNumber]]:
+    """The ``(lo, hi)`` parts of the canonical union of intervals, merged with ``hi + 1`` added as a GrossNumber."""
+    merged: list[list[GrossNumber]] = []
+    for part in sorted(parts, key=lambda p: p.lo):
+        if merged and part.lo <= merged[-1][1] + 1:
+            if part.hi > merged[-1][1]:
+                merged[-1][1] = part.hi
+        else:
+            merged.append([part.lo, part.hi])
+    return [tuple(ends) for ends in merged]
+
+
+def reference_canonical_runs(s: IntervalSet) -> tuple[GrossNumber, list[tuple]]:
+    """(mu, runs) of the order-preserving measurement, every run computed as GrossNumbers."""
+    runs = []
+    hi = ZERO
+    for part in s.parts:
+        lo = hi + 1
+        offset = part.lo - lo
+        hi = part.hi - offset
+        runs.append((lo, hi, offset))
+    return hi, runs
+
+
+def reference_measure_in(system, s) -> tuple[GrossNumber, list[tuple]]:
+    """(mu, runs) of the measurement ``measure_in`` admits, gated after the whole of it is built.
+
+    The set is refused as ``canonical_measurement`` refuses it, then every
+    numeral in the order of the text form (mu, each piece's domain ends and
+    nonzero offset, the target's ends) is gated, and the first one the
+    system cannot write raises NotExpressible.
+    """
+    if not isinstance(s, IntervalSet):
+        raise TypeError(f"expected an IntervalSet, got {type(s).__name__}")
+    if s.is_empty:
+        raise EmptySet("the empty set has no measurement")
+    mu, runs = reference_canonical_runs(s)
+    numerals = [mu]
+    for lo, hi, offset in runs:
+        numerals += [lo, hi] if offset.is_zero else [lo, hi, offset]
+    for part in s.parts:
+        numerals += [part.lo, part.hi]
+    for value in numerals:
+        if not system.can_express(value):
+            raise NotExpressible(value, system.describe())
+    return mu, runs
+
+
+def reference_format_numeral(x, ascii_mode: bool = False) -> str:
+    """The numeral of a value written term by term, plain integers included."""
+    x = finite(x)
+    if x.is_zero:
+        return "0"
+    chunks = []
+    try:
+        for exponent, coefficient in x.terms:
+            piece = _term_str(exponent, coefficient)
+            if chunks and not piece.startswith("-"):
+                chunks.append("+")
+            chunks.append(piece)
+    except ValueError:
+        raise InvalidArgument("numeral has too many digits to write out") from None
+    text = "".join(chunks)
+    return text.replace(GROSS_SYMBOL, GROSS_ASCII) if ascii_mode else text
