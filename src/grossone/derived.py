@@ -14,7 +14,6 @@ instead of guessing when g cannot be evaluated there.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite, _shown
@@ -22,6 +21,7 @@ from .gnum import (
     GrossNumber,
     Sign,
     _Scanner,
+    _Value,
     _at_least,
     _compare_terms,
     _is_gross_integer,
@@ -51,6 +51,8 @@ __all__ = [
 
 class MonotoneFn:
     """A function strictly increasing on positive integers."""
+
+    __slots__ = ()
 
     def evaluate(self, x: GrossNumber) -> GrossNumber | None:
         """g(x) as a gross-number, or None when no such value exists here."""
@@ -125,8 +127,7 @@ def _power_cost(x: GrossNumber, k: int) -> int:
     return (terms * (k * weight + overhead)) ** 2
 
 
-@dataclass(frozen=True)
-class Pow(MonotoneFn):
+class Pow(MonotoneFn, _Value):
     """g(x) = x**k for a fixed integer k >= 2; evaluable everywhere."""
 
     k: int
@@ -151,8 +152,7 @@ class Pow(MonotoneFn):
         return self.evaluate(x) <= bound if placed is None else placed
 
 
-@dataclass(frozen=True)
-class ExpBase(MonotoneFn):
+class ExpBase(MonotoneFn, _Value):
     """g(x) = b**x for a fixed integer b >= 2.
 
     Evaluable only at finite integers: b**① is not a finite sum of
@@ -177,8 +177,7 @@ class ExpBase(MonotoneFn):
         return super().at_most(x, bound) if placed is None else placed
 
 
-@dataclass(frozen=True)
-class Affine(MonotoneFn):
+class Affine(MonotoneFn, _Value):
     """g(x) = a*x + c with rational a > 0, read through ``finite``; evaluable everywhere."""
 
     a: Fraction
@@ -194,8 +193,7 @@ class Affine(MonotoneFn):
         return x * self.a + self.c
 
 
-@dataclass(frozen=True)
-class DefinedNumeral:
+class DefinedNumeral(_Value):
     """The unique x with g(x) <= kappa < g(x+1), held symbolically.
 
     ``kappa`` is read through ``finite`` and must be a gross-integer.

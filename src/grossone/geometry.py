@@ -17,11 +17,10 @@ unchanged, exactly as the construction uses them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgument, _shown
-from .gnum import GROSSONE, GrossNumber, finite
+from .gnum import GROSSONE, GrossNumber, _Value, finite
 
 __all__ = [
     "RealInterval",
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealInterval:
+class RealInterval(_Value):
     """Closed coordinate range [lo, hi]; endpoints need not be integers."""
 
     lo: GrossNumber
@@ -60,8 +58,7 @@ class RealInterval:
         return f"[{self.lo}..{self.hi}]"
 
 
-@dataclass(frozen=True)
-class Strip:
+class Strip(_Value):
     """An axis-aligned rectangle x-range times y-range; either may be infinite."""
 
     x: RealInterval
@@ -149,8 +146,7 @@ def _classical_negate(a: ClassicalEnd) -> ClassicalEnd:
     return -a
 
 
-@dataclass(frozen=True)
-class ClassicalInterval:
+class ClassicalInterval(_Value):
     lo: ClassicalEnd
     hi: ClassicalEnd
 
@@ -162,8 +158,7 @@ class ClassicalInterval:
         return f"[{self.lo}..{self.hi}]"
 
 
-@dataclass(frozen=True)
-class ClassicalStrip:
+class ClassicalStrip(_Value):
     x: ClassicalInterval
     y: ClassicalInterval
 
@@ -193,8 +188,7 @@ def classical_subset(inner: ClassicalStrip, outer: ClassicalStrip) -> bool:
 # ------------------------------------------------------------------------- demo
 
 
-@dataclass(frozen=True)
-class HalfPlaneReport:
+class HalfPlaneReport(_Value):
     """Everything the two-reflection construction produces, exact and classical."""
 
     strip_a: Strip

@@ -23,8 +23,8 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import ge, gt, itemgetter, le, lt
 
 from .errors import DivideByZero, InvalidArgument, NotExact, ParseError, _shown
@@ -113,8 +113,66 @@ class Sign(enum.IntEnum):
 _SIGNS = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)
 
 
-@dataclass(frozen=True)
-class NumberClass:
+class _ValueType(type):
+    """Makes the names a value class annotates its fields: slots set by ``__init__``, then read only.
+
+    ``__init__`` runs the class's ``__post_init__``, if any; the class method
+    ``_trusted`` sets the fields unchecked, and ``_values`` is their tuple.
+    """
+
+    def __new__(mcs, name, bases, namespace):
+        fields = namespace["__match_args__"] = tuple(namespace.get("__annotations__", ()))
+        # A default would clash with its slot in the class body; it becomes the parameter's.
+        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
+        cls = super().__new__(mcs, name, bases, {"__slots__": fields, **namespace})
+        if fields:
+            scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+            scope.update(_defaults=defaults, _new=object.__new__)
+            params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
+            sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+            post = "\n    self.__post_init__()" if "__post_init__" in namespace else ""
+            exec(
+                f"def __init__(self{params}):{sets}{post}\n"
+                f"def _trusted(cls{params}):\n    self = _new(cls){sets}\n    return self\n"
+                f"def _values(self):\n    return ({''.join(f'self.{f}, ' for f in fields)})",
+                scope,
+            )
+            scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__, cls._values = scope["__init__"], scope["_values"]
+            cls._trusted = classmethod(scope["_trusted"])
+        return cls
+
+
+class _Value(metaclass=_ValueType):
+    """Base of the frozen value classes, compared, hashed, shown and pickled by their fields' tuple."""
+
+    __slots__ = ("__weakref__",)
+
+    def _values(self) -> tuple:
+        return ()
+
+    def __reduce__(self):
+        # Through the constructor, so that a pickle is checked as any other input.
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NumberClass(_Value):
     """Classification flags of a gross-number.
 
     ``is_finite`` and ``is_infinite`` are mutually exclusive for nonzero
@@ -171,8 +229,7 @@ def _ordering(test):
     return method
 
 
-@dataclass(frozen=True)
-class GrossNumber:
+class GrossNumber(_Value):
     """Canonical finite sum of terms ``c * ①^p``.
 
     ``terms`` is ordered by strictly descending exponent and never contains
@@ -334,9 +391,7 @@ class GrossNumber:
 
 def _built(terms: tuple[Term, ...]) -> GrossNumber:
     """The GrossNumber of terms the core made canonical itself, ints where integral; not re-checked."""
-    x = object.__new__(GrossNumber)
-    object.__setattr__(x, "terms", terms)
-    return x
+    return GrossNumber._trusted(terms)
 
 
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, ...]:
@@ -560,14 +615,15 @@ def mul(x: GrossNumber, y: GrossNumber) -> GrossNumber:
 def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     """The q with q*y == x, whenever a finite-term q exists.
 
-    Descending long division on term tuples: each step divides the
-    remainder's leading term by the divisor's, which clears it, and
-    subtracts that quotient term times the rest of the divisor from the
-    rest of the remainder in one merge.  No remainder term can fall below
-    the lowest exponent of x, so a quotient term below the lowest exponent
-    of x less that of y could never cancel the remainder's last term: then
-    no finite-term quotient exists at all, NotExact.  Single-term divisors
-    always divide out.
+    Descending long division: each step divides the remainder's leading
+    term by the divisor's, which clears it, and subtracts that quotient term
+    times the rest of the divisor from the remainder.  The remainder is a
+    dict from exponent key to coefficient with a heap of its keys, so a step
+    costs the divisor's length, not the remainder's.  No remainder term can
+    fall below the lowest exponent of x, so a quotient term below the lowest
+    exponent of x less that of y could never cancel the remainder's last
+    term: then no finite-term quotient exists at all, NotExact.  Single-term
+    divisors always divide out.
     """
     x = finite(x)
     y = finite(y)
@@ -582,19 +638,34 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     tail = divisor[1:]
     lowest = dividend[-1][0] - divisor[-1][0]
     quotient: list[Term] = []
-    remainder = dividend
+    remainder = dict(dividend)
+    # Negated keys, so the heap's least is the remainder's leading key; a
+    # key whose term has cancelled or been cleared stays until popped.  The
+    # dividend's keys descend, so negated they already form a heap.
+    keys = [-k for k, _ in dividend]
     # Each step lowers the remainder's leading exponent within a fixed
     # discrete lattice of rationals bounded below, so the loop finishes,
     # and quotient exponents strictly fall.
-    while remainder:
-        rem_exp, rem_coeff = remainder[0]
+    while keys:
+        rem_exp = -heappop(keys)
+        rem_coeff = remainder.pop(rem_exp, 0)
+        if not rem_coeff:
+            continue
         q_exp = rem_exp - lead_exp
         if q_exp < lowest:
             raise NotExact(f"{_shown(y)} does not divide {_shown(x)}")
         # Fraction(a, b), never a / b: two ints would divide to a float.
         q_coeff = _exact(Fraction(rem_coeff, lead_coeff))
         quotient.append((q_exp, q_coeff))
-        remainder = _merge(remainder[1:], _scaled(tail, q_exp, q_coeff), -1)
+        for e, c in tail:
+            k = q_exp + e
+            c = _exact(remainder.get(k, 0) - q_coeff * c)
+            if not c:
+                del remainder[k]
+                continue
+            if k not in remainder:
+                heappush(keys, -k)
+            remainder[k] = c
     return _built(_unkeyed(quotient, scale))
 
 

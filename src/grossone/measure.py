@@ -14,7 +14,6 @@ rather than an existence claim.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
@@ -34,6 +33,7 @@ from .gnum import (
     GrossNumber,
     Sign,
     _Scanner,
+    _Value,
     _gross_integer,
     _int_field,
     _is_gross_integer,
@@ -83,8 +83,7 @@ __all__ = [
 EXTRACTION_BOUND = 100_000
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(_Value):
     """One block of a measurement: indexes in ``domain`` shifted by ``offset``."""
 
     domain: GrossInterval
@@ -103,8 +102,7 @@ class AffinePiece:
         return f"{self.domain} -> {self.image}"
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(_Value):
     """A bijection from [1..mu] onto ``target``.
 
     Any Measurement in hand is a genuine measurement: domains partition
@@ -226,20 +224,9 @@ def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
     calls this made them so, or, for ``_from_rows``, because ``_check_runs``
     has just checked them.  Ints are stored as GrossNumbers through ``finite``.
     """
-    pieces = []
-    for lo, hi, offset in runs:
-        domain = object.__new__(GrossInterval)
-        object.__setattr__(domain, "lo", finite(lo))
-        object.__setattr__(domain, "hi", finite(hi))
-        piece = object.__new__(AffinePiece)
-        object.__setattr__(piece, "domain", domain)
-        object.__setattr__(piece, "offset", finite(offset))
-        pieces.append(piece)
-    m = object.__new__(Measurement)
-    object.__setattr__(m, "mu", finite(mu))
-    object.__setattr__(m, "pieces", tuple(pieces))
-    object.__setattr__(m, "target", target)
-    return m
+    span, piece = GrossInterval._trusted, AffinePiece._trusted
+    pieces = tuple([piece(span(finite(lo), finite(hi)), finite(offset)) for lo, hi, offset in runs])
+    return Measurement._trusted(finite(mu), pieces, target)
 
 
 # ---------------------------------------------------------------- constructions

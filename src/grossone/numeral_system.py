@@ -26,7 +26,6 @@ Every size test is one exact integer comparison of two powers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from sys import get_int_max_str_digits, int_info
 
@@ -38,6 +37,7 @@ from .errors import (
     ParseError,
 )
 from .gnum import GrossNumber, Rational, _at_least, _plain_int, _power_order, _text_arg, finite, gross_term
+from .gnum import _Value
 
 __all__ = [
     "NumeralSystem",
@@ -88,6 +88,8 @@ def _writable_power(base: int, exponent: int) -> int:
 class NumeralSystem:
     """Marker base class; each kind implements the expressibility test."""
 
+    __slots__ = ()
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -95,8 +97,7 @@ class NumeralSystem:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Piraha(NumeralSystem):
+class Piraha(NumeralSystem, _Value):
     """The two-numeral counting scheme: everything past 2 is just "many"."""
 
     def describe(self) -> str:
@@ -106,8 +107,7 @@ class Piraha(NumeralSystem):
         return x == 1 or x == 2
 
 
-@dataclass(frozen=True)
-class BoundedFinite(NumeralSystem):
+class BoundedFinite(NumeralSystem, _Value):
     """Fixed-width integers: 0 and every n with 1 <= |n| <= base**digits - 1."""
 
     digits: int
@@ -126,8 +126,7 @@ class BoundedFinite(NumeralSystem):
         return n is not None and _exceeds(self.base, self.digits, abs(n))
 
 
-@dataclass(frozen=True)
-class GrossBudget(NumeralSystem):
+class GrossBudget(NumeralSystem, _Value):
     """Gross-numbers under per-term digit budgets.
 
     A value is expressible when its canonical form has at most
@@ -198,6 +197,27 @@ def min_infinite(sys: NumeralSystem) -> GrossNumber:
     raise NoInfiniteNumerals(f"{sys.describe()} expresses no infinite integer")
 
 
+def _int_range(sys: NumeralSystem) -> tuple[int, int] | None:
+    """``(lo, hi)`` such that a built-in system writes exactly the plain integers from lo to hi.
+
+    None for a subclass, whose ``can_express`` may differ, and where
+    ``_writable_power`` refuses the bound as too long to build.
+    """
+    kind = type(sys)
+    if kind is Piraha:
+        return 1, 2
+    try:
+        if kind is BoundedFinite:
+            top = _writable_power(sys.base, sys.digits) - 1
+        elif kind is GrossBudget:
+            top = _writable_power(10, sys.coeff_digits) - 1
+        else:
+            return None
+    except InvalidArgument:
+        return None
+    return -top, top
+
+
 def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     """Canonical measurement of s, admitted only if the system can write it.
 
@@ -209,18 +229,28 @@ def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     refused without its measurement.  Measurement is relative to the
     system: {1,2} is measurable with only the numerals 1 and 2, while
     {1,2,3} is not, because its element count already has no name there.
+    A plain-integer numeral is tested against the system's ``_int_range``,
+    where it has one, and every other numeral through ``can_express``.
     """
     # Imported here so that queries about a system alone load neither
     # measure nor sets.
     from .measure import _nonempty, canonical_measurement, serialized_numerals
     from .sets import _set_arg, cardinality
 
+    bounds = _int_range(sys)
+
+    def writable(x: GrossNumber) -> bool:
+        terms = x.terms
+        if bounds is None or len(terms) > 1 or terms and (terms[0][0] or type(terms[0][1]) is not int):
+            return sys.can_express(x)
+        return bounds[0] <= (terms[0][1] if terms else 0) <= bounds[1]
+
     mu = cardinality(_nonempty(_set_arg(s)))
-    if not sys.can_express(mu):
+    if not writable(mu):
         raise NotExpressible(mu, sys.describe())
     m = canonical_measurement(s)
     for value in serialized_numerals(m)[1:]:
-        if not sys.can_express(value):
+        if not writable(value):
             raise NotExpressible(value, sys.describe())
     return m
 

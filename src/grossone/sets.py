@@ -11,7 +11,6 @@ infinite like ``[1..①]``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     _shown,
 )
 from .gnum import GROSSONE, ZERO, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
+from .gnum import _Value
 
 __all__ = [
     "GrossInterval",
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GrossInterval:
+class GrossInterval(_Value):
     """Closed integer interval ``[lo..hi]`` with ``lo <= hi``.
 
     Endpoints are read through ``finite`` and must be gross-integers.
@@ -89,8 +88,7 @@ def interval(lo, hi) -> GrossInterval:
     return GrossInterval(lo, hi)
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(_Value):
     """Canonical finite union of disjoint, non-adjacent intervals.
 
     ``IntervalSet(...)`` checks that its parts are intervals, sorted,
@@ -160,10 +158,7 @@ def _span(lo: GrossNumber, hi: GrossNumber) -> GrossInterval:
     Both ends are endpoints of parts in hand, or such endpoints moved by 1,
     so they are gross-integer GrossNumbers already.
     """
-    part = object.__new__(GrossInterval)
-    object.__setattr__(part, "lo", lo)
-    object.__setattr__(part, "hi", hi)
-    return part
+    return GrossInterval._trusted(lo, hi)
 
 
 def _canonical(parts) -> IntervalSet:
@@ -173,9 +168,7 @@ def _canonical(parts) -> IntervalSet:
     disjoint and non-adjacent, and so does a merge of sorted parts that
     joins every part touching the one before it.
     """
-    s = object.__new__(IntervalSet)
-    object.__setattr__(s, "parts", tuple(parts))
-    return s
+    return IntervalSet._trusted(tuple(parts))
 
 
 def make_set(intervals) -> IntervalSet:

@@ -106,6 +106,26 @@ def sympy_div(p: dict, q: dict) -> dict | None:
     return _from_sympy(quotient, la - lb)
 
 
+def reference_long_division(p: dict, q: dict) -> dict | None:
+    """The quotient p/q by dict-polynomial long division, or None when it has no finite form.
+
+    Each step clears the highest term of the remainder, and subtracts the
+    whole product of that quotient term and q from the whole remainder.  A
+    quotient exponent below p's lowest less q's lowest could never clear
+    the remainder's lowest term, so the division fails there.
+    """
+    top, lowest = max(q), min(p) - min(q) if p else 0
+    quotient: dict[Fraction, Fraction] = {}
+    remainder = dict(p)
+    while remainder:
+        e = max(remainder)
+        if e - top < lowest:
+            return None
+        quotient[e - top] = Fraction(remainder[e]) / q[top]
+        remainder = poly_add(remainder, poly_mul({e - top: -quotient[e - top]}, q))
+    return quotient
+
+
 def _exact(value):
     """An int or Fraction entry as an int when integral, else as a Fraction."""
     if type(value) is Fraction and value.denominator == 1:

@@ -37,6 +37,17 @@ def json_loaded_by_verb(*argv: str) -> bool:
     return proc.stdout.splitlines()[-1] == "True"
 
 
+def added_by_verb(names: set[str], *argv: str) -> set[str]:
+    """Which of the modules ``names`` a fresh interpreter loads to run the verb, past those it starts with."""
+    code = (
+        f"import sys\nbefore = set(sys.modules)\nfrom grossone.cli import main\nmain({list(argv)!r})\n"
+        f"print(sorted((set(sys.modules) - before) & {names!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
 class TestImportSet:
     CORE = {"cli", "errors", "gnum"}
 
@@ -78,6 +89,28 @@ class TestImportSet:
     def test_text_mode_verbs_leave_json_unloaded(self, argv):
         assert not json_loaded_by_verb(*argv)
         assert json_loaded_by_verb(argv[0], "--format", "json", *argv[1:])
+
+    # ``dataclasses`` and the modules it imports: about a quarter of the
+    # CLI's import time, and no value class needs them.
+    SLOW_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--", "2①+1"),
+            ("eval", "7①+", "--format", "json"),
+            ("cmp", "①", "①+1"),
+            ("card", "[1..①]\\{1}"),
+            ("measure", "[4..①]", "--format", "json"),
+            ("measure", "{1,2}", "--system", "piraha"),
+            ("system", "gross:2:3:1", "min-infinite"),
+            ("system", "finite:2:10", "expressible", "100"),
+            ("define", "sqrtfloor(10)", "--cmp", "3"),
+            ("demo", "halfplane", "--a", "1", "--d", "2"),
+        ],
+    )
+    def test_no_verb_loads_dataclasses_or_what_it_imports(self, argv):
+        assert added_by_verb(self.SLOW_STDLIB, *argv) == set()
 
     def test_one_name_loads_its_submodule_and_what_that_imports(self):
         assert loaded_after("import grossone\ngrossone.intersect") == {"errors", "gnum", "sets"}
