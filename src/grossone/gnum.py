@@ -24,7 +24,6 @@ import enum
 import re
 import sys
 from fractions import Fraction
-from heapq import heappop, heappush
 from operator import ge, gt, itemgetter, le, lt
 
 from .errors import DivideByZero, InvalidArgument, NotExact, ParseError, _shown
@@ -625,6 +624,9 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     term: then no finite-term quotient exists at all, NotExact.  Single-term
     divisors always divide out.
     """
+    # Imported here, so that a CLI call that divides nothing does not load it.
+    from heapq import heappop, heappush
+
     x = finite(x)
     y = finite(y)
     if y.is_zero:
