@@ -115,16 +115,16 @@ _SIGNS = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)
 class _ValueType(type):
     """Makes the names a value class annotates its fields: slots set by ``__init__``, then read only.
 
-    ``__init__`` runs the class's ``__post_init__``, if any; the class method
-    ``_trusted`` sets the fields unchecked, and ``_values`` is their tuple.
+    A default moves from the class body, where it clashes with the slot, to ``__init__``, which
+    runs ``__post_init__``, if any; ``_trusted`` sets fields unchecked; ``_values`` is their tuple.
     """
 
     def __new__(mcs, name, bases, namespace):
-        fields = namespace["__match_args__"] = tuple(namespace.get("__annotations__", ()))
-        # A default would clash with its slot in the class body; it becomes the parameter's.
+        fields = tuple(namespace.get("__annotations__", ()))
         defaults = {f: namespace.pop(f) for f in fields if f in namespace}
         cls = super().__new__(mcs, name, bases, {"__slots__": fields, **namespace})
         if fields:
+            cls.__match_args__ = fields
             scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
             scope.update(_defaults=defaults, _new=object.__new__)
             params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
@@ -132,13 +132,12 @@ class _ValueType(type):
             post = "\n    self.__post_init__()" if "__post_init__" in namespace else ""
             exec(
                 f"def __init__(self{params}):{sets}{post}\n"
-                f"def _trusted(cls{params}):\n    self = _new(cls){sets}\n    return self\n"
+                f"@classmethod\ndef _trusted(cls{params}):\n    self = _new(cls){sets}\n    return self\n"
                 f"def _values(self):\n    return ({''.join(f'self.{f}, ' for f in fields)})",
                 scope,
             )
             scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-            cls.__init__, cls._values = scope["__init__"], scope["_values"]
-            cls._trusted = classmethod(scope["_trusted"])
+            cls.__init__, cls._trusted, cls._values = scope["__init__"], scope["_trusted"], scope["_values"]
         return cls
 
 
@@ -146,6 +145,7 @@ class _Value(metaclass=_ValueType):
     """Base of the frozen value classes, compared, hashed, shown and pickled by their fields' tuple."""
 
     __slots__ = ("__weakref__",)
+    __match_args__ = ()
 
     def _values(self) -> tuple:
         return ()

@@ -58,6 +58,8 @@ class OddOnly(BoundedFinite):
 
 def test_a_subclass_and_an_unbuildable_bound_have_no_range():
     assert _int_range(OddOnly(2)) is None
+    # The subclass keeps its base's fields, constructor and repr.
+    assert repr(OddOnly(2)) == "OddOnly(digits=2, base=10)"
     assert _int_range(BoundedFinite(10**8, 10)) is None
     assert _int_range(GrossBudget(2, 10**6, 1)) is None
 
