@@ -24,6 +24,7 @@ import enum
 import re
 import sys
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import ge, gt, itemgetter, le, lt
 
 from .errors import DivideByZero, InvalidArgument, NotExact, ParseError, _shown
@@ -113,31 +114,36 @@ _SIGNS = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)
 
 
 class _ValueType(type):
-    """Makes the names a value class annotates its fields: slots set by ``__init__``, then read only.
+    """A value class's fields are its bases' fields, then the names it annotates: read-only slots.
 
-    A default moves from the class body, where it clashes with the slot, to ``__init__``, which
-    runs ``__post_init__``, if any; ``_trusted`` sets fields unchecked; ``_values`` is their tuple.
+    ``__init__`` takes a default from the class body, where it would clash with the slot, and runs any
+    ``__post_init__``; ``_trusted`` sets fields unchecked; ``_values`` is their tuple.
     """
 
     def __new__(mcs, name, bases, namespace):
-        fields = tuple(namespace.get("__annotations__", ()))
-        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
-        cls = super().__new__(mcs, name, bases, {"__slots__": fields, **namespace})
-        if fields:
-            cls.__match_args__ = fields
-            scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
-            scope.update(_defaults=defaults, _new=object.__new__)
-            params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
-            sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
-            post = "\n    self.__post_init__()" if "__post_init__" in namespace else ""
-            exec(
-                f"def __init__(self{params}):{sets}{post}\n"
-                f"@classmethod\ndef _trusted(cls{params}):\n    self = _new(cls){sets}\n    return self\n"
-                f"def _values(self):\n    return ({''.join(f'self.{f}, ' for f in fields)})",
-                scope,
-            )
-            scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-            cls.__init__, cls._trusted, cls._values = scope["__init__"], scope["_trusted"], scope["_values"]
+        own = tuple(namespace.get("__annotations__", ()))
+        inherited = [f for base in reversed(bases) for f in getattr(base, "__match_args__", ())]
+        defaults = {f: d for base in reversed(bases) for f, d in getattr(base, "_defaults", {}).items()}
+        defaults.update((f, namespace.pop(f)) for f in own if f in namespace)
+        fields = tuple(dict.fromkeys([*inherited, *own]))
+        slots = tuple(f for f in own if f not in inherited)
+        cls = super().__new__(mcs, name, bases, {"__slots__": slots, **namespace})
+        cls._defaults, cls.__match_args__ = defaults, fields
+        if [f in defaults for f in fields] != sorted(f in defaults for f in fields):
+            raise TypeError(f"{name} has a field without a default after one with a default")
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        scope.update(_defaults=defaults, _new=object.__new__)
+        params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
+        sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields) or "\n    pass"
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        exec(
+            f"def __init__(self{params}):{sets}{post}\n"
+            f"@classmethod\ndef _trusted(cls{params}):\n    self = _new(cls){sets}\n    return self\n"
+            f"def _values(self):\n    return ({''.join(f'self.{f}, ' for f in fields)})",
+            scope,
+        )
+        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__, cls._trusted, cls._values = scope["__init__"], scope["_trusted"], scope["_values"]
         return cls
 
 
@@ -145,10 +151,6 @@ class _Value(metaclass=_ValueType):
     """Base of the frozen value classes, compared, hashed, shown and pickled by their fields' tuple."""
 
     __slots__ = ("__weakref__",)
-    __match_args__ = ()
-
-    def _values(self) -> tuple:
-        return ()
 
     def __reduce__(self):
         # Through the constructor, so that a pickle is checked as any other input.
@@ -624,9 +626,6 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     term: then no finite-term quotient exists at all, NotExact.  Single-term
     divisors always divide out.
     """
-    # Imported here, so that a CLI call that divides nothing does not load it.
-    from heapq import heappop, heappush
-
     x = finite(x)
     y = finite(y)
     if y.is_zero:

@@ -165,17 +165,25 @@ def expressible(sys: NumeralSystem, x: GrossNumber) -> bool:
     return sys.can_express(finite(x))
 
 
-def max_finite(sys: NumeralSystem) -> GrossNumber:
-    """The greatest expressible finite positive integer of the system."""
+def _largest_int(sys: NumeralSystem) -> int | None:
+    """The greatest plain integer a built-in kind writes, refused if too long to build; else None."""
     if isinstance(sys, Piraha):
-        return finite(2)
+        return 2
     if isinstance(sys, BoundedFinite):
-        return finite(_writable_power(sys.base, sys.digits) - 1)
+        return _writable_power(sys.base, sys.digits) - 1
     if isinstance(sys, GrossBudget):
         # Finite integers are single exponent-0 terms, so only the
         # coefficient budget matters.
-        return finite(_writable_power(10, sys.coeff_digits) - 1)
-    raise NoFiniteNumerals(f"{sys!r} expresses no finite positive integer")
+        return _writable_power(10, sys.coeff_digits) - 1
+    return None
+
+
+def max_finite(sys: NumeralSystem) -> GrossNumber:
+    """The greatest expressible finite positive integer of the system."""
+    largest = _largest_int(sys)
+    if largest is None:
+        raise NoFiniteNumerals(f"{sys!r} expresses no finite positive integer")
+    return finite(largest)
 
 
 def min_infinite(sys: NumeralSystem) -> GrossNumber:
@@ -189,7 +197,7 @@ def min_infinite(sys: NumeralSystem) -> GrossNumber:
     an integer, so budgets beyond two terms change nothing.
     """
     if isinstance(sys, GrossBudget):
-        largest = _writable_power(10, sys.coeff_digits) - 1
+        largest = _largest_int(sys)
         least = gross_term(Fraction(1, largest), 1)
         if sys.max_terms >= 2:
             least = least - largest
@@ -204,18 +212,13 @@ def _int_range(sys: NumeralSystem) -> tuple[int, int] | None:
     ``_writable_power`` refuses the bound as too long to build.
     """
     kind = type(sys)
-    if kind is Piraha:
-        return 1, 2
+    if kind not in (Piraha, BoundedFinite, GrossBudget):
+        return None
     try:
-        if kind is BoundedFinite:
-            top = _writable_power(sys.base, sys.digits) - 1
-        elif kind is GrossBudget:
-            top = _writable_power(10, sys.coeff_digits) - 1
-        else:
-            return None
+        largest = _largest_int(sys)
     except InvalidArgument:
         return None
-    return -top, top
+    return (1, largest) if kind is Piraha else (-largest, largest)
 
 
 def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
