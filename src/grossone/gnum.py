@@ -117,7 +117,9 @@ class _ValueType(type):
     """A value class's fields are its bases' fields, then the names it annotates: read-only slots.
 
     ``__init__`` takes a default from the class body, where it would clash with the slot, and runs any
-    ``__post_init__``; ``_trusted`` sets fields unchecked; ``_values`` is their tuple.
+    ``__post_init__``; ``_trusted`` sets fields unchecked; ``_values`` is their tuple.  A ``__slots__``
+    tuple in the class body adds private slots that are no fields: no constructor sets them, and
+    equality, hashing, ``repr`` and pickling ignore them.
     """
 
     def __new__(mcs, name, bases, namespace):
@@ -126,7 +128,7 @@ class _ValueType(type):
         defaults = {f: d for base in reversed(bases) for f, d in getattr(base, "_defaults", {}).items()}
         defaults.update((f, namespace.pop(f)) for f in own if f in namespace)
         fields = tuple(dict.fromkeys([*inherited, *own]))
-        slots = tuple(f for f in own if f not in inherited)
+        slots = tuple(f for f in own if f not in inherited) + tuple(namespace.pop("__slots__", ()))
         cls = super().__new__(mcs, name, bases, {"__slots__": slots, **namespace})
         cls._defaults, cls.__match_args__ = defaults, fields
         if [f in defaults for f in fields] != sorted(f in defaults for f in fields):

@@ -6,12 +6,25 @@ disjoint, and never adjacent (``[1..3] | [4..6]`` collapses to ``[1..6]``).
 Canonical form makes structural equality coincide with set equality and
 gives every set a well defined element count, even when the endpoints are
 infinite like ``[1..①]``.
+
+The sweeps of ``make_set``, ``union``, ``intersect``, ``difference``,
+``is_subset`` and ``contains`` compare endpoints through order keys, not
+through GrossNumber operators.  The key of a gross-integer is a flat tuple:
+one group ``(s, s*e, c)`` per term of exponent ``e > 0``, in descending
+order, where ``s`` (+1 or -1) is the sign of ``c``, then ``0`` and the
+finite part ``c0``.  So ``7`` is ``(0, 7)``, zero is ``(0, 0)`` and ``①-1``
+is ``(1, 1, 1, 0, -1)``.  Python's tuple order on keys is the order of the
+numbers, and the key of ``y + 1`` is the key of ``y`` with 1 added to its
+last entry.  This holds only because a gross-integer has no negative
+exponent: its finite part is always last, so no term can follow it.  Each
+set holds the keys of its endpoints: the sweeps hand them on to the sets
+they build, and the checking constructor computes them as it checks the
+parts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter
 
 from .errors import (
     EmptyIntervalRejected,
@@ -98,19 +111,34 @@ class IntervalSet(_Value):
     sweeps make canonical, through ``_canonical``, and do not check them
     again; they first refuse an operand that is not an IntervalSet (for
     ``make_set``, an item that is not a GrossInterval).
+
+    The private slot ``_keys`` holds ``(lower keys, upper keys)``, the order
+    keys of the parts' endpoints (see the module docstring).  Keys order as
+    the numbers do only for gross-integers, where no term follows the finite
+    part, and every endpoint is one.  The constructor checks the parts on
+    their keys and holds them; ``_canonical`` holds the keys its sweep
+    computed.  The slot is no field, so equality, hashing, ``repr`` and
+    pickling ignore it.
     """
+
+    __slots__ = ("_keys",)
 
     parts: tuple[GrossInterval, ...] = ()
 
     def __post_init__(self):
+        los, his = [], []
         prev = None
         for part in self.parts:
             _part_arg(part)
-            if prev is not None and part.lo <= prev.hi + 1:
+            lo = _key(part.lo)
+            if prev is not None and _reaches(lo, his[-1]):
                 raise InvalidArgument(
                     f"parts {_shown(prev)} and {_shown(part)} are unsorted, overlapping or adjacent"
                 )
+            los.append(lo)
+            his.append(_key(part.hi))
             prev = part
+        _hold_keys(self, (tuple(los), tuple(his)))
 
     @property
     def is_empty(self) -> bool:
@@ -137,6 +165,7 @@ class IntervalSet(_Value):
         return f"IntervalSet({self})"
 
 
+_hold_keys = IntervalSet._keys.__set__
 EMPTY = IntervalSet()
 
 
@@ -161,23 +190,57 @@ def _span(lo: GrossNumber, hi: GrossNumber) -> GrossInterval:
     return GrossInterval._trusted(lo, hi)
 
 
-def _canonical(parts) -> IntervalSet:
-    """The set of ``parts``, not re-checked: the sweep that yields them emits them canonical.
+def _canonical(parts: list, los: list, his: list) -> IntervalSet:
+    """The set of ``parts``, holding their lower and upper keys; not re-checked.
 
-    Overlaps and gaps of canonical sets, walked in order, come out sorted,
-    disjoint and non-adjacent, and so does a merge of sorted parts that
-    joins every part touching the one before it.
+    The sweep that yields them emits them canonical: overlaps and gaps of
+    canonical sets, walked in order, come out sorted, disjoint and
+    non-adjacent, and so does a merge of sorted parts that joins every part
+    touching the one before it.
     """
-    return IntervalSet._trusted(tuple(parts))
+    s = IntervalSet._trusted(tuple(parts))
+    _hold_keys(s, (tuple(los), tuple(his)))
+    return s
+
+
+def _key(x: GrossNumber) -> tuple:
+    """The order key of the gross-integer ``x``; see the module docstring."""
+    terms = x.terms
+    if not terms:
+        return (0, 0)
+    if terms[0][0] == 0:
+        # A finite gross-integer is one int term.
+        return (0, terms[0][1])
+    key = []
+    c0 = 0
+    for e, c in terms:
+        if e:
+            key += (1, e, c) if c > 0 else (-1, -e, c)
+        else:
+            c0 = c
+    key += (0, c0)
+    return tuple(key)
+
+
+def _reaches(lo: tuple, top: tuple) -> bool:
+    """Whether the key ``lo`` is at most the key ``top`` plus 1.
+
+    Past ``top`` it is ``top + 1`` only when it is ``top``'s key with the last
+    entry one larger, so the last entries are compared before the rest and
+    no ``top + 1`` key is built.
+    """
+    return lo <= top or lo[-1] == top[-1] + 1 and lo[:-1] == top[:-1]
 
 
 def make_set(intervals) -> IntervalSet:
     """Canonical set from any iterable of intervals (overlap allowed)."""
-    parts = list(intervals)
-    for part in parts:
+    parts, los, his = [], [], []
+    for part in intervals:
         _part_arg(part)
-    parts.sort(key=attrgetter("lo"))
-    return _coalesce(parts)
+        parts.append(part)
+        los.append(_key(part.lo))
+        his.append(_key(part.hi))
+    return _coalesce(parts, los, his)
 
 
 def _int_ends(part: GrossInterval) -> tuple[int, int] | None:
@@ -190,54 +253,39 @@ def _int_ends(part: GrossInterval) -> tuple[int, int] | None:
     return None
 
 
-def _coalesce(ordered) -> IntervalSet:
-    """Canonical set from intervals sorted by lower endpoint.
+def _coalesce(parts, los, his) -> IntervalSet:
+    """Canonical set from parts in any order, with their lower and upper keys.
 
-    Each part that starts at most one past the last merged part joins it,
-    so the merged parts stay sorted and are neither overlapping nor adjacent.
-    While the last merged part ends at a plain integer and the part read has
-    plain-integer ends, the test runs on ints and no ``hi + 1`` is built.
+    The parts are read in order of lower key, a stable sort of their
+    indices.  Each part that starts at most one past the last merged part
+    joins it, so the merged parts stay sorted and are neither overlapping
+    nor adjacent.
     """
-    merged: list[GrossInterval] = []
-    top = None  # merged[-1].hi as an int, when the part that set it had int ends
-    for part in ordered:
-        ends = _int_ends(part)
-        if ends is not None and top is not None:
-            joins, longer = ends[0] <= top + 1, ends[1] > top
-        elif merged:
-            joins = part.lo <= merged[-1].hi + 1
-            longer = joins and part.hi > merged[-1].hi
+    merged, merged_los, merged_his = [], [], []
+    top = None  # the upper key of merged[-1]
+    for i in sorted(range(len(parts)), key=los.__getitem__):
+        lo, hi = los[i], his[i]
+        # _reaches(lo, top), written out in this loop over every part.
+        if merged and (lo <= top or lo[-1] == top[-1] + 1 and lo[:-1] == top[:-1]):
+            if hi > top:
+                merged[-1] = _span(merged[-1].lo, parts[i].hi)
+                merged_his[-1] = top = hi
         else:
-            joins = False
-        if not joins:
-            merged.append(part)
-        elif longer:
-            merged[-1] = _span(merged[-1].lo, part.hi)
-        else:
-            continue
-        top = None if ends is None else ends[1]
-    return _canonical(merged)
+            merged.append(parts[i])
+            merged_los.append(lo)
+            merged_his.append(hi)
+            top = hi
+    return _canonical(merged, merged_los, merged_his)
 
 
 # ------------------------------------------------------------------ set algebra
 
 
-def _sorted_merge(a: tuple[GrossInterval, ...], b: tuple[GrossInterval, ...]):
-    """Parts of two sorted part tuples, in order of lower endpoint."""
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i].lo <= b[j].lo:
-            yield a[i]
-            i += 1
-        else:
-            yield b[j]
-            j += 1
-    yield from a[i:]
-    yield from b[j:]
-
-
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return _coalesce(_sorted_merge(_set_arg(a).parts, _set_arg(b).parts))
+    # Two sorted runs: the sort in _coalesce finds and merges them in one pass.
+    a, b = _set_arg(a), _set_arg(b)
+    (alo, ahi), (blo, bhi) = a._keys, b._keys
+    return _coalesce(a.parts + b.parts, alo + blo, ahi + bhi)
 
 
 def _cut(lo: GrossNumber, part: GrossInterval) -> GrossInterval:
@@ -249,48 +297,61 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     # Two-pointer sweep: each step retires the part that ends first, so
     # every overlapping pair is met once.  Overlaps of canonical sets come
     # out sorted, disjoint and non-adjacent, hence already canonical.
-    out: list[GrossInterval] = []
+    out, out_los, out_his = [], [], []
     ap, bp = _set_arg(a).parts, _set_arg(b).parts
+    (alo, ahi), (blo, bhi) = a._keys, b._keys
     i = j = 0
-    while i < len(ap) and j < len(bp):
-        p, q = ap[i], bp[j]
-        lo = p.lo if p.lo >= q.lo else q.lo
-        if p.hi <= q.hi:
-            first = p
+    na, nb = len(ap), len(bp)
+    while i < na and j < nb:
+        lo, klo = (ap[i].lo, alo[i]) if alo[i] >= blo[j] else (bp[j].lo, blo[j])
+        if ahi[i] <= bhi[j]:
+            first, khi = ap[i], ahi[i]
             i += 1
         else:
-            first = q
+            first, khi = bp[j], bhi[j]
             j += 1
-        if lo <= first.hi:
+        if klo <= khi:
             out.append(_cut(lo, first))
-    return _canonical(out)
+            out_los.append(klo)
+            out_his.append(khi)
+    return _canonical(out, out_los, out_his)
+
+
+def _moved(key: tuple, step: int) -> tuple:
+    """The key of ``y + step`` for the key of a gross-integer ``y``."""
+    return (*key[:-1], key[-1] + step)
 
 
 def _uncovered(a: IntervalSet, b: IntervalSet):
-    """The parts of ``a - b``, in order; the gaps of b inside the parts of a."""
+    """The parts of ``a - b`` with their lower and upper keys, in order; the gaps of b inside the parts of a."""
     # Sweep over b alongside a: parts of b that end below the current part
     # of a can never meet a later one, and the part of b that reaches past
     # it is kept for the next part of a.
     bp = b.parts
-    j = 0
-    for p in a.parts:
-        while j < len(bp) and bp[j].hi < p.lo:
+    (alo, ahi), (blo, bhi) = a._keys, b._keys
+    j, nb = 0, len(bp)
+    for p, plo, phi in zip(a.parts, alo, ahi):
+        while j < nb and bhi[j] < plo:
             j += 1
-        lo = p.lo
-        while j < len(bp) and bp[j].lo <= p.hi:
-            q = bp[j]
-            if q.lo > lo:
-                yield _span(lo, q.lo - 1)
-            if q.hi >= p.hi:
-                break  # q covers the rest of p
-            lo = q.hi + 1
+        lo, klo = p.lo, plo
+        while j < nb and blo[j] <= phi:
+            if blo[j] > klo:
+                yield _span(lo, bp[j].lo - 1), klo, _moved(blo[j], -1)
+            if bhi[j] >= phi:
+                break  # bp[j] covers the rest of p
+            lo, klo = bp[j].hi + 1, _moved(bhi[j], 1)
             j += 1
         else:
-            yield _cut(lo, p)
+            yield _cut(lo, p), klo, phi
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return _canonical(_uncovered(_set_arg(a), _set_arg(b)))
+    parts, los, his = [], [], []
+    for part, lo, hi in _uncovered(_set_arg(a), _set_arg(b)):
+        parts.append(part)
+        los.append(lo)
+        his.append(hi)
+    return _canonical(parts, los, his)
 
 
 def cardinality(s: IntervalSet) -> GrossNumber:
@@ -320,12 +381,14 @@ def extrema(s: IntervalSet) -> tuple[GrossNumber, GrossNumber]:
 
 
 def contains(s: IntervalSet, value) -> bool:
-    parts = _set_arg(s).parts
+    _set_arg(s)
     x = finite(value)
     if not _is_gross_integer(x):
         return False
-    k = bisect_right(parts, x, key=attrgetter("lo")) - 1
-    return k >= 0 and x <= parts[k].hi
+    los, his = s._keys
+    key = _key(x)
+    k = bisect_right(los, key) - 1
+    return k >= 0 and key <= his[k]
 
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:

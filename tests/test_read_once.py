@@ -161,7 +161,10 @@ def mutated(rows: list[list], rng: Random) -> list[list]:
     kind, fields = rows[i]
     if how == "shift":
         j = rng.randrange(len(fields))
-        fields[j] = format_numeral(parse_numeral(fields[j]) + rng.choice([-1, 1]))
+        try:
+            fields[j] = format_numeral(parse_numeral(fields[j]) + rng.choice([-1, 1]))
+        except GrossoneError:
+            pass  # an earlier mutation left no one numeral here, such as a bracketed target
     elif how == "drop":
         del rows[i]
     elif how == "swap":

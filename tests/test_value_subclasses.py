@@ -3,15 +3,18 @@
 The value base collects fields as a dataclass does: the bases' fields
 first, then the names the subclass adds.  So a subclass that adds a field
 still sets, checks, compares, hashes, shows and pickles the inherited ones,
-and its constructor still runs the inherited ``__post_init__``.
+and its constructor still runs the inherited ``__post_init__``.  A private
+slot that a class declares in ``__slots__`` is no field: no constructor
+sets it, and equality, hashing, ``repr``, pickling and copying ignore it.
 """
 
+import copy
 import pickle
 
 import pytest
 
 from grossone.errors import EmptyIntervalRejected, InvalidArgument
-from grossone.gnum import finite
+from grossone.gnum import _Value, finite
 from grossone.numeral_system import BoundedFinite
 from grossone.sets import GrossInterval
 
@@ -57,3 +60,57 @@ def test_a_subclass_runs_the_inherited_checks():
 def test_a_field_without_a_default_may_not_follow_one_with_a_default():
     with pytest.raises(TypeError, match="^Bad has a field without a default after one with a default$"):
         type("Bad", (BoundedFinite,), {"__annotations__": {"extra": int}})
+
+
+# ---------------------------------------------------------------- private slots
+
+
+class Memoised(_Value):
+    """A value class with a private slot beside its two fields."""
+
+    __slots__ = ("_memo",)
+
+    a: int
+    b: int = 0
+
+
+def memoised(a, b, memo):
+    value = Memoised(a, b)
+    Memoised._memo.__set__(value, memo)
+    return value
+
+
+def test_a_private_slot_is_no_field():
+    assert Memoised.__match_args__ == ("a", "b")
+    assert Memoised(1, 2)._values() == (1, 2)
+    with pytest.raises(TypeError, match="unexpected keyword argument '_memo'"):
+        Memoised(1, 2, _memo=3)
+    with pytest.raises(AttributeError):
+        Memoised(1)._memo = 3
+
+
+def test_a_private_slot_is_unset_after_the_constructor_and_trusted():
+    for value in (Memoised(1, 2), Memoised._trusted(1, 2)):
+        assert not hasattr(value, "_memo")
+        assert value == Memoised(1, 2)
+
+
+def test_equality_hash_repr_pickle_and_copy_ignore_a_private_slot():
+    value, other = memoised(1, 2, "x"), memoised(1, 2, "y")
+    assert value == other == Memoised(1, 2)
+    assert hash(value) == hash(other) == hash(Memoised(1, 2))
+    assert repr(value) == "Memoised(a=1, b=2)"
+    copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in [*copies, copy.copy(value), copy.deepcopy(value)]:
+        assert type(copied) is Memoised and copied == value
+        assert not hasattr(copied, "_memo")
+
+
+def test_a_subclass_inherits_a_private_slot_but_not_as_a_field():
+    class Wider(Memoised):
+        c: int = 0
+
+    value = Wider(1, 2, 3)
+    assert Wider.__match_args__ == ("a", "b", "c")
+    Memoised._memo.__set__(value, "x")
+    assert value == Wider(1, 2, 3) and repr(value) == repr(Wider(1, 2, 3))
