@@ -397,6 +397,11 @@ def _built(terms: tuple[Term, ...]) -> GrossNumber:
     return GrossNumber._trusted(terms)
 
 
+def _from_int(n: int) -> GrossNumber:
+    """The GrossNumber of an int: its one exponent-0 term, none for zero; not re-checked."""
+    return GrossNumber._trusted(((0, n),) if n else ())
+
+
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, ...]:
     """The canonical terms of ``a + sign * b``, from one pass over two descending term tuples.
 
@@ -575,8 +580,14 @@ def finite(value: Rational | GrossNumber) -> GrossNumber:
     """The gross-number equal to an int, a Fraction or a gross-number.
 
     Every value type reads its numeric fields through this; anything else,
-    a float included, is a TypeError.
+    a float included, is a TypeError.  A GrossNumber is returned as it is and
+    an int boxed by ``_from_int``; a bool or a subclass takes the general path.
     """
+    kind = type(value)
+    if kind is GrossNumber:
+        return value
+    if kind is int:
+        return _from_int(value)
     if isinstance(value, GrossNumber):
         return value
     terms = _operand_terms(value)

@@ -32,8 +32,11 @@ from .errors import (
 from .gnum import (
     GrossNumber,
     Sign,
+    _INT_FIELD,
+    _SHORT_TERM,
     _Scanner,
     _Value,
+    _from_int,
     _gross_integer,
     _int_field,
     _is_gross_integer,
@@ -112,9 +115,10 @@ class Measurement(_Value):
     ``_check_runs``, and so does every construction from pieces a caller
     supplies: ``transport`` and ``min_extraction_measurement``.
     ``from_text`` and ``from_json`` run the same check once over the runs
-    they read, with plain integers as ints, and build the result unchecked
-    after it.  ``canonical_measurement`` (and through it
-    ``complement_measurement``, ``intersection_split`` and
+    they read, with plain integers as ints (``from_text`` reads a row of
+    nothing else in one match), and build the result unchecked after it,
+    each int boxed once by ``gnum._from_int``.  ``canonical_measurement``
+    (and through it ``complement_measurement``, ``intersection_split`` and
     ``numeral_system.measure_in``) and ``concat`` build results that are
     bijections by construction, and do not check them again.
     """
@@ -222,11 +226,18 @@ def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
     gross-integer GrossNumbers, the domains tile [1..mu] in order and the
     images cover the canonical target exactly, because the construction that
     calls this made them so, or, for ``_from_rows``, because ``_check_runs``
-    has just checked them.  Ints are stored as GrossNumbers through ``finite``.
+    has just checked them.  Ints are stored as GrossNumbers built by
+    ``gnum._from_int``; GrossNumbers are stored as they are.
     """
-    span, piece = GrossInterval._trusted, AffinePiece._trusted
-    pieces = tuple([piece(span(finite(lo), finite(hi)), finite(offset)) for lo, hi, offset in runs])
-    return Measurement._trusted(finite(mu), pieces, target)
+    span, piece, box = GrossInterval._trusted, AffinePiece._trusted, _from_int
+    pieces = tuple([
+        piece(
+            span(box(lo) if type(lo) is int else lo, box(hi) if type(hi) is int else hi),
+            box(offset) if type(offset) is int else offset,
+        )
+        for lo, hi, offset in runs
+    ])
+    return Measurement._trusted(box(mu) if type(mu) is int else mu, pieces, target)
 
 
 # ---------------------------------------------------------------- constructions
@@ -517,10 +528,39 @@ def to_text(m: Measurement, ascii_mode: bool = False) -> str:
 
 _FIELD = re.compile(r"\S+")
 _TEXT_ARITY = {"mu": (1,), "piece": (2, 3), "target": (1,)}  # fields after the kind
+# A whole row whose numerals are all plain integers, spelt as _INT_FIELD reads
+# a field, with the whitespace the field reader splits on.  Compiled on the
+# first read, so that importing this module does not pay for it.
+_INT_ROW = None
 
 
 def _text_rows(text: str):
+    """The rows of the line-based form, in order.
+
+    A line of at most ``_SHORT_TERM`` characters that is a whole row of plain
+    integers is read in one match, its numerals as ints; no number in it is
+    past the int-to-string limit.  Every other line is split into fields,
+    each read by ``_text_numerals``, with every error and position.
+    """
+    global _INT_ROW
+    if _INT_ROW is None:
+        n = f"({_INT_FIELD.pattern})"
+        _INT_ROW = re.compile(rf"\s*(?:mu\s+{n}|piece\s+{n}\s+{n}(?:\s+{n})?|target\s+\[{n}\.\.{n}\])\s*")
+    int_row = _INT_ROW.fullmatch
     for lineno, line in enumerate(text.splitlines(), start=1):
+        # int() reads '+' and '-' but not the Unicode minus sign.
+        found = int_row(line.replace("−", "-")) if len(line) <= _SHORT_TERM else None
+        if found is not None:
+            mu, lo, hi, offset, target_lo, target_hi = found.groups()
+            if mu is not None:
+                yield "mu", (int(mu),)
+            elif lo is None:
+                yield "target", (int(target_lo), int(target_hi))
+            elif offset is None:
+                yield "piece", (int(lo), int(hi))
+            else:
+                yield "piece", (int(lo), int(hi), int(offset))
+            continue
         fields = list(_FIELD.finditer(line))
         if not fields:
             continue
@@ -539,21 +579,12 @@ def _text_rows(text: str):
 def _text_numerals(line: str, field: re.Match, target: bool) -> tuple:
     """The numerals of one field of ``line``: a target's two endpoints, else one numeral.
 
-    A plain integer, and each end of a target ``[a..b]`` when both are
-    plain, is read as an int.  Any other field is read alone by the scanner,
-    up to its own end: a numeral must not run on into the next field, as
-    "2①+1 -①-1" would if read as one sum.  Positions are columns of the line.
+    The field is read alone by the scanner, up to its own end: a numeral
+    must not run on into the next field, as "2①+1 -①-1" would if read as one
+    sum.  Positions are columns of the line.  A plain integer here is read
+    in the scanner's one ``_PLAIN_INT`` match; a row of nothing else, in at
+    most ``_SHORT_TERM`` characters, ``_text_rows`` reads whole instead.
     """
-    word = field.group()
-    if not target:
-        value = _int_field(word)
-        if value is not None:
-            return (value,)
-    elif word[0] == "[" and word[-1] == "]":
-        lo, _, hi = word[1:-1].partition("..")
-        ends = _int_field(lo), _int_field(hi)
-        if None not in ends:
-            return ends
     scanner = _Scanner(line[: field.end()], field.start())
     values = scanner.parse_interval() if target else (scanner.parse_sum(),)
     scanner.finish()
@@ -610,16 +641,25 @@ def _json_numeral(container: dict, key: str, where: str) -> int | GrossNumber:
 
 
 def _json_rows(data):
+    """The rows of a JSON-ready document, in order.
+
+    An entry's numeral strings that are plain integers are read as ints
+    where they stand; only an entry with another numeral, or at fault, goes
+    through ``_json_numeral``, with its JSON path.
+    """
     if not isinstance(data, dict):
         raise ParseError("expected an object", "$", 0)
     yield "mu", (_json_numeral(data, "mu", "$"),)
     for kind, key in (("piece", "pieces"), ("target", "target")):
         for i, entry in enumerate(_json_member(data, key, list, "$")):
-            where = f"$.{key}[{i}]"
             if not isinstance(entry, dict):
-                raise ParseError("expected an object", where, 0)
-            count = 3 if kind == "piece" and "offset" in entry else 2
-            yield kind, tuple([_json_numeral(entry, key, where) for key in _JSON_SLOTS[:count]])
+                raise ParseError("expected an object", f"$.{key}[{i}]", 0)
+            slots = _JSON_SLOTS if kind == "piece" and "offset" in entry else _JSON_SLOTS[:2]
+            values = [_int_field(text) if type(text := entry.get(slot)) is str else None for slot in slots]
+            if None in values:
+                where = f"$.{key}[{i}]"
+                values = [_json_numeral(entry, slot, where) if v is None else v for v, slot in zip(values, slots)]
+            yield kind, tuple(values)
 
 
 def from_jsonable(data: dict) -> Measurement:

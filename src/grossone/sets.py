@@ -36,7 +36,7 @@ from .errors import (
     _shown,
 )
 from .gnum import GROSSONE, ZERO, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
-from .gnum import _Value
+from .gnum import _Value, _from_int
 
 __all__ = [
     "GrossInterval",
@@ -80,8 +80,8 @@ class GrossInterval(_Value):
     def __post_init__(self):
         lo, hi = self.lo, self.hi
         if type(lo) is int and type(hi) is int and lo <= hi:
-            object.__setattr__(self, "lo", finite(lo))
-            object.__setattr__(self, "hi", finite(hi))
+            object.__setattr__(self, "lo", _from_int(lo))
+            object.__setattr__(self, "hi", _from_int(hi))
             return
         lo, hi = finite(lo), finite(hi)
         object.__setattr__(self, "lo", _gross_integer(lo, "lower endpoint", NonIntegerEndpoint))
@@ -124,6 +124,14 @@ class IntervalSet(_Value):
     __slots__ = ("_keys",)
 
     parts: tuple[GrossInterval, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        if "__post_init__" in cls.__dict__:
+            raise TypeError(
+                f"IntervalSet subclass {cls.__name__} may not define __post_init__: "
+                "the set operations rely on the base's canonical check and order keys"
+            )
+        super().__init_subclass__(**kwargs)
 
     def __post_init__(self):
         los, his = [], []

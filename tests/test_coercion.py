@@ -71,6 +71,10 @@ CASES = {
 }
 
 
+class Int(int):
+    """An int subclass: ``finite`` reads it, as a bool, through the general path, into a plain int."""
+
+
 def _same(results):
     first = results[0]
     for other in results[1:]:
@@ -81,7 +85,7 @@ def _same(results):
 @pytest.mark.parametrize("name", list(CASES))
 def test_ints_fractions_and_gross_numbers_build_the_same_value(name):
     build, non_integral = CASES[name]
-    _same([build(3), build(Fraction(3)), build(finite(3))])
+    _same([build(3), build(Fraction(3)), build(finite(3)), build(Int(3))])
     half = Fraction(7, 2)
     if non_integral is None:
         _same([build(half), build(finite(half))])
@@ -106,3 +110,10 @@ def test_sets_of_int_parts_count_and_measure_like_the_int_model(values):
     assert m.mu == len(values)
     assert [m.apply(k) for k in range(1, len(values) + 1)] == sorted(values)
     assert oracles.set_model(m.target) == values
+
+
+def test_a_bool_or_an_int_subclass_becomes_a_plain_int_term():
+    for value, terms in ((True, ((0, 1),)), (False, ()), (Int(5), ((0, 5),)), (Int(0), ())):
+        x = finite(value)
+        assert x.terms == terms and [type(c) for _, c in x.terms] == [int] * len(terms)
+        assert str(x) == str(int(value))

@@ -112,6 +112,16 @@ class TestImportSet:
     def test_no_verb_loads_dataclasses_or_what_it_imports(self, argv):
         assert added_by_verb(self.SLOW_STDLIB, *argv) == set()
 
+    def test_the_measure_verb_leaves_the_row_pattern_uncompiled(self):
+        # The line-based reader's whole-row pattern takes about a millisecond to compile.
+        code = (
+            "from grossone.cli import main\nimport grossone.measure as m\nmain(['measure', '[4..①]'])\n"
+            "print(m._INT_ROW is None)\nm.from_text('mu 1\\npiece 1 1\\ntarget [1..1]')\nprint(m._INT_ROW is None)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["True", "False"]
+
     def test_one_name_loads_its_submodule_and_what_that_imports(self):
         assert loaded_after("import grossone\ngrossone.intersect") == {"errors", "gnum", "sets"}
 

@@ -1,9 +1,9 @@
 """A numeral that is a plain integer is read in one match, with the same outcome as the term scanner.
 
 The reference is the same parser with the plain-integer patterns (the one
-``parse_sum`` matches and the whole-field one the measurement readers match)
-swapped for one that never matches, so that every text goes through the term
-scanner.
+``parse_sum`` matches, the whole-field one the JSON reader matches and the
+whole-row one the line-based reader matches) swapped for one that never
+matches, so that every text goes through the term scanner.
 Each entry point must give the same value (term for term, int or Fraction
 alike) and end, or the same error type, message and position.
 """
@@ -16,6 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import grossone.gnum as gnum
+import grossone.measure as measure
 from grossone.errors import GrossoneError, InvalidArgument, ParseError
 from grossone.gnum import GROSSONE, GrossNumber, parse_numeral, parse_numeral_prefix
 from grossone.measure import canonical_measurement, from_text, to_text
@@ -43,6 +44,7 @@ def term_scanner_only():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gnum, "_PLAIN_INT", NEVER)
         patch.setattr(gnum, "_INT_FIELD", NEVER)
+        patch.setattr(measure, "_INT_ROW", NEVER)
         yield
 
 

@@ -23,10 +23,12 @@ from grossone.gnum import _PLAIN_INT, _SHORT_TERM, GROSSONE, GrossNumber, _int_f
 from grossone.measure import (
     AffinePiece,
     _rows,
+    _text_rows,
     canonical_measurement,
     from_json,
     from_jsonable,
     from_text,
+    to_text,
     transport,
 )
 from grossone.sets import interval, make_set
@@ -240,6 +242,133 @@ def test_json_text_goes_through_the_same_reader():
     assert from_json(text) == oracles.reference_from_jsonable(doc)
     doc["target"][0]["hi"] = "−0"
     assert outcome(from_json, json.dumps(doc)) == outcome(oracles.reference_from_jsonable, doc)
+
+
+# ---------------------------------------------------------------- whole rows of plain integers
+#
+# ``from_text`` reads a line that is a whole row of plain integers in one
+# match and sends every other line to the field reader.  Each edge line
+# stands in for its kind's first row of a measurement, and is also added
+# after the rows; the outcome must be the reference's either way.
+
+# [1..2] | [10..12] | [20..21], with an explicit zero offset.
+PLAIN_ROWS = ["mu 7", "piece 1 2 0", "piece 3 5 7", "piece 6 7 14", "target [1..2]", "target [10..12]", "target [20..21]"]
+# [-12..-10] | [5..①]: negative plain integers, and rows that mix them with ①.
+MIXED_ROWS = ["mu ①-1", "piece 1 3 -13", "piece 4 ①-1 1", "target [-12..-10]", "target [5..①]"]
+SPACES = [" ", "\t", "\u00a0", "\u3000", " \t", "\u3000\u00a0 "]
+
+
+def texts_with(line: str, rows: list[str]) -> list[str]:
+    """``line`` in place of the first row of its kind among ``rows``, and after them."""
+    kind = line.split(None, 1)[0] if line.strip() else ""
+    first = next((i for i, row in enumerate(rows) if row.split()[0] == kind), 0)
+    replaced = [*rows[:first], line, *rows[first + 1 :]]
+    return ["\n".join(replaced) + "\n", "\n".join([*rows, line]) + "\n"]
+
+
+def assert_same_text(line: str, rows: list[str] = PLAIN_ROWS):
+    for text in texts_with(line, rows):
+        assert outcome(from_text, text) == outcome(oracles.reference_from_text, text), text
+
+
+def spellings(value: int) -> list[str]:
+    """``value`` with and without a sign and leading zeros: every spelling of a plain integer."""
+    digits = str(abs(value))
+    signs = ["-", "−"] if value < 0 else ["", "+", *(["-", "−"] if value == 0 else [])]
+    return [sign + zeros + digits for sign in signs for zeros in ("", "00")]
+
+
+def row_fields(row: str) -> tuple[str, list[str]]:
+    kind, *fields = row.split()
+    if kind == "target":
+        fields = fields[0][1:-1].split("..")
+    return kind, fields
+
+
+def test_every_whitespace_between_and_around_the_fields():
+    for rows in (PLAIN_ROWS, MIXED_ROWS):
+        for row in rows:
+            kind, fields = row_fields(row)
+            if kind == "target":
+                fields = [f"[{fields[0]}..{fields[1]}]"]
+            for gap in SPACES:
+                for edge in ("", *SPACES):
+                    assert_same_text(edge + gap.join([kind, *fields]) + edge, rows)
+            # Whitespace inside a target's brackets splits its field.
+            if kind == "target":
+                assert_same_text(f"target [{fields[0][1:-1].replace('..', ' ..')}]", rows)
+
+
+def test_every_spelling_of_every_plain_integer():
+    for rows in (PLAIN_ROWS, MIXED_ROWS):
+        written = [[kind, fields] for kind, fields in map(row_fields, rows)]
+        for i, (kind, fields) in enumerate(written):
+            for j, field in enumerate(fields):
+                if not _PLAIN_INT.fullmatch(field):
+                    continue
+                for spelling in spellings(int(field)):
+                    variant = [[k, list(f)] for k, f in written]
+                    variant[i][1][j] = spelling
+                    assert_same(variant)
+
+
+def test_lines_at_the_one_match_length_limit():
+    for row in PLAIN_ROWS + MIXED_ROWS[1:2]:
+        rows = PLAIN_ROWS if row in PLAIN_ROWS else MIXED_ROWS
+        for length in (_SHORT_TERM, _SHORT_TERM + 1):
+            padded = row + " " * (length - len(row))
+            kind, fields = row_fields(row)
+            zeros = "0" * (length - len(row))
+            field = fields[-1]
+            fields[-1] = field[0] + zeros + field[1:] if field[0] in "+-−" else zeros + field
+            zero_padded = " ".join([kind, *([f"[{fields[0]}..{fields[1]}]"] if kind == "target" else fields)])
+            for line in (padded, zero_padded):
+                assert len(line) == length
+                assert_same_text(line, rows)
+
+
+def test_rows_of_the_wrong_shape():
+    lines = [
+        "piece 1", "piece 1 2 3 4", "mu 1 2", "mu", "target", "target [1..2] [3..4]", "target 1 2",
+        "mu3", "piece1 2", "target[1..2]", "piece 1 2-3", "piece 1-2", "piece 12", "piece 1+2 3", "piece 1 2+3", "piece 1 2 3-4", "target [1..2]]",
+        "target [[1..2]", "target [1...2]", "target [1..2..3]", "target [1.. 2]", "mu 3 ", " mu 3", "MU 3",
+        "piece 1 2 +", "mu −", "mu +-3", "mu 1_000", "mu ٣", "target [1..2", "target 1..2]", "pieces 1 2",
+    ]
+    for line in lines:
+        assert_same_text(line)
+
+
+def test_lines_that_mix_plain_integers_with_gross_numerals():
+    lines = [
+        "mu ①", "mu ①-1", "piece 1 ①", "piece ① ①+2 5", "piece 4 ①-1 1", "piece 1 3 ①", "piece 1 3 G1",
+        "target [5..①]", "target [①..9]", "target [-12..-①]", "target [5..①]]", "piece 1 2①", "piece 1 2 3①",
+        "piece 1 ①-1 −0", "piece 004 ①-1 +1", "target [+5..①]", "mu 1/2", "piece 1 2.5", "target [1..2/1]",
+    ]
+    for line in lines:
+        assert_same_text(line, MIXED_ROWS)
+        assert_same_text(line)
+
+
+def typed_rows(text: str) -> list:
+    return [(kind, [(type(value), value) for value in values]) for kind, values in _text_rows(text)]
+
+
+def test_the_base_rows_read_as_measurements():
+    for rows in (PLAIN_ROWS, MIXED_ROWS):
+        text = "\n".join(rows)
+        assert to_text(from_text(text)).split("\n")[:2] == [rows[0], rows[1].removesuffix(" 0")]
+
+
+def test_a_row_of_plain_integers_is_read_as_ints_up_to_the_length_limit():
+    at_limit = "mu " + "7".zfill(_SHORT_TERM - 3)
+    assert typed_rows(at_limit) == [("mu", [(int, 7)])]
+    # One character longer, the same row goes to the field reader, whose scanner builds GrossNumbers.
+    assert typed_rows(at_limit + " ") == [("mu", [(GrossNumber, 7)])]
+    assert typed_rows("\u3000piece\t+1 −0 007\u00a0\ntarget [-3..−0]\n") == [
+        ("piece", [(int, 1), (int, 0), (int, 7)]),
+        ("target", [(int, -3), (int, 0)]),
+    ]
+    assert typed_rows("piece 1 ①") == [("piece", [(GrossNumber, 1), (GrossNumber, GROSSONE)])]
 
 
 # ---------------------------------------------------------------- the plain-integer read

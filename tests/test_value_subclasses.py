@@ -6,6 +6,9 @@ still sets, checks, compares, hashes, shows and pickles the inherited ones,
 and its constructor still runs the inherited ``__post_init__``.  A private
 slot that a class declares in ``__slots__`` is no field: no constructor
 sets it, and equality, hashing, ``repr``, pickling and copying ignore it.
+An ``IntervalSet`` subclass may add fields but not a ``__post_init__`` of
+its own, which would replace the canonical check and the order keys that
+every set operation trusts.
 """
 
 import copy
@@ -16,7 +19,7 @@ import pytest
 from grossone.errors import EmptyIntervalRejected, InvalidArgument
 from grossone.gnum import _Value, finite
 from grossone.numeral_system import BoundedFinite
-from grossone.sets import GrossInterval
+from grossone.sets import GrossInterval, IntervalSet, contains, union
 
 
 class Labelled(BoundedFinite):
@@ -114,3 +117,34 @@ def test_a_subclass_inherits_a_private_slot_but_not_as_a_field():
     assert Wider.__match_args__ == ("a", "b", "c")
     Memoised._memo.__set__(value, "x")
     assert value == Wider(1, 2, 3) and repr(value) == repr(Wider(1, 2, 3))
+
+
+# ---------------------------------------------------------------- interval sets
+
+
+def test_an_interval_set_subclass_may_not_replace_the_canonical_check():
+    with pytest.raises(TypeError, match="^IntervalSet subclass Loose may not define __post_init__: "):
+
+        class Loose(IntervalSet):
+            def __post_init__(self):
+                pass
+
+    with pytest.raises(TypeError, match="^IntervalSet subclass Checked may not define __post_init__: "):
+
+        class Checked(IntervalSet):
+            def __post_init__(self):
+                super().__post_init__()
+
+
+def test_an_interval_set_subclass_without_its_own_check_holds_keys():
+    class Named(IntervalSet):
+        name: str = ""
+
+    class Plain(Named):
+        pass
+
+    s = Plain((GrossInterval(1, 2), GrossInterval(5, 6)), "s")
+    assert union(s, s) == IntervalSet(s.parts)
+    assert contains(s, 5) and not contains(s, 3)
+    with pytest.raises(InvalidArgument):
+        Plain((GrossInterval(5, 6), GrossInterval(1, 2)))
