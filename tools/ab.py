@@ -115,7 +115,8 @@ def summary_line(label: str, workload: str, seeds: list[int], seconds: float, su
     claim, metrics = summary["claim"], summary["metrics"]
     m = metrics[claim["metric"]]
     p, c = m["parent"], m["change"]
-    seed_text = f"{seeds[0]}-{seeds[-1]}" if seeds == list(range(seeds[0], seeds[-1] + 1)) else ",".join(map(str, seeds))
+    consecutive = seeds == list(range(seeds[0], seeds[-1] + 1))
+    seed_text = f"{seeds[0]}-{seeds[-1]}" if consecutive else ",".join(map(str, seeds))
     worse = [f"{name} {v['worse_by']:+.1%} worse (bound {v['bound']:.0%})"
              for name, v in metrics.items() if v["verdict"] != "ok"]
     return (
