@@ -1,4 +1,4 @@
-"""The A/B driver's summary, on fixed numbers: medians, quartiles, wins, verdicts and the claim.
+"""The A/B tool's summary, on fixed numbers: medians, quartiles, wins, verdicts and the claim.
 
 ``tools/ab.py`` runs the benchmark, which tier-1 never does; only its pure
 summary functions are tested here.

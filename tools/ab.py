@@ -4,7 +4,7 @@
         --seeds 3101-3110 --seconds 16 --label measure-roundtrip
 
 PARENT and CHANGE are the roots of two source checkouts, for example two
-revisions exported with ``git archive`` into a scratch directory.  Both
+revisions exported with ``git archive`` into a temporary directory.  Both
 trees' ``src/`` and ``perfbench/`` are compiled first with ``compileall``,
 so that both run from the same bytecode state.  Then, for each seed, each
 tree runs ``perfbench/run.py --trace 0`` once: the parent first on even
