@@ -36,7 +36,6 @@ from .gnum import (
     _SHORT_TERM,
     _Scanner,
     _Value,
-    _from_int,
     _gross_integer,
     _int_field,
     _is_gross_integer,
@@ -226,18 +225,12 @@ def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
     gross-integer GrossNumbers, the domains tile [1..mu] in order and the
     images cover the canonical target exactly, because the construction that
     calls this made them so, or, for ``_from_rows``, because ``_check_runs``
-    has just checked them.  Ints are stored as GrossNumbers built by
-    ``gnum._from_int``; GrossNumbers are stored as they are.
+    has just checked them.  Ints are stored as GrossNumbers through
+    ``finite``, which boxes an int directly with ``gnum._from_int``.
     """
-    span, piece, box = GrossInterval._trusted, AffinePiece._trusted, _from_int
-    pieces = tuple([
-        piece(
-            span(box(lo) if type(lo) is int else lo, box(hi) if type(hi) is int else hi),
-            box(offset) if type(offset) is int else offset,
-        )
-        for lo, hi, offset in runs
-    ])
-    return Measurement._trusted(box(mu) if type(mu) is int else mu, pieces, target)
+    span, piece = GrossInterval._trusted, AffinePiece._trusted
+    pieces = tuple([piece(span(finite(lo), finite(hi)), finite(offset)) for lo, hi, offset in runs])
+    return Measurement._trusted(finite(mu), pieces, target)
 
 
 # ---------------------------------------------------------------- constructions
@@ -579,12 +572,23 @@ def _text_rows(text: str):
 def _text_numerals(line: str, field: re.Match, target: bool) -> tuple:
     """The numerals of one field of ``line``: a target's two endpoints, else one numeral.
 
-    The field is read alone by the scanner, up to its own end: a numeral
-    must not run on into the next field, as "2①+1 -①-1" would if read as one
-    sum.  Positions are columns of the line.  A plain integer here is read
-    in the scanner's one ``_PLAIN_INT`` match; a row of nothing else, in at
-    most ``_SHORT_TERM`` characters, ``_text_rows`` reads whole instead.
+    A plain integer, and each end of a target ``[a..b]`` when both are
+    plain, is read as an int.  Any other field is read alone by the scanner,
+    up to its own end: a numeral must not run on into the next field, as
+    "2①+1 -①-1" would if read as one sum.  Positions are columns of the line.
+    A row of nothing but plain integers, in at most ``_SHORT_TERM``
+    characters, ``_text_rows`` reads whole instead, without this.
     """
+    word = field.group()
+    if not target:
+        value = _int_field(word)
+        if value is not None:
+            return (value,)
+    elif word[0] == "[" and word[-1] == "]":
+        lo, _, hi = word[1:-1].partition("..")
+        ends = _int_field(lo), _int_field(hi)
+        if None not in ends:
+            return ends
     scanner = _Scanner(line[: field.end()], field.start())
     values = scanner.parse_interval() if target else (scanner.parse_sum(),)
     scanner.finish()
@@ -628,12 +632,19 @@ def _json_member(container: dict, key: str, kind: type, where: str):
     return value
 
 
-def _json_numeral(container: dict, key: str, where: str) -> int | GrossNumber:
-    """The numeral string ``container[key]``: an int when it is a plain integer, else parsed."""
-    text = _json_member(container, key, str, where)
-    value = _int_field(text)
+def _json_numeral(container: dict, key: str, where: str, index: int | None = None) -> int | GrossNumber:
+    """The numeral string ``container[key]``: an int when it is a plain integer, else parsed.
+
+    ``where`` is the container's JSON path, followed by ``[index]`` when an
+    index is given; that path is built only for an error.
+    """
+    text = container.get(key)
+    value = _int_field(text) if isinstance(text, str) else None
     if value is not None:
         return value
+    if index is not None:
+        where = f"{where}[{index}]"
+    text = _json_member(container, key, str, where)
     try:
         return parse_numeral(text)
     except ParseError as exc:
@@ -641,25 +652,16 @@ def _json_numeral(container: dict, key: str, where: str) -> int | GrossNumber:
 
 
 def _json_rows(data):
-    """The rows of a JSON-ready document, in order.
-
-    An entry's numeral strings that are plain integers are read as ints
-    where they stand; only an entry with another numeral, or at fault, goes
-    through ``_json_numeral``, with its JSON path.
-    """
     if not isinstance(data, dict):
         raise ParseError("expected an object", "$", 0)
     yield "mu", (_json_numeral(data, "mu", "$"),)
     for kind, key in (("piece", "pieces"), ("target", "target")):
+        where = f"$.{key}"
         for i, entry in enumerate(_json_member(data, key, list, "$")):
             if not isinstance(entry, dict):
-                raise ParseError("expected an object", f"$.{key}[{i}]", 0)
-            slots = _JSON_SLOTS if kind == "piece" and "offset" in entry else _JSON_SLOTS[:2]
-            values = [_int_field(text) if type(text := entry.get(slot)) is str else None for slot in slots]
-            if None in values:
-                where = f"$.{key}[{i}]"
-                values = [_json_numeral(entry, slot, where) if v is None else v for v, slot in zip(values, slots)]
-            yield kind, tuple(values)
+                raise ParseError("expected an object", f"{where}[{i}]", 0)
+            count = 3 if kind == "piece" and "offset" in entry else 2
+            yield kind, tuple([_json_numeral(entry, slot, where, i) for slot in _JSON_SLOTS[:count]])
 
 
 def from_jsonable(data: dict) -> Measurement:

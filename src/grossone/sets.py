@@ -126,9 +126,10 @@ class IntervalSet(_Value):
     parts: tuple[GrossInterval, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
-        if "__post_init__" in cls.__dict__:
+        # Looked up along the whole MRO, as the constructor does, so a mixin's is refused too.
+        if cls.__post_init__ is not IntervalSet.__post_init__:
             raise TypeError(
-                f"IntervalSet subclass {cls.__name__} may not define __post_init__: "
+                f"IntervalSet subclass {cls.__name__} may not replace IntervalSet.__post_init__: "
                 "the set operations rely on the base's canonical check and order keys"
             )
         super().__init_subclass__(**kwargs)

@@ -360,16 +360,21 @@ def test_the_base_rows_read_as_measurements():
         assert from_text(text) == oracles.reference_from_text(text)
 
 
-def test_a_row_of_plain_integers_is_read_as_ints_up_to_the_length_limit():
+def test_plain_integers_are_read_as_ints_on_either_side_of_the_length_limit():
     at_limit = "mu " + "7".zfill(_SHORT_TERM - 3)
     assert typed_rows(at_limit) == [("mu", [(int, 7)])]
-    # One character longer, the same row goes to the field reader, whose scanner builds GrossNumbers.
-    assert typed_rows(at_limit + " ") == [("mu", [(GrossNumber, 7)])]
+    # One character longer, the same row goes to the field reader, which reads each plain field as an int.
+    assert typed_rows(at_limit + " ") == [("mu", [(int, 7)])]
     assert typed_rows("\u3000piece\t+1 −0 007\u00a0\ntarget [-3..−0]\n") == [
         ("piece", [(int, 1), (int, 0), (int, 7)]),
         ("target", [(int, -3), (int, 0)]),
     ]
-    assert typed_rows("piece 1 ①") == [("piece", [(GrossNumber, 1), (GrossNumber, GROSSONE)])]
+    assert typed_rows("piece 1 ①") == [("piece", [(int, 1), (GrossNumber, GROSSONE)])]
+    # A target's ends are ints when both are plain, else both are read by the scanner.
+    assert typed_rows("target [-3..①]\ntarget [1..2]" + " " * _SHORT_TERM) == [
+        ("target", [(GrossNumber, -3), (GrossNumber, GROSSONE)]),
+        ("target", [(int, 1), (int, 2)]),
+    ]
 
 
 # ---------------------------------------------------------------- the plain-integer read

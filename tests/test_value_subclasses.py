@@ -7,8 +7,8 @@ and its constructor still runs the inherited ``__post_init__``.  A private
 slot that a class declares in ``__slots__`` is no field: no constructor
 sets it, and equality, hashing, ``repr``, pickling and copying ignore it.
 An ``IntervalSet`` subclass may add fields but not a ``__post_init__`` of
-its own, which would replace the canonical check and the order keys that
-every set operation trusts.
+its own or a mixin's, which would replace the canonical check and the order
+keys that every set operation trusts.
 """
 
 import copy
@@ -123,17 +123,27 @@ def test_a_subclass_inherits_a_private_slot_but_not_as_a_field():
 
 
 def test_an_interval_set_subclass_may_not_replace_the_canonical_check():
-    with pytest.raises(TypeError, match="^IntervalSet subclass Loose may not define __post_init__: "):
+    with pytest.raises(TypeError, match="^IntervalSet subclass Loose may not replace IntervalSet.__post_init__: "):
 
         class Loose(IntervalSet):
             def __post_init__(self):
                 pass
 
-    with pytest.raises(TypeError, match="^IntervalSet subclass Checked may not define __post_init__: "):
+    with pytest.raises(TypeError, match="^IntervalSet subclass Checked may not replace IntervalSet.__post_init__: "):
 
         class Checked(IntervalSet):
             def __post_init__(self):
                 super().__post_init__()
+
+    # A __post_init__ inherited from a mixin would run in place of the base's just the same.
+    class Mixin:
+        def __post_init__(self):
+            pass
+
+    with pytest.raises(TypeError, match="^IntervalSet subclass Mixed may not replace IntervalSet.__post_init__: "):
+
+        class Mixed(Mixin, IntervalSet):
+            pass
 
 
 def test_an_interval_set_subclass_without_its_own_check_holds_keys():
