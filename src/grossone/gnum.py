@@ -269,7 +269,7 @@ class GrossNumber(_Value):
         Like exponents are merged and zero coefficients dropped, so any
         ordering or duplication in the input yields the same value.
         """
-        return _built(_canonical_terms([(_exact(e), _exact(c)) for e, c in pairs]))
+        return _summed([(_exact(e), _exact(c)) for e, c in pairs])
 
     # ---------------------------------------------------------------- queries
 
@@ -402,6 +402,50 @@ def _from_int(n: int) -> GrossNumber:
     return GrossNumber._trusted(((0, n),) if n else ())
 
 
+def _key(x: GrossNumber) -> tuple:
+    """The order key of the gross-integer ``x``, a flat tuple that orders as the numbers do.
+
+    One group ``(s, s*e, c)`` per term of exponent ``e > 0``, in descending
+    order, where ``s`` (+1 or -1) is the sign of ``c``, then ``0`` and the
+    finite part ``c0``.  So ``7`` is ``(0, 7)``, zero is ``(0, 0)`` and
+    ``①-1`` is ``(1, 1, 1, 0, -1)``.  Python's tuple order on keys is the
+    order of the numbers, and the key of ``y + 1`` is the key of ``y`` with
+    1 added to its last entry.  This holds only because a gross-integer has
+    no negative exponent: its finite part is always last, so no term can
+    follow it.  ``_from_key`` turns a key back into its number.
+    """
+    terms = x.terms
+    if not terms:
+        return (0, 0)
+    if terms[0][0] == 0:
+        # A finite gross-integer is one int term.
+        return (0, terms[0][1])
+    key = []
+    c0 = 0
+    for e, c in terms:
+        if e:
+            key += (1, e, c) if c > 0 else (-1, -e, c)
+        else:
+            c0 = c
+    key += (0, c0)
+    return tuple(key)
+
+
+def _key_terms(key: tuple, sign: int = 1) -> list[Term]:
+    """The terms ``(e, sign * c)`` of the key's positive-exponent groups, in descending order."""
+    return [(key[i] * key[i + 1], sign * key[i + 2]) for i in range(0, len(key) - 2, 3)]
+
+
+def _from_key(key: tuple) -> GrossNumber:
+    """The gross-integer whose order key is ``key``, the inverse of ``_key``; not re-checked."""
+    if len(key) == 2:
+        return _from_int(key[1])
+    terms = _key_terms(key)
+    if key[-1]:
+        terms.append((0, key[-1]))
+    return _built(tuple(terms))
+
+
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, ...]:
     """The canonical terms of ``a + sign * b``, from one pass over two descending term tuples.
 
@@ -513,6 +557,11 @@ def _canonical_terms(pairs: list[Term]) -> tuple[Term, ...]:
     """The canonical terms of exact (exponent, coefficient) pairs in any order, repeats allowed."""
     scale = _key_scale(pairs)
     return _unkeyed(_merged(_keyed(pairs, scale)), scale)
+
+
+def _summed(pairs: list[Term]) -> GrossNumber:
+    """The GrossNumber of exact pairs in any order, like exponents summed; not re-checked."""
+    return _built(_canonical_terms(pairs))
 
 
 def _compare_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> int:

@@ -50,7 +50,6 @@ from .gnum import (
 from .sets import (
     GrossInterval,
     IntervalSet,
-    _int_ends,
     _set_arg,
     cardinality,
     difference,
@@ -246,19 +245,20 @@ def canonical_measurement(s: IntervalSet) -> Measurement:
     """The order-preserving measurement: k-th smallest element gets index k.
 
     Each part of the set becomes one piece whose offset aligns the next
-    free index block with the part's left endpoint.  The runs are computed
-    on ints while the parts have plain-integer ends and as gross-numbers
-    from the first part that has not; they become GrossNumbers only as the
-    pieces are built.
+    free index block with the part's left endpoint.  A plain-integer end is
+    read from the set's order keys as the int its key holds, so the runs
+    are computed on ints until the first end that is not, and as
+    gross-numbers from there; they become GrossNumbers only as the pieces
+    are built.
     """
     runs = []
     hi = 0
-    for part in _nonempty(_set_arg(s)).parts:
+    s = _nonempty(_set_arg(s))
+    for part, key_lo, key_hi in zip(s.parts, *s._keys):
         # Aligned at the part's left endpoint, the block ends at its right one.
-        part_lo, part_hi = _int_ends(part) or (part.lo, part.hi)
         lo = hi + 1
-        offset = part_lo - lo
-        hi = part_hi - offset
+        offset = (key_lo[1] if len(key_lo) == 2 else part.lo) - lo
+        hi = (key_hi[1] if len(key_hi) == 2 else part.hi) - offset
         runs.append((lo, hi, offset))
     return _proven(hi, runs, s)
 

@@ -8,18 +8,12 @@ gives every set a well defined element count, even when the endpoints are
 infinite like ``[1..①]``.
 
 The sweeps of ``make_set``, ``union``, ``intersect``, ``difference``,
-``is_subset`` and ``contains`` compare endpoints through order keys, not
-through GrossNumber operators.  The key of a gross-integer is a flat tuple:
-one group ``(s, s*e, c)`` per term of exponent ``e > 0``, in descending
-order, where ``s`` (+1 or -1) is the sign of ``c``, then ``0`` and the
-finite part ``c0``.  So ``7`` is ``(0, 7)``, zero is ``(0, 0)`` and ``①-1``
-is ``(1, 1, 1, 0, -1)``.  Python's tuple order on keys is the order of the
-numbers, and the key of ``y + 1`` is the key of ``y`` with 1 added to its
-last entry.  This holds only because a gross-integer has no negative
-exponent: its finite part is always last, so no term can follow it.  Each
-set holds the keys of its endpoints: the sweeps hand them on to the sets
-they build, and the checking constructor computes them as it checks the
-parts.
+``is_subset`` and ``contains`` and the count of ``cardinality`` work on the
+order keys of the endpoints (``gnum._key``), not through GrossNumber
+operators.  Each set holds the keys of its endpoints: the sweeps hand them
+on to the sets they build, and the checking constructor computes them as
+it checks the parts.  A gap end, an endpoint moved by 1, is read back from
+its moved key by ``gnum._from_key``.
 """
 
 from __future__ import annotations
@@ -35,8 +29,8 @@ from .errors import (
     NotSubsetOfRange,
     _shown,
 )
-from .gnum import GROSSONE, ZERO, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
-from .gnum import _Value, _from_int
+from .gnum import GROSSONE, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
+from .gnum import _Value, _ValueType, _from_int, _from_key, _key, _key_terms, _summed
 
 __all__ = [
     "GrossInterval",
@@ -101,7 +95,43 @@ def interval(lo, hi) -> GrossInterval:
     return GrossInterval(lo, hi)
 
 
-class IntervalSet(_Value):
+class _SetType(_ValueType):
+    """The metaclass of IntervalSet: every set class runs IntervalSet's own ``__post_init__``.
+
+    The set operations rely on the canonical check and the order keys it
+    holds, so a subclass that defines or inherits another ``__post_init__``
+    is refused as it is created, and binding or deleting ``__post_init__`` on
+    a set class afterwards is refused too.
+    """
+
+    def __new__(mcs, name, bases, namespace):
+        cls = super().__new__(mcs, name, bases, namespace)
+        subclass = any(isinstance(base, _SetType) for base in bases)
+        # Looked up along the whole MRO, as the constructor does, so a mixin's is refused too.
+        if subclass and cls.__post_init__ is not IntervalSet.__post_init__:
+            _refuse_check(cls)
+        return cls
+
+    def __setattr__(cls, name, value):
+        if name == "__post_init__":
+            _refuse_check(cls)
+        super().__setattr__(name, value)
+
+    def __delattr__(cls, name):
+        if name == "__post_init__":
+            _refuse_check(cls)
+        super().__delattr__(name)
+
+
+def _refuse_check(cls) -> None:
+    who = "IntervalSet" if cls is IntervalSet else f"IntervalSet subclass {cls.__name__}"
+    raise TypeError(
+        f"{who} may not replace IntervalSet.__post_init__: "
+        "the set operations rely on the base's canonical check and order keys"
+    )
+
+
+class IntervalSet(_Value, metaclass=_SetType):
     """Canonical finite union of disjoint, non-adjacent intervals.
 
     ``IntervalSet(...)`` checks that its parts are intervals, sorted,
@@ -113,7 +143,7 @@ class IntervalSet(_Value):
     ``make_set``, an item that is not a GrossInterval).
 
     The private slot ``_keys`` holds ``(lower keys, upper keys)``, the order
-    keys of the parts' endpoints (see the module docstring).  Keys order as
+    keys of the parts' endpoints (see ``gnum._key``).  Keys order as
     the numbers do only for gross-integers, where no term follows the finite
     part, and every endpoint is one.  The constructor checks the parts on
     their keys and holds them; ``_canonical`` holds the keys its sweep
@@ -124,15 +154,6 @@ class IntervalSet(_Value):
     __slots__ = ("_keys",)
 
     parts: tuple[GrossInterval, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        # Looked up along the whole MRO, as the constructor does, so a mixin's is refused too.
-        if cls.__post_init__ is not IntervalSet.__post_init__:
-            raise TypeError(
-                f"IntervalSet subclass {cls.__name__} may not replace IntervalSet.__post_init__: "
-                "the set operations rely on the base's canonical check and order keys"
-            )
-        super().__init_subclass__(**kwargs)
 
     def __post_init__(self):
         los, his = [], []
@@ -212,25 +233,6 @@ def _canonical(parts: list, los: list, his: list) -> IntervalSet:
     return s
 
 
-def _key(x: GrossNumber) -> tuple:
-    """The order key of the gross-integer ``x``; see the module docstring."""
-    terms = x.terms
-    if not terms:
-        return (0, 0)
-    if terms[0][0] == 0:
-        # A finite gross-integer is one int term.
-        return (0, terms[0][1])
-    key = []
-    c0 = 0
-    for e, c in terms:
-        if e:
-            key += (1, e, c) if c > 0 else (-1, -e, c)
-        else:
-            c0 = c
-    key += (0, c0)
-    return tuple(key)
-
-
 def _reaches(lo: tuple, top: tuple) -> bool:
     """Whether the key ``lo`` is at most the key ``top`` plus 1.
 
@@ -250,16 +252,6 @@ def make_set(intervals) -> IntervalSet:
         los.append(_key(part.lo))
         his.append(_key(part.hi))
     return _coalesce(parts, los, his)
-
-
-def _int_ends(part: GrossInterval) -> tuple[int, int] | None:
-    """``(lo, hi)`` of a part as ints when both endpoints are plain integers, else None."""
-    lo, hi = part.lo.terms, part.hi.terms
-    # A gross-integer endpoint is a plain integer when it is zero or its
-    # leading exponent is 0; then it is the one int term ``(0, c)``.
-    if (not lo or lo[0][0] == 0) and (not hi or hi[0][0] == 0):
-        return (lo[0][1] if lo else 0), (hi[0][1] if hi else 0)
-    return None
 
 
 def _coalesce(parts, los, his) -> IntervalSet:
@@ -335,20 +327,22 @@ def _uncovered(a: IntervalSet, b: IntervalSet):
     """The parts of ``a - b`` with their lower and upper keys, in order; the gaps of b inside the parts of a."""
     # Sweep over b alongside a: parts of b that end below the current part
     # of a can never meet a later one, and the part of b that reaches past
-    # it is kept for the next part of a.
-    bp = b.parts
+    # it is kept for the next part of a.  A gap's ends are the ends of b's
+    # parts moved by 1, read back from their moved keys.
     (alo, ahi), (blo, bhi) = a._keys, b._keys
-    j, nb = 0, len(bp)
+    j, nb = 0, len(blo)
     for p, plo, phi in zip(a.parts, alo, ahi):
         while j < nb and bhi[j] < plo:
             j += 1
         lo, klo = p.lo, plo
         while j < nb and blo[j] <= phi:
             if blo[j] > klo:
-                yield _span(lo, bp[j].lo - 1), klo, _moved(blo[j], -1)
+                khi = _moved(blo[j], -1)
+                yield _span(lo, _from_key(khi)), klo, khi
             if bhi[j] >= phi:
-                break  # bp[j] covers the rest of p
-            lo, klo = bp[j].hi + 1, _moved(bhi[j], 1)
+                break  # b's j-th part covers the rest of p
+            klo = _moved(bhi[j], 1)
+            lo = _from_key(klo)
             j += 1
         else:
             yield _cut(lo, p), klo, phi
@@ -366,20 +360,20 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 def cardinality(s: IntervalSet) -> GrossNumber:
     """Exact element count; ``[1..①]`` has ① elements, not a limit symbol.
 
-    The sum of ``hi - lo + 1`` over the parts.  Parts with plain-integer
-    endpoints add to an int count; only the others are summed as
-    gross-numbers.
+    The sum of ``hi - lo + 1`` over the parts, read from their keys: the
+    finite parts of the keys add up to one int, and only keys with terms of
+    positive exponent add their terms, merged once into the result.
     """
-    parts = _set_arg(s).parts
-    count = len(parts)
-    gross = ZERO
-    for part in parts:
-        ends = _int_ends(part)
-        if ends is not None:
-            count += ends[1] - ends[0]
-        else:
-            gross = gross + part.hi - part.lo
-    return gross + count
+    los, his = _set_arg(s)._keys
+    count = 0
+    gross = []
+    for lo, hi in zip(los, his):
+        count += hi[-1] - lo[-1] + 1
+        if len(hi) > 2:
+            gross += _key_terms(hi)
+        if len(lo) > 2:
+            gross += _key_terms(lo, -1)
+    return _summed([*gross, (0, count)]) if gross else _from_int(count)
 
 
 def extrema(s: IntervalSet) -> tuple[GrossNumber, GrossNumber]:

@@ -1,31 +1,41 @@
 """The set sweeps compare endpoints by order keys, and every set holds the right keys.
 
-``sets._key`` turns a gross-integer into a flat tuple whose order is the
+``gnum._key`` turns a gross-integer into a flat tuple whose order is the
 number's order and whose last entry is the finite part, so that the key of
 ``y + 1`` is the key of ``y`` with its last entry one larger.  On random
 gross-integers (fractional and several positive exponents, Fraction
 coefficients on them, negatives and zero) key order and equality must be
-the numbers' order and equality.  Each set must hold the keys of its parts'
-endpoints, as the key function gives them: the sets the sweeps build, the
-sets the checking constructor builds and sets read back from a pickle.  The
-sweeps' results must agree with GrossNumber comparisons of the endpoints,
-and the constructor must refuse, on keys, what it refused on numbers.
+the numbers' order and equality, and ``gnum._from_key`` must read a key,
+moved or not, back as its number, each entry an int where integral.  Each
+set must hold the keys of its parts' endpoints, as the key function gives
+them: the sets the sweeps build, the sets the checking constructor builds
+and sets read back from a pickle; and no set class may rebind or delete
+the check that computes them.  The sweeps' results must agree with
+GrossNumber comparisons of the endpoints, and the constructor must refuse,
+on keys, what it refused on numbers.  ``difference`` and ``is_subset``,
+whose gap ends are read back from keys, must agree with an int model of
+sets whose ends lie near infinitely distant centres, and ``cardinality``
+and ``canonical_measurement``, which read counts and plain ends from keys,
+with the GrossNumber walks in ``tests/oracles.py``.
 """
 
 import pickle
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import oracles
 from grossone.errors import InvalidArgument
-from grossone.gnum import GROSSONE, GrossNumber, gross_term
+from grossone.gnum import GROSSONE, GrossNumber, _from_key, _key, gross_term, parse_numeral
+from grossone.measure import canonical_measurement
 from grossone.sets import (
     EMPTY,
     IntervalSet,
-    _key,
+    _moved,
+    cardinality,
     contains,
     difference,
     intersect,
@@ -81,6 +91,56 @@ def test_fixed_keys():
     assert _key(-2 * GROSSONE**2 + gross_term(Fraction(1, 2), Fraction(1, 2))) == (
         -1, -2, -2, 1, Fraction(1, 2), Fraction(1, 2), 0, 0,
     )
+
+
+# ---------------------------------------------------------------- numbers read back from keys
+
+
+def assert_same_number(got, want: GrossNumber):
+    """Equal term for term, each entry an int when integral and a Fraction otherwise."""
+    assert type(got) is GrossNumber
+    assert got.terms == want.terms
+    for entry in (value for term in got.terms for value in term):
+        assert type(entry) is (int if entry.denominator == 1 else Fraction), got.terms
+
+
+positive_exponents = st.one_of(st.integers(1, 3), st.fractions(Fraction(1, 4), 3, max_denominator=4))
+nonzero_coefficients = st.one_of(
+    st.integers(-(10**12), 10**12), st.fractions(-5, 5, max_denominator=6), st.integers(-9, 9).map(Fraction)
+).filter(bool)
+# Zero and near-zero finite parts often, so that a step can cancel the finite part.
+finite_parts = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
+gross_integers = st.builds(
+    lambda terms, c0: GrossNumber.from_terms([*terms, (0, c0)]),
+    st.lists(st.tuples(positive_exponents, nonzero_coefficients), max_size=4),
+    finite_parts,
+)
+
+
+@seed(29001)
+@given(gross_integers)
+def test_a_key_reads_back_as_its_number(x):
+    assert_same_number(_from_key(_key(x)), x)
+
+
+@seed(29002)
+@given(gross_integers, st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12)))
+def test_a_moved_key_reads_back_as_the_moved_number(x, step):
+    assert_same_number(_from_key(_moved(_key(x), step)), x + step)
+    # Moved by minus its finite part, the number has none left.
+    key = _key(x)
+    assert_same_number(_from_key(_moved(key, -key[-1])), x - key[-1])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "7", "-7", "G1", "-G1", "-G1+3", "G1^2-G1", "-2G1^2+1/2G1^(1/2)", "-3/4G1^(3/2)+G1-5", "G1^(1/3)"],
+)
+def test_fixed_keys_read_back(text):
+    x = parse_numeral(text)
+    assert_same_number(_from_key(_key(x)), x)
+    for step in (-1, 1):
+        assert_same_number(_from_key(_moved(_key(x), step)), x + step)
 
 
 # ---------------------------------------------------------------- the keys a set holds
@@ -150,6 +210,26 @@ def test_a_constructed_or_unpickled_set_holds_its_keys(n):
             assert contains(s, x) == members(s, x)
 
 
+def test_no_set_class_may_rebind_or_delete_its_check_later():
+    class Named(IntervalSet):
+        name: str = ""
+
+    check = IntervalSet.__post_init__
+    for cls in (IntervalSet, Named):
+        with pytest.raises(TypeError, match=r"may not replace IntervalSet\.__post_init__: "):
+            cls.__post_init__ = lambda self: None
+        with pytest.raises(TypeError, match=r"may not replace IntervalSet\.__post_init__: "):
+            del cls.__post_init__
+    assert IntervalSet.__post_init__ is check and "__post_init__" not in vars(Named)
+    s = Named((interval(1, 2), interval(5, 6)), "s")
+    assert_holds_its_keys(s)
+    assert union(s, s) == IntervalSet(s.parts)
+    # Other class attributes bind and unbind as on any class.
+    Named.label = "x"
+    del Named.label
+    assert not hasattr(Named, "label")
+
+
 @seed(27005)
 @given(st.integers(0, 2**32 - 1))
 def test_the_constructor_refuses_on_keys_what_numbers_refuse(n):
@@ -166,3 +246,102 @@ def test_the_constructor_refuses_on_keys_what_numbers_refuse(n):
         assert not canonical
     else:
         assert canonical
+
+
+# ---------------------------------------------------------------- counts, gaps and runs read from keys
+
+# Gross-integers infinitely far apart, in increasing order: a negatively
+# infinite one, multi-term ones, fractional exponents and a Fraction
+# coefficient.  Every endpoint below is one of them moved by at most
+# SPREAD, so the map ``CENTRES[i] + k -> i * WIDTH + k`` keeps the order and
+# the adjacency of the ends, and a set's image is a small finite int set.
+CENTRES = [
+    parse_numeral(t) for t in ("-G1^2", "-G1", "0", "G1^(1/2)", "G1", "1/2G1^(3/2)", "G1^2-G1", "G1^2")
+]
+SPREAD, WIDTH = 6, 40
+
+
+def embedded(x: GrossNumber) -> int:
+    for i, centre in enumerate(CENTRES):
+        offset = x - centre
+        if not offset.terms or (offset.terms[0][0] == 0 and abs(offset.terms[0][1]) <= 2 * SPREAD):
+            return i * WIDTH + offset.as_int()
+    raise AssertionError(f"{x} is near no centre")
+
+
+def int_model(s: IntervalSet) -> set[int]:
+    """The image of ``s`` under the embedding, as literal ints."""
+    return oracles.set_model(make_set(interval(embedded(p.lo), embedded(p.hi)) for p in s.parts))
+
+
+def random_wide_set(rng: Random) -> IntervalSet:
+    """Parts whose ends sit near any two centres, so that parts and gaps span infinite stretches."""
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(len(CENTRES))
+        j = rng.randrange(i, min(i + 3, len(CENTRES))) if rng.random() < 0.5 else i
+        lo = CENTRES[i] + rng.randint(-SPREAD, SPREAD)
+        hi = CENTRES[j] + rng.randint(-SPREAD, SPREAD)
+        parts.append(interval(lo, hi) if lo <= hi else interval(hi, lo))
+    return make_set(parts)
+
+
+@seed(29003)
+@given(st.integers(0, 2**32 - 1))
+def test_difference_and_is_subset_agree_with_the_int_model(n):
+    rng = Random(n)
+    a, b = random_wide_set(rng), random_wide_set(rng)
+    if rng.random() < 0.3:
+        b = union(b, a) if rng.random() < 0.5 else difference(a, b)
+    got = difference(a, b)
+    assert_holds_its_keys(got)
+    assert IntervalSet(got.parts) == got
+    assert int_model(got) == int_model(a) - int_model(b)
+    assert is_subset(a, b) == (int_model(a) <= int_model(b))
+    # Every end, the gap ends read back from moved keys among them, passes the public check.
+    for part in got.parts:
+        for end in (part.lo, part.hi):
+            assert_same_number(end, GrossNumber(end.terms))
+
+
+@seed(29004)
+@given(st.integers(0, 2**32 - 1))
+def test_cardinality_and_canonical_runs_agree_with_the_references(n):
+    s = random_wide_set(Random(n))
+    count = cardinality(s)
+    assert_same_number(count, GrossNumber.from_terms(oracles.reference_cardinality(s)))
+    if all(len(lo) == 2 == len(hi) for lo, hi in zip(*s._keys)):
+        assert count == len(oracles.set_model(s))
+    if s.is_empty:
+        return
+    m = canonical_measurement(s)
+    mu, runs = oracles.reference_canonical_runs(s)
+    assert_same_number(m.mu, mu)
+    assert m.mu == count
+    got = [(p.domain.lo, p.domain.hi, p.offset) for p in m.pieces]
+    assert got == runs
+    for run in got:
+        for value in run:
+            assert_same_number(value, GrossNumber(value.terms))
+
+
+@pytest.mark.parametrize(
+    "a, b, gap",
+    [
+        # Gaps whose ends are infinite, one and two terms long.
+        ("[-G1^2..G1^2]", "[-G1+2..G1-3]", "[-G1^2..-G1+1]|[G1-2..G1^2]"),
+        ("[0..G1^2]", "[G1^2-G1..G1^2-G1+4]", "[0..G1^2-G1-1]|[G1^2-G1+5..G1^2]"),
+        ("[G1^(1/2)-3..G1]", "{G1^(1/2)}", "[G1^(1/2)-3..G1^(1/2)-1]|[G1^(1/2)+1..G1]"),
+        ("[-G1+1..5]", "[-G1+3..-1]", "[-G1+1..-G1+2]|[0..5]"),
+    ],
+)
+def test_fixed_gaps_counts_and_runs(a, b, gap):
+    a, b, gap = parse_set_expression(a), parse_set_expression(b), parse_set_expression(gap)
+    got = difference(a, b)
+    assert got == gap and not is_subset(a, b) and is_subset(got, a)
+    for s in (a, b, got):
+        assert_same_number(cardinality(s), GrossNumber.from_terms(oracles.reference_cardinality(s)))
+        mu, runs = oracles.reference_canonical_runs(s)
+        m = canonical_measurement(s)
+        assert m.mu == mu and [(p.domain.lo, p.domain.hi, p.offset) for p in m.pieces] == runs
+    assert cardinality(got) + cardinality(b) == cardinality(a)
