@@ -62,6 +62,7 @@ _MINUS_CHARS = frozenset("-−")
 # dot starts a decimal part only before digits, so '..' is never swallowed.
 _NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _SPACE = re.compile(r"\s*")  # exactly the characters where str.isspace() holds
+_SEPARATOR = re.compile(r"\s*([+\-−])\s*")  # the sign between two terms of a sum
 # A whole term in one match: an optional coefficient, then '*'? and the base
 # with an optional exponent, no whitespace inside.  A rational's digit runs
 # may not be followed by '.', '/' or a digit, and its denominator is nonzero;
@@ -119,8 +120,12 @@ class _ValueType(type):
     ``__init__`` takes a default from the class body, where it would clash with the slot, and runs any
     ``__post_init__``; ``_trusted`` sets fields unchecked; ``_values`` is their tuple.  A ``__slots__``
     tuple in the class body adds private slots that are no fields: no constructor sets them, and
-    equality, hashing, ``repr`` and pickling ignore them.
+    equality, hashing, ``repr`` and pickling ignore them.  A metaclass that sets ``_binds_check``
+    has its classes' ``__init__`` run the ``__post_init__`` the class had when it was created, so
+    no later assignment, on the class or on a base, changes the check its constructor runs.
     """
+
+    _binds_check = False
 
     def __new__(mcs, name, bases, namespace):
         own = tuple(namespace.get("__annotations__", ()))
@@ -137,7 +142,11 @@ class _ValueType(type):
         scope.update(_defaults=defaults, _new=object.__new__)
         params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
         sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields) or "\n    pass"
-        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        if mcs._binds_check:
+            scope["_check"] = cls.__post_init__
+            post = "\n    _check(self)"
+        else:
+            post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         exec(
             f"def __init__(self{params}):{sets}{post}\n"
             f"@classmethod\ndef _trusted(cls{params}):\n    self = _new(cls){sets}\n    return self\n"
@@ -341,8 +350,9 @@ class GrossNumber(_Value):
         if len(self.terms) == 1:
             return _built(_scaled(terms, *self.terms[0]))
         scale = _key_scale(self.terms, terms)
-        a, b = _keyed(self.terms, scale), _keyed(terms, scale)
-        return _built(_unkeyed(_merged((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b), scale))
+        (a, da), (b, db) = _int_keyed(self.terms, scale), _int_keyed(terms, scale)
+        product = _merged((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b)
+        return _built(_unkeyed(product, scale, 1, da * db))
 
     __rmul__ = __mul__
 
@@ -501,14 +511,21 @@ def _scaled(terms: tuple[Term, ...], e0: Rational, c0: Rational) -> tuple[Term, 
     return tuple(out)
 
 
+def _lcm(a: int, b: int) -> int:
+    """The least common multiple of two positive ints, by Euclid's algorithm."""
+    x, y = a, b
+    while y:
+        x, y = y, x % y
+    return a // x * b
+
+
 def _key_scale(*term_lists) -> int:
     """L, the lcm of the exponents' denominators in ``term_lists``."""
     scale = 1
     for terms in term_lists:
         for e, _ in terms:
             if type(e) is not int and scale % e.denominator:
-                # Times d / gcd(scale, d), the denominator of scale / d: the lcm.
-                scale *= Fraction(scale, e.denominator).denominator
+                scale = _lcm(scale, e.denominator)
     return scale
 
 
@@ -519,15 +536,60 @@ def _keyed(terms, scale: int) -> list[Term] | tuple[Term, ...]:
     return [(e * scale if type(e) is int else e.numerator * (scale // e.denominator), c) for e, c in terms]
 
 
-def _unkeyed(terms, scale: int) -> tuple[Term, ...]:
-    """The terms of keyed ``terms``, each key turned back into its exact exponent."""
+#: The fractional exponents built so far, by the (numerator, denominator) they
+#: were read from: each the lowest-terms Fraction of the pair, shared by every
+#: term that has it.  It takes only pairs within one machine word and is
+#: emptied when it holds _EXPONENTS_HELD of them, so it stays small however
+#: many distinct exponents a process reads.  Its values are immutable and equal
+#: to what a miss builds, so threads that race on it at most build one again.
+_EXPONENTS: dict[tuple[int, int], Fraction] = {}
+_EXPONENTS_HELD = 4096
+
+
+def _exponent(n: int, d: int) -> Rational:
+    """The exponent ``n / d``, for ``d > 0``: an int when integral, else the table's Fraction."""
+    e, r = divmod(n, d)
+    if not r:
+        return e
+    e = _EXPONENTS.get((n, d))
+    if e is None:
+        e = Fraction(n, d)
+        if -sys.maxsize <= n <= sys.maxsize and d <= sys.maxsize:
+            if len(_EXPONENTS) >= _EXPONENTS_HELD:
+                _EXPONENTS.clear()
+            _EXPONENTS[n, d] = e
+    return e
+
+
+def _int_keyed(terms, scale: int) -> tuple[list[Term] | tuple[Term, ...], int]:
+    """``terms`` keyed by ``scale``, each coefficient times D, the lcm of their denominators; and D.
+
+    Every coefficient comes out an int, so products and sums of them run on
+    int arithmetic; ``_unkeyed`` divides D back out of a result.
+    """
+    d = 1
+    for _, c in terms:
+        if type(c) is not int and d % c.denominator:
+            d = _lcm(d, c.denominator)
+    keyed = _keyed(terms, scale)
+    if d == 1:
+        return keyed, 1
+    return [(k, c * d if type(c) is int else c.numerator * (d // c.denominator)) for k, c in keyed], d
+
+
+def _ratio(n: int, d: int) -> Rational:
+    """``n / d`` for ints with ``d > 0``: an int when integral, else a Fraction."""
+    return Fraction(n, d) if n % d else n // d
+
+
+def _unkeyed(terms, scale: int, m: int = 1, d: int = 1) -> tuple[Term, ...]:
+    """The terms of keyed ``terms``: each key back as its exact exponent, each coefficient times ``m / d``."""
+    if m != d:
+        terms = [(k, _ratio(c * m, d) if type(c) is int else _ratio(c.numerator * m, c.denominator * d))
+                 for k, c in terms]
     if scale == 1:
         return tuple(terms)
-    out = []
-    for k, c in terms:
-        e, r = divmod(k, scale)
-        out.append((Fraction(k, scale) if r else e, c))
-    return tuple(out)
+    return tuple([(_exponent(k, scale), c) for k, c in terms])
 
 
 _first = itemgetter(0)
@@ -694,9 +756,10 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         raise DivideByZero("division by zero")
     if x.is_zero:
         return ZERO
-    # The division runs on int exponent keys (see _key_scale).
+    # The division runs on int exponent keys (see _key_scale) and on the
+    # int coefficients of x * dx and y * dy; q is their quotient times dy / dx.
     scale = _key_scale(x.terms, y.terms)
-    dividend, divisor = _keyed(x.terms, scale), _keyed(y.terms, scale)
+    (dividend, dx), (divisor, dy) = _int_keyed(x.terms, scale), _int_keyed(y.terms, scale)
     lead_exp, lead_coeff = divisor[0]
     tail = divisor[1:]
     lowest = dividend[-1][0] - divisor[-1][0]
@@ -717,19 +780,24 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         q_exp = rem_exp - lead_exp
         if q_exp < lowest:
             raise NotExact(f"{_shown(y)} does not divide {_shown(x)}")
-        # Fraction(a, b), never a / b: two ints would divide to a float.
-        q_coeff = _exact(Fraction(rem_coeff, lead_coeff))
+        if type(rem_coeff) is int and not rem_coeff % lead_coeff:
+            q_coeff = rem_coeff // lead_coeff
+        else:
+            # Fraction(a, b), never a / b: two ints would divide to a float.
+            q_coeff = _exact(Fraction(rem_coeff, lead_coeff))
         quotient.append((q_exp, q_coeff))
         for e, c in tail:
             k = q_exp + e
-            c = _exact(remainder.get(k, 0) - q_coeff * c)
+            c = remainder.get(k, 0) - q_coeff * c
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
             if not c:
                 del remainder[k]
                 continue
             if k not in remainder:
                 heappush(keys, -k)
             remainder[k] = c
-    return _built(_unkeyed(quotient, scale))
+    return _built(_unkeyed(quotient, scale, dy, dx))
 
 
 def cmp(x: GrossNumber, y: GrossNumber) -> Sign:
@@ -859,13 +927,18 @@ def format_numeral(x: GrossNumber, ascii_mode: bool = False) -> str:
 # -------------------------------------------------------------------- parsing
 
 
-def _rational(whole: str, frac: str | None, denom: str | None) -> Rational:
-    """The rational spelt by a number's digit runs: ``whole.frac`` or ``whole/denom``."""
+def _digit_runs(whole: str, frac: str | None, denom: str | None) -> tuple[int, int]:
+    """The numerator and denominator spelt by a number's digit runs: ``whole.frac`` or ``whole/denom``."""
     if frac is not None:
-        return _exact(Fraction(int(whole + frac), 10 ** len(frac)))
-    if denom is not None:
-        return _exact(Fraction(int(whole), int(denom)))
-    return int(whole)
+        return int(whole + frac), 10 ** len(frac)
+    return int(whole), 1 if denom is None else int(denom)
+
+
+def _rational(whole: str, frac: str | None, denom: str | None) -> Rational:
+    """The rational spelt by a number's digit runs, an int when integral."""
+    if frac is None and denom is None:
+        return int(whole)
+    return _ratio(*_digit_runs(whole, frac, denom))
 
 
 class _Scanner:
@@ -960,7 +1033,7 @@ class _Scanner:
                 self.fail("fraction parts must be integers", denom_pos)
             if denom == 0:
                 self.fail("zero denominator", denom_pos)
-            return _exact(Fraction(value, denom))
+            return _ratio(value, denom)
         return value
 
     def parse_exponent(self) -> Rational:
@@ -990,8 +1063,8 @@ class _Scanner:
             return 0, coefficient
         if e_whole is None:
             return 1, coefficient
-        exponent = _rational(e_whole, e_frac, e_denom)
-        return (-exponent if sign in _MINUS_CHARS else exponent), coefficient
+        n, d = _digit_runs(e_whole, e_frac, e_denom)
+        return _exponent(-n if sign in _MINUS_CHARS else n, d), coefficient
 
     def parse_term_by_characters(self) -> Term:
         """The term at ``pos`` read one token at a time, with every error the grammar names."""
@@ -1038,19 +1111,18 @@ class _Scanner:
                 return ZERO
             return _built(((0, -value if sign in _MINUS_CHARS else value),))
         terms: list[Term] = []
-        sign = self.take_sign() or 1
+        minus = self.take_sign() == -1
         self.skip_ws()
         while True:
             exponent, coefficient = self.parse_term()
-            terms.append((exponent, sign * coefficient))
-            mark = self.pos
-            self.skip_ws()
-            nxt = self.take_sign()
-            if nxt is None:
-                self.pos = mark
+            terms.append((exponent, -coefficient if minus else coefficient))
+            # A sign between terms, with any whitespace around it, read in one
+            # match; where none follows, the numeral ends after its last term.
+            found = _SEPARATOR.match(self.text, self.pos)
+            if found is None:
                 break
-            sign = nxt
-            self.skip_ws()
+            self.pos = found.end()
+            minus = found.group(1) != "+"
         return _built(_canonical_terms(terms))
 
 

@@ -377,3 +377,31 @@ def reference_format_numeral(x, ascii_mode: bool = False) -> str:
         raise InvalidArgument("numeral has too many digits to write out") from None
     text = "".join(chunks)
     return text.replace(GROSS_SYMBOL, GROSS_ASCII) if ascii_mode else text
+
+
+def reference_parse_sum(text: str, pos: int = 0) -> tuple[GrossNumber, int]:
+    """The numeral read from ``pos`` and its end, as ``parse_numeral_prefix`` gives them.
+
+    This is the scanner's sum loop as it was before it read the sign
+    between two terms in one match: after each term it skips whitespace,
+    takes a sign, or else steps back to the term's end, then skips
+    whitespace again, and it multiplies each coefficient by the sign, +1 or
+    -1.  A plain integer goes through the term loop too.
+    """
+    scanner = _Scanner(text, pos)
+    scanner.skip_ws()
+    terms = []
+    sign = scanner.take_sign() or 1
+    scanner.skip_ws()
+    while True:
+        exponent, coefficient = scanner.parse_term()
+        terms.append((exponent, sign * coefficient))
+        mark = scanner.pos
+        scanner.skip_ws()
+        nxt = scanner.take_sign()
+        if nxt is None:
+            scanner.pos = mark
+            break
+        sign = nxt
+        scanner.skip_ws()
+    return GrossNumber.from_terms(terms), scanner.pos

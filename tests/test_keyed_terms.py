@@ -231,3 +231,74 @@ def test_cardinality_of_fixed_sets():
     assert_same_terms(cardinality(make_set([interval(-3, 0), interval(2, GROSSONE)])).terms, ((1, 1), (0, 3)))
     assert_same_terms(cardinality(make_set([interval(GROSSONE, 2 * GROSSONE)])).terms, ((1, 1), (0, 1)))
     assert_same_terms(cardinality(make_set([interval(-GROSSONE, GROSSONE - 1)])).terms, ((1, 2),))
+
+
+# ---------------------------------------------------------------- int coefficients
+
+# Coefficient denominators are products of these primes, within one word and
+# past it, so that two coefficients rarely share a factor and the lcm that
+# makes every coefficient of a numeral an int grows large.
+BIG_PRIMES = [999983, 1000003, 2**31 - 1, 10**9 + 7, 2**61 - 1, 2**89 - 1]
+# Exponents on a lattice of sixths, so that a refused division stops within a few dozen steps.
+lattice_exponents = st.one_of(
+    st.integers(-4, 4), st.sampled_from([Fraction(k, d) for d in (2, 3) for k in range(-8, 9) if k % d])
+)
+mixed_coefficients = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.builds(
+        lambda n, p, q: Fraction(n, p * q),
+        st.integers(-(10**15), 10**15),
+        st.sampled_from(BIG_PRIMES),
+        st.sampled_from([1, *BIG_PRIMES]),
+    ),
+    st.integers(-9, 9).map(Fraction),
+).filter(bool)
+
+
+def mixed_numbers(min_terms: int, max_terms: int):
+    """Gross-numbers whose coefficients mix ints and Fractions of large coprime denominators."""
+    return st.lists(
+        st.tuples(lattice_exponents, mixed_coefficients), min_size=min_terms, max_size=max_terms, unique_by=lambda t: t[0]
+    ).map(GrossNumber.from_terms).filter(lambda x: len(x.terms) >= min_terms)
+
+
+@seed(30001)
+@given(mixed_numbers(2, 8), mixed_numbers(2, 8))
+def test_products_and_quotients_on_coprime_denominators_agree_with_the_references(x, y):
+    product = x * y
+    want = oracles.reference_terms((e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms)
+    assert_same_terms(product.terms, want)
+    assert_same_terms(div_exact(product, y).terms, x.terms)
+    assert_same_terms(div_exact(product, x).terms, y.terms)
+    # Most of these quotients have no finite form; the refusals must match too.
+    for dividend, divisor in ((x, y), (y, x), (product + x, y), (product - y, x)):
+        quotient = oracles.reference_long_division(oracles.poly_from(dividend), oracles.poly_from(divisor))
+        if quotient is None:
+            with pytest.raises(NotExact):
+                div_exact(dividend, divisor)
+        else:
+            assert_same_terms(div_exact(dividend, divisor).terms, oracles.reference_terms(quotient.items()))
+
+
+# ---------------------------------------------------------------- shared exponents
+
+
+def test_five_thousand_distinct_fractional_exponents_keep_the_table_bounded_and_right():
+    # 10007 is prime, so each k/10007 is fractional, and each appears spelt two ways.
+    for k in range(1, 5001):
+        e = Fraction(k, 10007)
+        x = parse_numeral(f"{k}①^({k}/10007) - G1^(-{2 * k}/20014)")
+        assert_same_terms(x.terms, ((e, k), (-e, -1)))
+        assert_same_terms((x * x).terms, oracles.reference_terms([(2 * e, k * k), (0, -2 * k), (-2 * e, 1)]))
+        assert len(gnum._EXPONENTS) <= gnum._EXPONENTS_HELD
+    for (n, d), e in gnum._EXPONENTS.items():
+        assert type(e) is Fraction and e == Fraction(n, d)
+    # One Fraction per exponent, shared by the terms that have it.
+    assert parse_numeral("①^(1/2)").terms[0][0] is parse_numeral("3G1^(1/2)+1").terms[0][0]
+    # Every minus sign negates an exponent, in one match or read by characters.
+    for text in ("①^(−5/3)", "①^−5/3", "G1^(-10/6)", "①^-5/3", "①^( − 5/3 )", "①^(−1.25)"):
+        want = Fraction(-5, 4) if "." in text else Fraction(-5, 3)
+        assert_same_terms(parse_numeral(text).terms, ((want, 1),))
+    # A pair past one machine word is built for its term but not held.
+    assert_same_terms(parse_numeral(f"①^(1/{2**70})").terms, ((Fraction(1, 2**70), 1),))
+    assert (1, 2**70) not in gnum._EXPONENTS

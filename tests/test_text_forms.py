@@ -8,7 +8,7 @@ non-bijections that an int-set model rejects.
 
 import json
 import pickle
-from sys import get_int_max_str_digits
+from sys import get_int_max_str_digits, maxunicode
 
 import pytest
 from hypothesis import given, seed
@@ -18,7 +18,7 @@ import oracles
 from grossone.cli import main
 from grossone.derived import parse_defined
 from grossone.errors import InvalidMeasurement, NotABijection, ParseError
-from grossone.gnum import parse_numeral
+from grossone.gnum import _Scanner, parse_numeral, parse_numeral_prefix
 from grossone.measure import (
     AffinePiece,
     canonical_measurement,
@@ -142,6 +142,51 @@ def test_whitespace_is_whatever_str_isspace_accepts(space):
     spaced = f"{space}[1{space}..{space}①]{space}\\{space}{{1}}{space}"
     assert parse_set_expression(spaced) == parse_set_expression("[1..①]\\{1}")
     assert parse_defined(f"logfloor({space}2,{space}9{space})") == parse_defined("logfloor(2,9)")
+
+
+SPACES = [chr(i) for i in range(maxunicode + 1) if chr(i).isspace()]
+TERMS = ["3", "0", "1/2", "0.25", "①", "G1", "2①^2", "7/3*G1^(1/3)", "①^-1", "12345678901①^(5/2)", "9 * ①"]
+# What may follow a numeral: nothing, a dangling or doubled sign, or the text around it.
+ENDS = ["", " ", "+", " - ", "−\n", "+ +", "- −1", "..3]", " ]", ")", " x", "+ ①^"]
+
+
+@st.composite
+def summed_texts(draw):
+    """Terms joined by +, - or − amid runs of every isspace() character, some signs doubled."""
+    spaces = st.text(st.sampled_from(SPACES), max_size=3)
+    signs = st.sampled_from("+-−")
+    parts = [draw(spaces), draw(st.sampled_from(["", "+", "-", "−"])), draw(spaces)]
+    for i in range(draw(st.integers(1, 5))):
+        if i:
+            parts += [draw(spaces), draw(signs), draw(spaces)]
+            if draw(st.integers(0, 9)) == 0:
+                parts += [draw(signs), draw(spaces)]
+        parts.append(draw(st.sampled_from(TERMS)))
+    parts.append(draw(st.sampled_from(ENDS)))
+    return "".join(parts)
+
+
+def outcome(read, text):
+    """(terms, their entry types, end) of ``read(text)``, or its ParseError's message and position."""
+    try:
+        value, end = read(text)
+    except ParseError as exc:
+        return "refused", exc.args[0], exc.position
+    return value.terms, [(type(e), type(c)) for e, c in value.terms], end
+
+
+def reference_whole(text):
+    """``parse_numeral`` with the reference sum loop: the numeral, then nothing but whitespace."""
+    value, end = oracles.reference_parse_sum(text)
+    _Scanner(text, end).finish()
+    return value, len(text)
+
+
+@seed(30003)
+@given(summed_texts())
+def test_the_sign_between_terms_reads_as_the_reference_loop_reads_it(text):
+    assert outcome(parse_numeral_prefix, text) == outcome(oracles.reference_parse_sum, text)
+    assert outcome(lambda t: (parse_numeral(t), len(t)), text) == outcome(reference_whole, text)
 
 
 def test_parse_errors_survive_pickling():

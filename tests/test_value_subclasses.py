@@ -8,7 +8,8 @@ slot that a class declares in ``__slots__`` is no field: no constructor
 sets it, and equality, hashing, ``repr``, pickling and copying ignore it.
 An ``IntervalSet`` subclass may add fields but not a ``__post_init__`` of
 its own or a mixin's, which would replace the canonical check and the order
-keys that every set operation trusts.
+keys that every set operation trusts; its constructor runs that check even
+when a mixin gains a ``__post_init__`` after the class is made.
 """
 
 import copy
@@ -158,3 +159,20 @@ def test_an_interval_set_subclass_without_its_own_check_holds_keys():
     assert contains(s, 5) and not contains(s, 3)
     with pytest.raises(InvalidArgument):
         Plain((GrossInterval(5, 6), GrossInterval(1, 2)))
+
+
+def test_a_check_given_to_a_mixin_after_the_set_class_exists_is_not_run():
+    class Mixin:
+        pass
+
+    class Late(Mixin, IntervalSet):
+        pass
+
+    # Mixin is no set class, so this assignment is not refused; the constructor
+    # still runs the check the class was created with.
+    Mixin.__post_init__ = lambda self: None
+    s = Late((GrossInterval(1, 2),))
+    assert union(s, s) == IntervalSet(s.parts)
+    assert contains(s, 2) and not contains(s, 3)
+    with pytest.raises(InvalidArgument):
+        Late((GrossInterval(5, 6), GrossInterval(1, 2)))
