@@ -117,15 +117,12 @@ _SIGNS = (Sign.ZERO, Sign.POSITIVE, Sign.NEGATIVE)
 class _ValueType(type):
     """A value class's fields are its bases' fields, then the names it annotates: read-only slots.
 
-    ``__init__`` takes a default from the class body, where it would clash with the slot, and runs any
-    ``__post_init__``; ``_trusted`` sets fields unchecked; ``_values`` is their tuple.  A ``__slots__``
-    tuple in the class body adds private slots that are no fields: no constructor sets them, and
-    equality, hashing, ``repr`` and pickling ignore them.  A metaclass that sets ``_binds_check``
-    has its classes' ``__init__`` run the ``__post_init__`` the class had when it was created, so
-    no later assignment, on the class or on a base, changes the check its constructor runs.
+    ``__init__`` takes a default from the class body, where it would clash with the slot, and runs the
+    ``__post_init__`` the class had when it was created, if any, so no later assignment, on the class
+    or on a base, changes the check its constructor runs; ``_trusted`` sets fields unchecked;
+    ``_values`` is their tuple.  A ``__slots__`` tuple in the class body adds private slots that are
+    no fields: no constructor sets them, and equality, hashing, ``repr`` and pickling ignore them.
     """
-
-    _binds_check = False
 
     def __new__(mcs, name, bases, namespace):
         own = tuple(namespace.get("__annotations__", ()))
@@ -142,11 +139,10 @@ class _ValueType(type):
         scope.update(_defaults=defaults, _new=object.__new__)
         params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
         sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields) or "\n    pass"
-        if mcs._binds_check:
+        post = ""
+        if hasattr(cls, "__post_init__"):
             scope["_check"] = cls.__post_init__
             post = "\n    _check(self)"
-        else:
-            post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         exec(
             f"def __init__(self{params}):{sets}{post}\n"
             f"@classmethod\ndef _trusted(cls{params}):\n    self = _new(cls){sets}\n    return self\n"
@@ -519,13 +515,18 @@ def _lcm(a: int, b: int) -> int:
     return a // x * b
 
 
-def _key_scale(*term_lists) -> int:
-    """L, the lcm of the exponents' denominators in ``term_lists``."""
+def _key_scale(*term_lists, at: int = 0) -> int:
+    """The lcm of the denominators of each term's entry ``at`` in ``term_lists``.
+
+    At 0, the default, this is L, the lcm of the exponents' denominators; at 1
+    it is D, the lcm of the coefficients'.
+    """
     scale = 1
     for terms in term_lists:
-        for e, _ in terms:
-            if type(e) is not int and scale % e.denominator:
-                scale = _lcm(scale, e.denominator)
+        for term in terms:
+            v = term[at]
+            if type(v) is not int and scale % v.denominator:
+                scale = _lcm(scale, v.denominator)
     return scale
 
 
@@ -536,29 +537,10 @@ def _keyed(terms, scale: int) -> list[Term] | tuple[Term, ...]:
     return [(e * scale if type(e) is int else e.numerator * (scale // e.denominator), c) for e, c in terms]
 
 
-#: The fractional exponents built so far, by the (numerator, denominator) they
-#: were read from: each the lowest-terms Fraction of the pair, shared by every
-#: term that has it.  It takes only pairs within one machine word and is
-#: emptied when it holds _EXPONENTS_HELD of them, so it stays small however
-#: many distinct exponents a process reads.  Its values are immutable and equal
-#: to what a miss builds, so threads that race on it at most build one again.
-_EXPONENTS: dict[tuple[int, int], Fraction] = {}
-_EXPONENTS_HELD = 4096
-
-
 def _exponent(n: int, d: int) -> Rational:
-    """The exponent ``n / d``, for ``d > 0``: an int when integral, else the table's Fraction."""
+    """The exponent ``n / d``, for ``d > 0``: an int when integral, else a lowest-terms Fraction."""
     e, r = divmod(n, d)
-    if not r:
-        return e
-    e = _EXPONENTS.get((n, d))
-    if e is None:
-        e = Fraction(n, d)
-        if -sys.maxsize <= n <= sys.maxsize and d <= sys.maxsize:
-            if len(_EXPONENTS) >= _EXPONENTS_HELD:
-                _EXPONENTS.clear()
-            _EXPONENTS[n, d] = e
-    return e
+    return Fraction(n, d) if r else e
 
 
 def _int_keyed(terms, scale: int) -> tuple[list[Term] | tuple[Term, ...], int]:
@@ -567,10 +549,7 @@ def _int_keyed(terms, scale: int) -> tuple[list[Term] | tuple[Term, ...], int]:
     Every coefficient comes out an int, so products and sums of them run on
     int arithmetic; ``_unkeyed`` divides D back out of a result.
     """
-    d = 1
-    for _, c in terms:
-        if type(c) is not int and d % c.denominator:
-            d = _lcm(d, c.denominator)
+    d = _key_scale(terms, at=1)
     keyed = _keyed(terms, scale)
     if d == 1:
         return keyed, 1

@@ -101,13 +101,11 @@ class _SetType(_ValueType):
     The set operations rely on the canonical check and the order keys it
     holds, so a subclass that defines or inherits another ``__post_init__``
     is refused as it is created, and binding or deleting ``__post_init__`` on
-    a set class afterwards is refused too.  Each set class's constructor
-    calls the check bound when the class was created, IntervalSet's own, so
-    a ``__post_init__`` given later to a plain base it inherits from is
-    never run in its place.
+    a set class afterwards is refused too.  As every value class's, a set
+    class's constructor calls the check it had when it was created, here
+    IntervalSet's own, so a ``__post_init__`` given later to a plain base it
+    inherits from is never run in its place.
     """
-
-    _binds_check = True
 
     def __new__(mcs, name, bases, namespace):
         cls = super().__new__(mcs, name, bases, namespace)
