@@ -36,9 +36,11 @@ from .gnum import (
     _SHORT_TERM,
     _Scanner,
     _Value,
+    _from_int,
     _gross_integer,
     _int_field,
     _is_gross_integer,
+    _key,
     _plain_int,
     _text_arg,
     classify,
@@ -50,12 +52,12 @@ from .gnum import (
 from .sets import (
     GrossInterval,
     IntervalSet,
+    _coalesce,
     _set_arg,
     cardinality,
     difference,
     intersect,
     is_subset,
-    make_set,
     union,
 )
 
@@ -114,8 +116,10 @@ class Measurement(_Value):
     supplies: ``transport`` and ``min_extraction_measurement``.
     ``from_text`` and ``from_json`` run the same check once over the runs
     they read, with plain integers as ints (``from_text`` reads a row of
-    nothing else in one match), and build the result unchecked after it,
-    each int boxed once by ``gnum._from_int``.  ``canonical_measurement``
+    nothing else in one match).  They key each target row as they read it
+    and check the cover on those keys, then build the result unchecked,
+    each int boxed once.  For every caller, ``_check_runs`` compares the
+    joined image runs with the target's order keys.  ``canonical_measurement``
     (and through it ``complement_measurement``, ``intersection_split`` and
     ``numeral_system.measure_in``) and ``concat`` build results that are
     bijections by construction, and do not check them again.
@@ -167,7 +171,9 @@ def _check_runs(mu, runs, target) -> None:
     are added as ints.  The domains must tile [1..mu] from 1, so the images
     hold mu elements exactly when no two of them overlap; their joined runs
     are then the parts that the canonical target must list part for part,
-    which makes mu the target's element count.
+    which makes mu the target's element count.  The runs' ends are compared
+    with the target's order keys: an int end ``x`` as the key ``(0, x)``,
+    any other end as ``gnum._key`` gives it.
     """
     if not (type(mu) is int or _is_gross_integer(mu)) or mu <= 0:
         raise InvalidMeasurement(f"mu must be a positive gross-integer, got {_shown(finite(mu))}")
@@ -190,8 +196,20 @@ def _check_runs(mu, runs, target) -> None:
     joined = _joined(sorted(images, key=itemgetter(0)))
     if joined is None:
         raise InvalidMeasurement("piece images must be pairwise disjoint")
-    if not isinstance(target, IntervalSet) or joined != [[part.lo, part.hi, 0] for part in target.parts]:
+    if not isinstance(target, IntervalSet) or not _covers(joined, *target._keys):
         raise InvalidMeasurement("piece images must cover exactly the target")
+
+
+def _covers(runs: list[list], los: tuple, his: tuple) -> bool:
+    """Whether ``runs`` are, run for run, the parts with lower keys ``los`` and upper keys ``his``."""
+    if len(runs) != len(los):
+        return False
+    for (lo, hi, _), key_lo, key_hi in zip(runs, los, his):
+        if ((0, lo) if type(lo) is int else _key(lo)) != key_lo:
+            return False
+        if ((0, hi) if type(hi) is int else _key(hi)) != key_hi:
+            return False
+    return True
 
 
 def _joined(runs) -> list[list] | None:
@@ -224,12 +242,20 @@ def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
     gross-integer GrossNumbers, the domains tile [1..mu] in order and the
     images cover the canonical target exactly, because the construction that
     calls this made them so, or, for ``_from_rows``, because ``_check_runs``
-    has just checked them.  Ints are stored as GrossNumbers through
-    ``finite``, which boxes an int directly with ``gnum._from_int``.
+    has just checked them.  Each int is boxed in one step, as the
+    GrossNumber of its one exponent-0 term, as ``gnum._from_int`` boxes it;
+    a domain end is at least 1, and only an offset can be zero, which has
+    no term.  A GrossNumber is stored as it is.
     """
-    span, piece = GrossInterval._trusted, AffinePiece._trusted
-    pieces = tuple([piece(span(finite(lo), finite(hi)), finite(offset)) for lo, hi, offset in runs])
-    return Measurement._trusted(finite(mu), pieces, target)
+    new, span, piece = GrossNumber._trusted, GrossInterval._trusted, AffinePiece._trusted
+    pieces = tuple([
+        piece(
+            span(new(((0, lo),)) if type(lo) is int else lo, new(((0, hi),)) if type(hi) is int else hi),
+            new(((0, offset),) if offset else ()) if type(offset) is int else offset,
+        )
+        for lo, hi, offset in runs
+    ])
+    return Measurement._trusted(_from_int(mu) if type(mu) is int else mu, pieces, target)
 
 
 # ---------------------------------------------------------------- constructions
@@ -469,10 +495,17 @@ def _from_rows(rows) -> Measurement:
     A row's numerals are ints where they are plain integers and GrossNumbers
     otherwise.  Each row is checked as it is read, as ``GrossInterval`` and
     ``AffinePiece`` check their fields, with the gross-integer test skipped
-    for ints; the invariant is checked once, by ``_check_runs``, and the
-    result is built through ``_proven``.
+    for ints, and each target row is keyed as it is read: a row of two ints
+    ``lo <= hi`` is boxed unchecked with the keys ``(0, lo)`` and
+    ``(0, hi)``, any other through ``GrossInterval`` and ``gnum._key``.  The
+    target is then made canonical as ``make_set`` makes it, from those keys,
+    so rows out of order, split or overlapping read as their union.  The
+    invariant is checked once, by ``_check_runs``, on the target's keys, and
+    the result is built through ``_proven``.
     """
-    mu, runs, targets = None, [], []
+    mu, runs = None, []
+    parts, los, his = [], [], []
+    span = GrossInterval._trusted
     for kind, values in rows:
         if kind == "mu":
             (mu,) = values
@@ -485,10 +518,19 @@ def _from_rows(rows) -> Measurement:
                 offset = _gross_integer(offset, "offset", NonIntegerOffset)
             runs.append((lo, hi, offset))
         else:
-            targets.append(GrossInterval(*values))
+            lo, hi = values
+            if type(lo) is int and type(hi) is int and lo <= hi:
+                parts.append(span(_from_int(lo), _from_int(hi)))
+                los.append((0, lo))
+                his.append((0, hi))
+            else:
+                part = GrossInterval(lo, hi)
+                parts.append(part)
+                los.append(_key(part.lo))
+                his.append(_key(part.hi))
     if mu is None:
         raise InvalidMeasurement("missing mu line")
-    target = make_set(targets)
+    target = _coalesce(parts, los, his)
     _check_runs(mu, runs, target)
     return _proven(mu, runs, target)
 
@@ -660,8 +702,12 @@ def _json_rows(data):
         for i, entry in enumerate(_json_member(data, key, list, "$")):
             if not isinstance(entry, dict):
                 raise ParseError("expected an object", f"{where}[{i}]", 0)
-            count = 3 if kind == "piece" and "offset" in entry else 2
-            yield kind, tuple([_json_numeral(entry, slot, where, i) for slot in _JSON_SLOTS[:count]])
+            values = []
+            for slot in _JSON_SLOTS[: 3 if kind == "piece" and "offset" in entry else 2]:
+                text = entry.get(slot)
+                value = _int_field(text) if isinstance(text, str) else None
+                values.append(_json_numeral(entry, slot, where, i) if value is None else value)
+            yield kind, tuple(values)
 
 
 def from_jsonable(data: dict) -> Measurement:

@@ -143,7 +143,9 @@ class IntervalSet(_Value, metaclass=_SetType):
     ``intersect``, ``difference`` and ``make_set`` build sets that their
     sweeps make canonical, through ``_canonical``, and do not check them
     again; they first refuse an operand that is not an IntervalSet (for
-    ``make_set``, an item that is not a GrossInterval).
+    ``make_set``, an item that is not a GrossInterval).  The measurement
+    readers build their targets through ``make_set``'s own sweep,
+    ``_coalesce``, from the parts and keys they read.
 
     The private slot ``_keys`` holds ``(lower keys, upper keys)``, the order
     keys of the parts' endpoints (see ``gnum._key``).  Keys order as

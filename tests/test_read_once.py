@@ -14,14 +14,26 @@ error type and message, and for a ParseError the same text and position.
 import json
 from random import Random
 
+import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import oracles
-from grossone.errors import GrossoneError, ParseError
-from grossone.gnum import _PLAIN_INT, _SHORT_TERM, GROSSONE, GrossNumber, _int_field, format_numeral, parse_numeral
+from grossone.errors import GrossoneError, InvalidMeasurement, ParseError
+from grossone.gnum import (
+    _PLAIN_INT,
+    _SHORT_TERM,
+    GROSSONE,
+    GrossNumber,
+    _from_int,
+    _int_field,
+    _key,
+    format_numeral,
+    parse_numeral,
+)
 from grossone.measure import (
     AffinePiece,
+    Measurement,
     _rows,
     _text_rows,
     canonical_measurement,
@@ -30,7 +42,7 @@ from grossone.measure import (
     from_text,
     transport,
 )
-from grossone.sets import interval, make_set
+from grossone.sets import interval, make_set, parse_set_expression
 from test_one_build_path import SOURCE, functions_calling
 
 SLOTS = ("lo", "hi", "offset")
@@ -157,7 +169,10 @@ def mutated(rows: list[list], rng: Random) -> list[list]:
     rows = [[kind, list(fields)] for kind, fields in rows]
     if not rows:
         return rows
-    how = rng.choice(["shift", "drop", "swap", "duplicate", "literal", "offset", "zeros", "bracket"])
+    how = rng.choice([
+        "shift", "drop", "swap", "duplicate", "literal", "offset", "zeros", "bracket",
+        "split", "reverse", "repeat", "overlap",
+    ])
     i = rng.randrange(len(rows))
     kind, fields = rows[i]
     if how == "shift":
@@ -182,6 +197,33 @@ def mutated(rows: list[list], rng: Random) -> list[list]:
         pieces = [row for row in rows if row[0] == "piece" and len(row[1]) == 2]
         if pieces:
             rng.choice(pieces)[1].append(rng.choice(["0", "-0", "+0", "000", "−0"]))
+    elif how in ("split", "overlap"):
+        # A target row [a..b] written as [a..k] and [k+1..b], or as [a..k2] and [k..b] for k <= k2.
+        targets = [j for j, row in enumerate(rows) if row[0] == "target" and len(row[1]) == 2]
+        if targets:
+            j = rng.choice(targets)
+            a, b = rows[j][1]
+            try:
+                lo, hi = parse_numeral(a), parse_numeral(b)
+            except GrossoneError:
+                pass  # an earlier mutation left no one numeral here
+            else:
+                k = lo + rng.randint(0, 3)
+                k2 = k + 1 if how == "split" else k + rng.randint(0, 2)
+                if k2 <= hi:
+                    first, second = (k, k2) if how == "split" else (k2, k)
+                    rows[j : j + 1] = [
+                        ["target", [a, format_numeral(first)]],
+                        ["target", [format_numeral(second), b]],
+                    ]
+    elif how == "reverse":
+        targets = [j for j, row in enumerate(rows) if row[0] == "target"]
+        for j, row in zip(targets, [rows[j] for j in reversed(targets)]):
+            rows[j] = row
+    elif how == "repeat":
+        targets = [row for row in rows if row[0] == "target"]
+        if targets:
+            rows.insert(rng.randrange(len(rows) + 1), ["target", list(rng.choice(targets)[1])])
     elif how == "bracket":
         # A target row spelt as one whole field, written out as it stands.
         targets = [row for row in rows if row[0] == "target"]
@@ -241,6 +283,62 @@ def test_json_text_goes_through_the_same_reader():
     assert from_json(text) == oracles.reference_from_jsonable(doc)
     doc["target"][0]["hi"] = "−0"
     assert outcome(from_json, json.dumps(doc)) == outcome(oracles.reference_from_jsonable, doc)
+
+
+# ---------------------------------------------------------------- target rows and the cover check
+#
+# The readers key each target row as they read it and make the target
+# canonical from those keys, so target rows out of order, split, repeated or
+# overlapping read as their union; ``_check_runs`` compares the pieces'
+# joined images with the target's keys.
+
+
+def with_targets(rows: list[list], targets: list[list[str]]) -> list[list]:
+    """``rows`` with their target rows replaced by ``targets``, each ``[lo, hi]``."""
+    return [row for row in rows if row[0] != "target"] + [["target", list(t)] for t in targets]
+
+
+def test_target_rows_swapped_or_split_read_as_the_original():
+    m = canonical_measurement(make_set([interval(1, 3), interval(7, 9), interval(20, GROSSONE - 3)]))
+    rows = written_rows(m)
+    swapped = with_targets(rows, [["7", "9"], ["1", "3"], ["20", "①-3"]])
+    split = with_targets(rows, [["1", "2"], ["3", "3"], ["7", "9"], ["20", "①-3"]])
+    for variant in (swapped, split):
+        assert from_text(as_text(variant)) == m
+        assert from_jsonable(as_jsonable(variant)) == m
+        assert_same(variant)
+
+
+# (measured set, target that the same pieces do not cover exactly)
+OFF_TARGETS = [
+    ("[1..3]|[7..9]", "[1..3]|[7..10]"),  # one end off by one at a plain end
+    ("[1..3]|[7..9]", "[0..3]|[7..9]"),
+    ("[1..①]", "[1..①-1]"),  # one end off by one at a ① end
+    ("[5..①]", "[4..①]"),
+    ("[1..3]|[7..9]", "[1..3]|[7..9]|[20..21]"),  # an extra part
+    ("[1..3]|[7..9]|[20..①]", "[1..3]|[20..①]"),  # a missing part
+]
+
+
+def test_the_constructor_and_the_readers_refuse_a_target_the_pieces_do_not_cover():
+    message = "piece images must cover exactly the target"
+    for measured, target in OFF_TARGETS:
+        m = canonical_measurement(parse_set_expression(measured))
+        wrong = parse_set_expression(target)
+        with pytest.raises(InvalidMeasurement, match=f"^{message}$"):
+            Measurement(mu=m.mu, pieces=m.pieces, target=wrong)
+        rows = with_targets(written_rows(m), [[format_numeral(p.lo), format_numeral(p.hi)] for p in wrong.parts])
+        for read, arg in ((from_text, as_text(rows)), (from_jsonable, as_jsonable(rows))):
+            with pytest.raises(InvalidMeasurement, match=f"^{message}$"):
+                read(arg)
+        assert_same(rows)
+
+
+@seed(20261021)
+@given(st.one_of(st.just(0), st.integers(max_value=-1), st.integers(min_value=10**_SHORT_TERM)))
+def test_the_readers_int_key_is_the_order_key_of_the_boxed_int(n):
+    # Zero, negative ints, and ints longer than the one-match length limit.
+    assert (0, n) == _key(_from_int(n))
 
 
 # ---------------------------------------------------------------- whole rows of plain integers
