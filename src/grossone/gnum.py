@@ -77,24 +77,25 @@ _TERM = re.compile(
 # No number in a term this short is past any int-to-string limit that can be
 # set, so its digits convert without the scanner's limit check.
 _SHORT_TERM = sys.int_info.str_digits_check_threshold
-# A whole numeral that is a plain integer: a sign touching a digit run that no
-# '/', digit or decimal part follows, and that no '*', sign or base follows
-# after any whitespace.  Where the numeral reads on, this does not match; a
-# '^' after it is never read, as no exponent follows a bare coefficient, and
-# a '.' not before a digit (the '..' of an interval) ends the numeral.
-_PLAIN_INT = re.compile(r"([+\-−]?)([0-9]+)(?![/0-9]|\.[0-9])(?!\s*(?:[*+\-−]|①|G1))")
-
+# The one spelling of a plain integer: a sign or none, touching ASCII digits.
+_INT = r"[+\-−]?[0-9]+"
+# A whole numeral that is a plain integer: no '/', digit or decimal part
+# follows it, and no '*', sign or base after any whitespace.  Where the
+# numeral reads on, this does not match; a '^' after it is never read, as no
+# exponent follows a bare coefficient, and a '.' not before a digit (the
+# '..' of an interval) ends the numeral.
+_PLAIN_INT = re.compile(rf"{_INT}(?![/0-9]|\.[0-9])(?!\s*(?:[*+\-−]|①|G1))")
 # A whole text that _PLAIN_INT reads to its end: its lookaheads all hold there.
-_INT_FIELD = re.compile(r"[+\-−]?[0-9]+")
+_INT_FIELD = re.compile(_INT)
 
 
 def _int_field(text: str) -> int | None:
     """``text`` as an int when all of it is a plain integer that ``parse_sum`` reads in one match.
 
-    That is a sign (``+``, ``-`` or ``−``) or none, then ASCII digits,
-    leading zeros allowed, in at most ``_SHORT_TERM`` characters.  Anything
-    else, surrounding whitespace included, gives None and is left to the
-    scanner, with its errors and positions.
+    That is ``_INT`` in at most ``_SHORT_TERM`` characters, leading zeros
+    allowed, matched without ``_PLAIN_INT``'s lookaheads, which hold at the
+    end of any text.  Anything else, surrounding whitespace included, gives
+    None and is left to the scanner, with its errors and positions.
     """
     if len(text) <= _SHORT_TERM and _INT_FIELD.fullmatch(text):
         # int() reads '+' and '-' but not the Unicode minus sign.
@@ -218,19 +219,15 @@ _EXACT_TYPES = (int, Fraction)
 def _ordering(test):
     """The GrossNumber method for the order ``test``, one of ``lt``, ``le``, ``gt`` and ``ge``.
 
-    When both operands are one term on the same exponent, plain integers
-    above all, ``test`` reads their two coefficients directly; otherwise it
-    reads the sign of ``_compare_terms``.  A non-number gives NotImplemented.
+    ``test`` reads the sign of ``_compare_terms``, one-term operands
+    included.  A non-number gives NotImplemented.
     """
 
     def method(self, other):
         terms = _operand_terms(other)
         if terms is None:
             return NotImplemented
-        own = self.terms
-        if len(own) == 1 == len(terms) and own[0][0] == terms[0][0]:
-            return test(own[0][1], terms[0][1])
-        return test(_compare_terms(own, terms), 0)
+        return test(_compare_terms(self.terms, terms), 0)
 
     method.__name__ = f"__{test.__name__}__"
     method.__qualname__ = f"GrossNumber.{method.__name__}"
@@ -455,16 +452,9 @@ def _from_key(key: tuple) -> GrossNumber:
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, ...]:
     """The canonical terms of ``a + sign * b``, from one pass over two descending term tuples.
 
-    When ``a`` and ``b`` are one term each on the same exponent with int
-    coefficients, plain integers above all, the two coefficients are summed
-    directly.  Fraction coefficients take the loop, whose ``_exact`` turns an
-    integral sum into an int.
+    One-term operands take the same pass; ``_exact`` turns an integral sum
+    of Fraction coefficients into an int.
     """
-    if len(a) == 1 == len(b):
-        (ea, ca), (eb, cb) = a[0], b[0]
-        if ea == eb and type(ca) is int and type(cb) is int:
-            c = ca + cb if sign == 1 else ca - cb
-            return ((ea, c),) if c else ()
     out: list[Term] = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -537,12 +527,6 @@ def _keyed(terms, scale: int) -> list[Term] | tuple[Term, ...]:
     return [(e * scale if type(e) is int else e.numerator * (scale // e.denominator), c) for e, c in terms]
 
 
-def _exponent(n: int, d: int) -> Rational:
-    """The exponent ``n / d``, for ``d > 0``: an int when integral, else a lowest-terms Fraction."""
-    e, r = divmod(n, d)
-    return Fraction(n, d) if r else e
-
-
 def _int_keyed(terms, scale: int) -> tuple[list[Term] | tuple[Term, ...], int]:
     """``terms`` keyed by ``scale``, each coefficient times D, the lcm of their denominators; and D.
 
@@ -568,7 +552,7 @@ def _unkeyed(terms, scale: int, m: int = 1, d: int = 1) -> tuple[Term, ...]:
                  for k, c in terms]
     if scale == 1:
         return tuple(terms)
-    return tuple([(_exponent(k, scale), c) for k, c in terms])
+    return tuple([(_ratio(k, scale), c) for k, c in terms])
 
 
 _first = itemgetter(0)
@@ -1043,7 +1027,7 @@ class _Scanner:
         if e_whole is None:
             return 1, coefficient
         n, d = _digit_runs(e_whole, e_frac, e_denom)
-        return _exponent(-n if sign in _MINUS_CHARS else n, d), coefficient
+        return _ratio(-n if sign in _MINUS_CHARS else n, d), coefficient
 
     def parse_term_by_characters(self) -> Term:
         """The term at ``pos`` read one token at a time, with every error the grammar names."""
@@ -1084,11 +1068,8 @@ class _Scanner:
         found = _PLAIN_INT.match(self.text, self.pos)
         if found is not None and found.end() - self.pos <= _SHORT_TERM:
             self.pos = found.end()
-            sign, digits = found.groups()
-            value = int(digits)
-            if not value:
-                return ZERO
-            return _built(((0, -value if sign in _MINUS_CHARS else value),))
+            text = found.group()
+            return _from_int(-int(text[1:]) if text[0] == "−" else int(text))
         terms: list[Term] = []
         minus = self.take_sign() == -1
         self.skip_ws()

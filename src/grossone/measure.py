@@ -32,7 +32,7 @@ from .errors import (
 from .gnum import (
     GrossNumber,
     Sign,
-    _INT_FIELD,
+    _INT,
     _SHORT_TERM,
     _Scanner,
     _Value,
@@ -563,9 +563,8 @@ def to_text(m: Measurement, ascii_mode: bool = False) -> str:
 
 _FIELD = re.compile(r"\S+")
 _TEXT_ARITY = {"mu": (1,), "piece": (2, 3), "target": (1,)}  # fields after the kind
-# A whole row whose numerals are all plain integers, spelt as _INT_FIELD reads
-# a field, with the whitespace the field reader splits on.  Compiled on the
-# first read, so that importing this module does not pay for it.
+# A whole row of plain integers, each spelt as _INT, with the whitespace the field
+# reader splits on; compiled on the first read, so that importing does not pay for it.
 _INT_ROW = None
 
 
@@ -579,7 +578,7 @@ def _text_rows(text: str):
     """
     global _INT_ROW
     if _INT_ROW is None:
-        n = f"({_INT_FIELD.pattern})"
+        n = f"({_INT})"
         _INT_ROW = re.compile(rf"\s*(?:mu\s+{n}|piece\s+{n}\s+{n}(?:\s+{n})?|target\s+\[{n}\.\.{n}\])\s*")
     int_row = _INT_ROW.fullmatch
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -614,23 +613,17 @@ def _text_rows(text: str):
 def _text_numerals(line: str, field: re.Match, target: bool) -> tuple:
     """The numerals of one field of ``line``: a target's two endpoints, else one numeral.
 
-    A plain integer, and each end of a target ``[a..b]`` when both are
-    plain, is read as an int.  Any other field is read alone by the scanner,
-    up to its own end: a numeral must not run on into the next field, as
+    A plain integer outside a target is read as an int.  Any other field,
+    every target ``[a..b]`` included, is read alone by the scanner, up to
+    its own end: a numeral must not run on into the next field, as
     "2①+1 -①-1" would if read as one sum.  Positions are columns of the line.
-    A row of nothing but plain integers, in at most ``_SHORT_TERM``
-    characters, ``_text_rows`` reads whole instead, without this.
+    ``_text_rows`` reads a row of nothing but plain integers in at most
+    ``_SHORT_TERM`` characters whole, without this.
     """
-    word = field.group()
     if not target:
-        value = _int_field(word)
+        value = _int_field(field.group())
         if value is not None:
             return (value,)
-    elif word[0] == "[" and word[-1] == "]":
-        lo, _, hi = word[1:-1].partition("..")
-        ends = _int_field(lo), _int_field(hi)
-        if None not in ends:
-            return ends
     scanner = _Scanner(line[: field.end()], field.start())
     values = scanner.parse_interval() if target else (scanner.parse_sum(),)
     scanner.finish()
@@ -675,15 +668,11 @@ def _json_member(container: dict, key: str, kind: type, where: str):
 
 
 def _json_numeral(container: dict, key: str, where: str, index: int | None = None) -> int | GrossNumber:
-    """The numeral string ``container[key]``: an int when it is a plain integer, else parsed.
+    """The numeral string ``container[key]`` parsed; ``_json_rows`` reads plain integers itself.
 
     ``where`` is the container's JSON path, followed by ``[index]`` when an
     index is given; that path is built only for an error.
     """
-    text = container.get(key)
-    value = _int_field(text) if isinstance(text, str) else None
-    if value is not None:
-        return value
     if index is not None:
         where = f"{where}[{index}]"
     text = _json_member(container, key, str, where)
@@ -694,9 +683,12 @@ def _json_numeral(container: dict, key: str, where: str, index: int | None = Non
 
 
 def _json_rows(data):
+    """The rows of a JSON document, each plain-integer string read as an int in one try."""
     if not isinstance(data, dict):
         raise ParseError("expected an object", "$", 0)
-    yield "mu", (_json_numeral(data, "mu", "$"),)
+    text = data.get("mu")
+    value = _int_field(text) if isinstance(text, str) else None
+    yield "mu", (_json_numeral(data, "mu", "$") if value is None else value,)
     for kind, key in (("piece", "pieces"), ("target", "target")):
         where = f"$.{key}"
         for i, entry in enumerate(_json_member(data, key, list, "$")):

@@ -30,7 +30,7 @@ from .errors import (
     _shown,
 )
 from .gnum import GROSSONE, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
-from .gnum import _Value, _ValueType, _from_int, _from_key, _key, _key_terms, _summed
+from .gnum import _Value, _from_int, _from_key, _key, _key_terms, _summed
 
 __all__ = [
     "GrossInterval",
@@ -95,46 +95,7 @@ def interval(lo, hi) -> GrossInterval:
     return GrossInterval(lo, hi)
 
 
-class _SetType(_ValueType):
-    """The metaclass of IntervalSet: every set class runs IntervalSet's own ``__post_init__``.
-
-    The set operations rely on the canonical check and the order keys it
-    holds, so a subclass that defines or inherits another ``__post_init__``
-    is refused as it is created, and binding or deleting ``__post_init__`` on
-    a set class afterwards is refused too.  As every value class's, a set
-    class's constructor calls the check it had when it was created, here
-    IntervalSet's own, so a ``__post_init__`` given later to a plain base it
-    inherits from is never run in its place.
-    """
-
-    def __new__(mcs, name, bases, namespace):
-        cls = super().__new__(mcs, name, bases, namespace)
-        subclass = any(isinstance(base, _SetType) for base in bases)
-        # Looked up along the whole MRO, as the constructor does, so a mixin's is refused too.
-        if subclass and cls.__post_init__ is not IntervalSet.__post_init__:
-            _refuse_check(cls)
-        return cls
-
-    def __setattr__(cls, name, value):
-        if name == "__post_init__":
-            _refuse_check(cls)
-        super().__setattr__(name, value)
-
-    def __delattr__(cls, name):
-        if name == "__post_init__":
-            _refuse_check(cls)
-        super().__delattr__(name)
-
-
-def _refuse_check(cls) -> None:
-    who = "IntervalSet" if cls is IntervalSet else f"IntervalSet subclass {cls.__name__}"
-    raise TypeError(
-        f"{who} may not replace IntervalSet.__post_init__: "
-        "the set operations rely on the base's canonical check and order keys"
-    )
-
-
-class IntervalSet(_Value, metaclass=_SetType):
+class IntervalSet(_Value):
     """Canonical finite union of disjoint, non-adjacent intervals.
 
     ``IntervalSet(...)`` checks that its parts are intervals, sorted,
@@ -154,6 +115,11 @@ class IntervalSet(_Value, metaclass=_SetType):
     their keys and holds them; ``_canonical`` holds the keys its sweep
     computed.  The slot is no field, so equality, hashing, ``repr`` and
     pickling ignore it.
+
+    The set operations rely on that check, so a subclass whose own or
+    inherited ``__post_init__`` is not IntervalSet's is refused as it is
+    created.  A constructor runs the check its class was created with, so
+    binding or deleting ``__post_init__`` later changes none.
     """
 
     __slots__ = ("_keys",)
@@ -174,6 +140,14 @@ class IntervalSet(_Value, metaclass=_SetType):
             his.append(_key(part.hi))
             prev = part
         _hold_keys(self, (tuple(los), tuple(his)))
+
+    def __init_subclass__(cls):
+        # Against the check IntervalSet was created with, not the attribute now bound.
+        if getattr(cls, "__post_init__", None) is not _CHECK:
+            raise TypeError(
+                f"IntervalSet subclass {cls.__name__} may not replace IntervalSet.__post_init__: "
+                "the set operations rely on the base's canonical check and order keys"
+            )
 
     @property
     def is_empty(self) -> bool:
@@ -200,6 +174,7 @@ class IntervalSet(_Value, metaclass=_SetType):
         return f"IntervalSet({self})"
 
 
+_CHECK = IntervalSet.__post_init__
 _hold_keys = IntervalSet._keys.__set__
 EMPTY = IntervalSet()
 

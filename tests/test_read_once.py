@@ -468,10 +468,10 @@ def test_plain_integers_are_read_as_ints_on_either_side_of_the_length_limit():
         ("target", [(int, -3), (int, 0)]),
     ]
     assert typed_rows("piece 1 ①") == [("piece", [(int, 1), (GrossNumber, GROSSONE)])]
-    # A target's ends are ints when both are plain, else both are read by the scanner.
+    # The field reader reads a target's ends by the scanner, plain or not.
     assert typed_rows("target [-3..①]\ntarget [1..2]" + " " * _SHORT_TERM) == [
         ("target", [(GrossNumber, -3), (GrossNumber, GROSSONE)]),
-        ("target", [(int, 1), (int, 2)]),
+        ("target", [(GrossNumber, 1), (GrossNumber, 2)]),
     ]
 
 

@@ -9,14 +9,15 @@ the numbers' order and equality, and ``gnum._from_key`` must read a key,
 moved or not, back as its number, each entry an int where integral.  Each
 set must hold the keys of its parts' endpoints, as the key function gives
 them: the sets the sweeps build, the sets the checking constructor builds
-and sets read back from a pickle; and no set class may rebind or delete
-the check that computes them.  The sweeps' results must agree with
-GrossNumber comparisons of the endpoints, and the constructor must refuse,
-on keys, what it refused on numbers.  ``difference`` and ``is_subset``,
-whose gap ends are read back from keys, must agree with an int model of
-sets whose ends lie near infinitely distant centres, and ``cardinality``
-and ``canonical_measurement``, which read counts and plain ends from keys,
-with the GrossNumber walks in ``tests/oracles.py``.
+and sets read back from a pickle; and binding or deleting the check that
+computes them later changes no set class's constructor.  The sweeps'
+results must agree with GrossNumber comparisons of the endpoints, and the
+constructor must refuse, on keys, what it refused on numbers.
+``difference`` and ``is_subset``, whose gap ends are read back from keys,
+must agree with an int model of sets whose ends lie near infinitely distant
+centres, and ``cardinality`` and ``canonical_measurement``, which read
+counts and plain ends from keys, with the GrossNumber walks in
+``tests/oracles.py``.
 """
 
 import pickle
@@ -210,20 +211,27 @@ def test_a_constructed_or_unpickled_set_holds_its_keys(n):
             assert contains(s, x) == members(s, x)
 
 
-def test_no_set_class_may_rebind_or_delete_its_check_later():
+@pytest.mark.parametrize("deleted", [False, True], ids=["bound", "deleted"])
+def test_a_check_bound_or_deleted_later_changes_no_set_class(monkeypatch, deleted):
     class Named(IntervalSet):
         name: str = ""
 
-    check = IntervalSet.__post_init__
+    if deleted:
+        monkeypatch.delattr(IntervalSet, "__post_init__")
+    else:
+        monkeypatch.setattr(IntervalSet, "__post_init__", lambda self: None)
+    for s in (IntervalSet((interval(1, 2), interval(5, 6))), Named((interval(1, 2), interval(5, 6)), "s")):
+        assert_holds_its_keys(s)
+        assert union(s, s) == IntervalSet(s.parts)
     for cls in (IntervalSet, Named):
-        with pytest.raises(TypeError, match=r"may not replace IntervalSet\.__post_init__: "):
-            cls.__post_init__ = lambda self: None
-        with pytest.raises(TypeError, match=r"may not replace IntervalSet\.__post_init__: "):
-            del cls.__post_init__
-    assert IntervalSet.__post_init__ is check and "__post_init__" not in vars(Named)
-    s = Named((interval(1, 2), interval(5, 6)), "s")
-    assert_holds_its_keys(s)
-    assert union(s, s) == IntervalSet(s.parts)
+        with pytest.raises(InvalidArgument, match="unsorted"):
+            cls((interval(5, 6), interval(1, 2)))
+    # A subclass made meanwhile is refused against the check IntervalSet was created with.
+    with pytest.raises(TypeError, match=r"^IntervalSet subclass Later may not replace IntervalSet\.__post_init__: "):
+
+        class Later(IntervalSet):
+            pass
+
     # Other class attributes bind and unbind as on any class.
     Named.label = "x"
     del Named.label
