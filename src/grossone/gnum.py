@@ -123,6 +123,10 @@ class _ValueType(type):
     or on a base, changes the check its constructor runs; ``_trusted`` sets fields unchecked;
     ``_values`` is their tuple.  A ``__slots__`` tuple in the class body adds private slots that are
     no fields: no constructor sets them, and equality, hashing, ``repr`` and pickling ignore them.
+
+    A class whose body sets ``_sealed_check`` to ``(its __post_init__, reason)`` has subclasses that
+    must run that check: any other is refused here, as the subclass is made, where no mixin's
+    ``__init_subclass__`` can skip the refusal.
     """
 
     def __new__(mcs, name, bases, namespace):
@@ -136,13 +140,19 @@ class _ValueType(type):
         cls._defaults, cls.__match_args__ = defaults, fields
         if [f in defaults for f in fields] != sorted(f in defaults for f in fields):
             raise TypeError(f"{name} has a field without a default after one with a default")
+        check = getattr(cls, "__post_init__", None)
+        for base in cls.__mro__[1:]:
+            sealed = base.__dict__.get("_sealed_check")
+            if sealed is not None and check is not sealed[0]:
+                owner = base.__name__
+                raise TypeError(f"{owner} subclass {name} may not replace {owner}.__post_init__: {sealed[1]}")
         scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
         scope.update(_defaults=defaults, _new=object.__new__)
         params = "".join(f", {f}=_defaults[{f!r}]" if f in defaults else f", {f}" for f in fields)
         sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields) or "\n    pass"
         post = ""
-        if hasattr(cls, "__post_init__"):
-            scope["_check"] = cls.__post_init__
+        if check is not None:
+            scope["_check"] = check
             post = "\n    _check(self)"
         exec(
             f"def __init__(self{params}):{sets}{post}\n"
@@ -342,8 +352,9 @@ class GrossNumber(_Value):
             return _built(_scaled(self.terms, *terms[0]))
         if len(self.terms) == 1:
             return _built(_scaled(terms, *self.terms[0]))
-        scale = _key_scale(self.terms, terms)
-        (a, da), (b, db) = _int_keyed(self.terms, scale), _int_keyed(terms, scale)
+        (la, da), (lb, db) = _scales(self.terms), _scales(terms)
+        scale = _lcm(la, lb)
+        a, b = _int_keyed(self.terms, scale, da), _int_keyed(terms, scale, db)
         product = _merged((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b)
         return _built(_unkeyed(product, scale, 1, da * db))
 
@@ -452,8 +463,8 @@ def _from_key(key: tuple) -> GrossNumber:
 def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, ...]:
     """The canonical terms of ``a + sign * b``, from one pass over two descending term tuples.
 
-    One-term operands take the same pass; ``_exact`` turns an integral sum
-    of Fraction coefficients into an int.
+    One-term operands take the same pass; an integral sum of Fraction
+    coefficients comes out an int.
     """
     out: list[Term] = []
     i = j = 0
@@ -468,8 +479,12 @@ def _merge(a: tuple[Term, ...], b: tuple[Term, ...], sign: int) -> tuple[Term, .
             out.append(b[j] if sign == 1 else (eb, -cb))
             j += 1
         else:
-            c = _exact(ca + cb if sign == 1 else ca - cb)
-            if c:
+            c = ca + cb if sign == 1 else ca - cb
+            # A sum involving a Fraction is a Fraction, integral or not, and
+            # nonzero unless integral.
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            if type(c) is not int or c:
                 out.append((ea, c))
             i += 1
             j += 1
@@ -505,39 +520,46 @@ def _lcm(a: int, b: int) -> int:
     return a // x * b
 
 
-def _key_scale(*term_lists, at: int = 0) -> int:
-    """The lcm of the denominators of each term's entry ``at`` in ``term_lists``.
+def _key_scale(*term_lists) -> int:
+    """L, the lcm of the denominators of the exponents in ``term_lists``.
 
-    At 0, the default, this is L, the lcm of the exponents' denominators; at 1
-    it is D, the lcm of the coefficients'.
+    Each exponent ``e`` times L is an int, its key, and keys order and
+    compare as the exponents do.
     """
     scale = 1
     for terms in term_lists:
-        for term in terms:
-            v = term[at]
-            if type(v) is not int and scale % v.denominator:
-                scale = _lcm(scale, v.denominator)
+        for e, _ in terms:
+            if type(e) is not int and scale % e.denominator:
+                scale = _lcm(scale, e.denominator)
     return scale
 
 
-def _keyed(terms, scale: int) -> list[Term] | tuple[Term, ...]:
-    """``terms`` with each exponent ``e`` keyed as the int ``e * scale``; unchanged for 1."""
-    if scale == 1:
-        return terms
-    return [(e * scale if type(e) is int else e.numerator * (scale // e.denominator), c) for e, c in terms]
+def _scales(terms) -> tuple[int, int]:
+    """L and D of ``terms`` from one pass: the lcms of their exponents' and of their coefficients' denominators."""
+    el = d = 1
+    for e, c in terms:
+        if type(e) is not int and el % e.denominator:
+            el = _lcm(el, e.denominator)
+        if type(c) is not int and d % c.denominator:
+            d = _lcm(d, c.denominator)
+    return el, d
 
 
-def _int_keyed(terms, scale: int) -> tuple[list[Term] | tuple[Term, ...], int]:
-    """``terms`` keyed by ``scale``, each coefficient times D, the lcm of their denominators; and D.
+def _int_keyed(terms, scale: int, d: int) -> list[Term] | tuple[Term, ...]:
+    """``terms`` with each exponent ``e`` keyed as the int ``e * scale`` and each coefficient times ``d``.
 
-    Every coefficient comes out an int, so products and sums of them run on
-    int arithmetic; ``_unkeyed`` divides D back out of a result.
+    ``scale`` is a multiple of each exponent's denominator and ``d`` of each
+    coefficient's, so every entry comes out an int, and products and sums
+    of them run on int arithmetic; ``_unkeyed`` divides ``d`` back out of a
+    result.  Unchanged when both are 1.
     """
-    d = _key_scale(terms, at=1)
-    keyed = _keyed(terms, scale)
-    if d == 1:
-        return keyed, 1
-    return [(k, c * d if type(c) is int else c.numerator * (d // c.denominator)) for k, c in keyed], d
+    if scale == 1 and d == 1:
+        return terms
+    return [
+        (e * scale if type(e) is int else e.numerator * (scale // e.denominator),
+         c * d if type(c) is int else c.numerator * (d // c.denominator))
+        for e, c in terms
+    ]
 
 
 def _ratio(n: int, d: int) -> Rational:
@@ -545,7 +567,7 @@ def _ratio(n: int, d: int) -> Rational:
     return Fraction(n, d) if n % d else n // d
 
 
-def _unkeyed(terms, scale: int, m: int = 1, d: int = 1) -> tuple[Term, ...]:
+def _unkeyed(terms, scale: int, m: int, d: int) -> tuple[Term, ...]:
     """The terms of keyed ``terms``: each key back as its exact exponent, each coefficient times ``m / d``."""
     if m != d:
         terms = [(k, _ratio(c * m, d) if type(c) is int else _ratio(c.numerator * m, c.denominator * d))
@@ -579,9 +601,22 @@ def _merged(pairs) -> list[Term]:
 
 
 def _canonical_terms(pairs: list[Term]) -> tuple[Term, ...]:
-    """The canonical terms of exact (exponent, coefficient) pairs in any order, repeats allowed."""
+    """The canonical terms of exact (exponent, coefficient) pairs in any order, repeats allowed.
+
+    Like exponents merge on their int keys (see ``_key_scale``), and each
+    key turns back into the input exponent it was made from, so no exponent
+    is built again.
+    """
     scale = _key_scale(pairs)
-    return _unkeyed(_merged(_keyed(pairs, scale)), scale)
+    if scale == 1:
+        return tuple(_merged(pairs))
+    exponents = {}
+    keyed = []
+    for e, c in pairs:
+        k = e * scale if type(e) is int else e.numerator * (scale // e.denominator)
+        exponents[k] = e
+        keyed.append((k, c))
+    return tuple([(exponents[k], c) for k, c in _merged(keyed)])
 
 
 def _summed(pairs: list[Term]) -> GrossNumber:
@@ -721,8 +756,9 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         return ZERO
     # The division runs on int exponent keys (see _key_scale) and on the
     # int coefficients of x * dx and y * dy; q is their quotient times dy / dx.
-    scale = _key_scale(x.terms, y.terms)
-    (dividend, dx), (divisor, dy) = _int_keyed(x.terms, scale), _int_keyed(y.terms, scale)
+    (lx, dx), (ly, dy) = _scales(x.terms), _scales(y.terms)
+    scale = _lcm(lx, ly)
+    dividend, divisor = _int_keyed(x.terms, scale, dx), _int_keyed(y.terms, scale, dy)
     lead_exp, lead_coeff = divisor[0]
     tail = divisor[1:]
     lowest = dividend[-1][0] - divisor[-1][0]
@@ -838,27 +874,23 @@ def classify(x: GrossNumber) -> NumberClass:
 # -------------------------------------------------------------------- formatting
 
 
-def _exponent_str(e: Rational) -> str:
-    # Integer exponents print bare (sign included); fractional ones take
-    # parentheses so the quotient cannot be misread as part of the sum.
-    if e.denominator == 1:
-        return str(e)
-    return f"({e})"
-
-
 def _term_str(exponent: Rational, coefficient: Rational) -> str:
-    # str() of an int, or of a Fraction ("n/d"; "n" when integral), is the
-    # numeral grammar's rational form.
-    if exponent == 0:
-        return str(coefficient)
-    if coefficient == 1:
-        head = ""
-    elif coefficient == -1:
-        head = "-"
+    # Types are tested before any compare, which a Fraction makes in Python.
+    # str() of an int, or of a Fraction ("n/d"), is the numeral grammar's
+    # rational form.  A built Fraction is never integral: a Fraction
+    # coefficient is never ±1, and a Fraction exponent is always written in
+    # parentheses, so that its quotient is not misread as part of the sum.
+    if type(exponent) is int:
+        if not exponent:
+            return str(coefficient)
+        power = "" if exponent == 1 else f"^{exponent}"
     else:
+        power = f"^({exponent})"
+    if type(coefficient) is not int:
         head = str(coefficient)
-    base = GROSS_SYMBOL if exponent == 1 else f"{GROSS_SYMBOL}^{_exponent_str(exponent)}"
-    return head + base
+    else:
+        head = "" if coefficient == 1 else "-" if coefficient == -1 else str(coefficient)
+    return f"{head}{GROSS_SYMBOL}{power}"
 
 
 def format_numeral(x: GrossNumber, ascii_mode: bool = False) -> str:

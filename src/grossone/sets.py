@@ -118,8 +118,10 @@ class IntervalSet(_Value):
 
     The set operations rely on that check, so a subclass whose own or
     inherited ``__post_init__`` is not IntervalSet's is refused as it is
-    created.  A constructor runs the check its class was created with, so
-    binding or deleting ``__post_init__`` later changes none.
+    created, by the value metaclass (see ``gnum._ValueType``), whatever a
+    mixin's ``__init_subclass__`` does.  A constructor runs the check its
+    class was created with, so binding or deleting ``__post_init__`` later
+    changes none.
     """
 
     __slots__ = ("_keys",)
@@ -141,13 +143,8 @@ class IntervalSet(_Value):
             prev = part
         _hold_keys(self, (tuple(los), tuple(his)))
 
-    def __init_subclass__(cls):
-        # Against the check IntervalSet was created with, not the attribute now bound.
-        if getattr(cls, "__post_init__", None) is not _CHECK:
-            raise TypeError(
-                f"IntervalSet subclass {cls.__name__} may not replace IntervalSet.__post_init__: "
-                "the set operations rely on the base's canonical check and order keys"
-            )
+    # Against the check IntervalSet was created with, not the attribute bound later.
+    _sealed_check = (__post_init__, "the set operations rely on the base's canonical check and order keys")
 
     @property
     def is_empty(self) -> bool:
@@ -174,7 +171,6 @@ class IntervalSet(_Value):
         return f"IntervalSet({self})"
 
 
-_CHECK = IntervalSet.__post_init__
 _hold_keys = IntervalSet._keys.__set__
 EMPTY = IntervalSet()
 

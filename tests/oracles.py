@@ -31,7 +31,6 @@ from grossone.gnum import (
     GrossNumber,
     _gross_integer,
     _Scanner,
-    _term_str,
     finite,
     parse_numeral,
 )
@@ -361,15 +360,36 @@ def reference_measure_in(system, s) -> tuple[GrossNumber, list[tuple]]:
     return mu, runs
 
 
+def _reference_term_str(exponent, coefficient) -> str:
+    """One term as ``gnum._term_str`` wrote it before it tested entry types first.
+
+    Each entry is compared by value, so a Fraction entry pays ``Fraction.__eq__``.
+    """
+    if exponent == 0:
+        return str(coefficient)
+    if coefficient == 1:
+        head = ""
+    elif coefficient == -1:
+        head = "-"
+    else:
+        head = str(coefficient)
+    if exponent == 1:
+        return head + GROSS_SYMBOL
+    # Integer exponents print bare (sign included); fractional ones take
+    # parentheses so the quotient cannot be misread as part of the sum.
+    power = str(exponent) if exponent.denominator == 1 else f"({exponent})"
+    return f"{head}{GROSS_SYMBOL}^{power}"
+
+
 def reference_format_numeral(x, ascii_mode: bool = False) -> str:
-    """The numeral of a value written term by term, plain integers included."""
+    """The numeral of a value written term by term, plain integers included, by ``_reference_term_str``."""
     x = finite(x)
     if x.is_zero:
         return "0"
     chunks = []
     try:
         for exponent, coefficient in x.terms:
-            piece = _term_str(exponent, coefficient)
+            piece = _reference_term_str(exponent, coefficient)
             if chunks and not piece.startswith("-"):
                 chunks.append("+")
             chunks.append(piece)

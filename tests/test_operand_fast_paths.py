@@ -5,10 +5,11 @@ operands must agree with ``oracles.poly_add`` and keep every built entry
 an int where it is integral.  Values built directly with Fraction-typed
 integral entries hold them as ints too.
 
-Two one-term operands on the same exponent take a direct path in sums
-(``gnum._merge``) and in the order operators (``gnum._ordering``); the
-properties from ``test_one_term_sums_and_differences_follow_the_oracle`` on
-check that path.  They fix no ``max_examples``, so the ``deep`` Hypothesis
+Two one-term operands on the same exponent take the same paths as longer
+ones, the one-pass merge in sums (``gnum._merge``) and the term walk in the
+order operators (``gnum._ordering``); the properties from
+``test_one_term_sums_and_differences_follow_the_oracle`` on check those
+paths on one-term operands.  They fix no ``max_examples``, so the ``deep`` Hypothesis
 profile (``--hypothesis-profile=deep``) runs each on ten times the examples.
 The three properties before them run three times the loaded profile's
 examples, so ``deep`` scales them too.

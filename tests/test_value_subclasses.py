@@ -8,8 +8,9 @@ slot that a class declares in ``__slots__`` is no field: no constructor
 sets it, and equality, hashing, ``repr``, pickling and copying ignore it.
 An ``IntervalSet`` subclass may add fields but not a ``__post_init__`` of
 its own or a mixin's, which would replace the canonical check and the order
-keys that every set operation trusts; its constructor runs that check even
-when a mixin gains a ``__post_init__`` after the class is made.
+keys that every set operation trusts, even where a mixin's
+``__init_subclass__`` skips its bases' hooks; its constructor runs that check
+even when a mixin gains a ``__post_init__`` after the class is made.
 """
 
 import copy
@@ -145,6 +146,27 @@ def test_an_interval_set_subclass_may_not_replace_the_canonical_check():
 
         class Mixed(Mixin, IntervalSet):
             pass
+
+
+def test_a_mixin_that_skips_init_subclass_does_not_skip_the_refusal():
+    # This __init_subclass__ calls no super(), so no base's hook runs for Bad.
+    class Quiet:
+        def __init_subclass__(cls):
+            pass
+
+    with pytest.raises(TypeError, match="^IntervalSet subclass Bad may not replace IntervalSet.__post_init__: "):
+
+        class Bad(Quiet, IntervalSet):
+            def __post_init__(self):
+                pass
+
+    class Fine(Quiet, IntervalSet):
+        pass
+
+    s = Fine((GrossInterval(1, 2),))
+    assert union(s, s) == IntervalSet(s.parts)
+    with pytest.raises(InvalidArgument):
+        Fine((GrossInterval(5, 6), GrossInterval(1, 2)))
 
 
 def test_an_interval_set_subclass_without_its_own_check_holds_keys():
