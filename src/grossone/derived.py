@@ -13,13 +13,13 @@ instead of guessing when g cannot be evaluated there.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import BelowRange, BoundExceeded, InvalidArgument, NotFinite, _shown
 from .gnum import (
     GrossNumber,
     Sign,
+    _INT_FIELD,
     _Scanner,
     _Value,
     _at_least,
@@ -336,19 +336,16 @@ def format_defined(d: DefinedNumeral, ascii_mode: bool = False) -> str:
     return f"invfloor(?, {kappa})"
 
 
-# An integer field: an optional sign and ASCII digits.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def _read_int(scanner: _Scanner, message: str) -> int:
     scanner.skip_ws()
-    found = _INTEGER.match(scanner.text, scanner.pos)
+    found = _INT_FIELD.match(scanner.text, scanner.pos)
     if found is None:
         scanner.fail(message)
     try:
         value = int(found.group())
     except ValueError:
-        # Past the interpreter's int-to-string digit limit.
+        # int() refuses the Unicode minus sign that _INT_FIELD reads, and a
+        # field past the interpreter's int-to-string digit limit.
         scanner.fail(message)
     scanner.pos = found.end()
     return value

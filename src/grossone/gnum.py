@@ -520,17 +520,18 @@ def _lcm(a: int, b: int) -> int:
     return a // x * b
 
 
-def _key_scale(*term_lists) -> int:
-    """L, the lcm of the denominators of the exponents in ``term_lists``.
+def _key_scale(terms) -> int:
+    """L, the lcm of the denominators of the exponents of ``terms``.
 
-    Each exponent ``e`` times L is an int, its key, and keys order and
-    compare as the exponents do.
+    Each exponent ``e`` times L, or times any multiple of L, is an int, its
+    key, and keys order and compare as the exponents do.  Coefficients are
+    not read: ``_scales`` also gives D, whose lcm grows with every new
+    coefficient denominator.
     """
     scale = 1
-    for terms in term_lists:
-        for e, _ in terms:
-            if type(e) is not int and scale % e.denominator:
-                scale = _lcm(scale, e.denominator)
+    for e, _ in terms:
+        if type(e) is not int and scale % e.denominator:
+            scale = _lcm(scale, e.denominator)
     return scale
 
 
@@ -673,8 +674,6 @@ def _operand_terms(value) -> tuple[Term, ...] | None:
     An int or a Fraction is read as its own term, with no GrossNumber built for it.
     """
     kind = type(value)
-    if kind is GrossNumber:
-        return value.terms
     if kind is not int:
         if isinstance(value, GrossNumber):
             return value.terms

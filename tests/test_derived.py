@@ -218,6 +218,34 @@ class TestTextForms:
         with pytest.raises(ParseError):
             parse_defined(bad)
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            # int() refuses the Unicode minus sign, so the field is refused where it starts.
+            ("logfloor(−2, 5)", "logfloor base must be an integer", 9),
+            ("logfloor(x, 5)", "logfloor base must be an integer", 9),
+            ("logfloor( +2x, 5)", "expected ','", 12),
+            # The integer field ends at the '.', where the ',' is missing.
+            ("invfloor(pow 2.5, 9)", "expected ','", 14),
+            ("invfloor(pow " + "9" * (sys.get_int_max_str_digits() + 1) + ", 9)",
+             "pow exponent must be an integer", 13),
+        ],
+    )
+    def test_integer_fields_are_refused_where_they_start(self, text, message, position):
+        with pytest.raises(ParseError) as caught:
+            parse_defined(text)
+        assert caught.value.args[0] == message
+        assert caught.value.position == position
+
+    def test_integer_fields_read_an_ascii_sign(self):
+        # A signed field is read, and a value out of range is refused as an argument, not as text.
+        assert format_defined(parse_defined("logfloor(+2, 5)")) == "logfloor(2, 5)"
+        assert format_defined(parse_defined("invfloor(pow +3, 9)")) == "invfloor(pow 3, 9)"
+        with pytest.raises(InvalidArgument, match="base must be at least 2"):
+            parse_defined("logfloor(-2, 5)")
+        with pytest.raises(InvalidArgument, match="exponent must be at least 2"):
+            parse_defined("invfloor(pow -3, 9)")
+
 
 # Probes and bounds on both sides of the bit-length shortcut: plain integers
 # of either sign, a non-integer, and infinite and infinitesimal values.

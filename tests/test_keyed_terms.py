@@ -176,7 +176,7 @@ def test_two_operands_within_one_word_whose_joint_lcm_is_not():
     rng = Random(21005)
     x, y = prime_numeral(rng, PRIMES[:9]), prime_numeral(rng, PRIMES[9:18])
     assert gnum._key_scale(x.terms) <= sys.maxsize and gnum._key_scale(y.terms) <= sys.maxsize
-    assert gnum._key_scale(x.terms, y.terms) > sys.maxsize
+    assert gnum._lcm(gnum._key_scale(x.terms), gnum._key_scale(y.terms)) > sys.maxsize
     product = x * y
     want = oracles.reference_terms((e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms)
     assert_same_terms(product.terms, want)
