@@ -78,24 +78,18 @@ _TERM = re.compile(
 # set, so its digits convert without the scanner's limit check.
 _SHORT_TERM = sys.int_info.str_digits_check_threshold
 # The one spelling of a plain integer: a sign or none, touching ASCII digits.
+# A whole field spelt so is a numeral of one exponent-0 term.
 _INT = r"[+\-−]?[0-9]+"
-# A whole numeral that is a plain integer: no '/', digit or decimal part
-# follows it, and no '*', sign or base after any whitespace.  Where the
-# numeral reads on, this does not match; a '^' after it is never read, as no
-# exponent follows a bare coefficient, and a '.' not before a digit (the
-# '..' of an interval) ends the numeral.
-_PLAIN_INT = re.compile(rf"{_INT}(?![/0-9]|\.[0-9])(?!\s*(?:[*+\-−]|①|G1))")
-# A whole text that _PLAIN_INT reads to its end: its lookaheads all hold there.
 _INT_FIELD = re.compile(_INT)
 
 
 def _int_field(text: str) -> int | None:
-    """``text`` as an int when all of it is a plain integer that ``parse_sum`` reads in one match.
+    """``text`` as an int when all of it is a plain integer, the int ``parse_numeral`` reads from it.
 
     That is ``_INT`` in at most ``_SHORT_TERM`` characters, leading zeros
-    allowed, matched without ``_PLAIN_INT``'s lookaheads, which hold at the
-    end of any text.  Anything else, surrounding whitespace included, gives
-    None and is left to the scanner, with its errors and positions.
+    allowed, so ``int()`` reads it under any int-to-string limit.  Anything
+    else, surrounding whitespace included, gives None and is left to the
+    scanner, with its errors and positions.
     """
     if len(text) <= _SHORT_TERM and _INT_FIELD.fullmatch(text):
         # int() reads '+' and '-' but not the Unicode minus sign.
@@ -1096,11 +1090,6 @@ class _Scanner:
 
     def parse_sum(self) -> GrossNumber:
         self.skip_ws()
-        found = _PLAIN_INT.match(self.text, self.pos)
-        if found is not None and found.end() - self.pos <= _SHORT_TERM:
-            self.pos = found.end()
-            text = found.group()
-            return _from_int(-int(text[1:]) if text[0] == "−" else int(text))
         terms: list[Term] = []
         minus = self.take_sign() == -1
         self.skip_ws()
@@ -1114,6 +1103,10 @@ class _Scanner:
                 break
             self.pos = found.end()
             minus = found.group(1) != "+"
+        if len(terms) == 1:
+            # A term as read is canonical: its exponent and coefficient are
+            # ints where integral; only a zero coefficient is dropped.
+            return _built(tuple(terms)) if terms[0][1] else ZERO
         return _built(_canonical_terms(terms))
 
 

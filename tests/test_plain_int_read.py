@@ -1,9 +1,10 @@
 """A numeral that is a plain integer is read in one match, with the same outcome as the term scanner.
 
-The reference is the same parser with the plain-integer patterns (the one
-``parse_sum`` matches, the whole-field one the JSON reader matches and the
-whole-row one the line-based reader matches) swapped for one that never
-matches, so that every text goes through the term scanner.
+The reference is the same parser with the plain-integer patterns (the
+whole-field one the JSON reader matches and the whole-row one the
+line-based reader matches) swapped for one that never matches, so that
+every text goes through the term scanner.  ``parse_sum`` has no such
+pattern: it reads every numeral with the term scanner.
 Each entry point must give the same value (term for term, int or Fraction
 alike) and end, or the same error type, message and position.
 """
@@ -42,7 +43,6 @@ ALPHABET = "0123456789+-−*/^.() ①G1\n[]|"
 def term_scanner_only():
     """Every numeral read by the term scanner, as before the plain-integer match."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gnum, "_PLAIN_INT", NEVER)
         patch.setattr(gnum, "_INT_FIELD", NEVER)
         patch.setattr(measure, "_INT_ROW", NEVER)
         yield

@@ -12,6 +12,7 @@ error type and message, and for a ParseError the same text and position.
 """
 
 import json
+import re
 from random import Random
 
 import pytest
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 import oracles
 from grossone.errors import GrossoneError, InvalidMeasurement, ParseError
 from grossone.gnum import (
-    _PLAIN_INT,
     _SHORT_TERM,
     GROSSONE,
     GrossNumber,
@@ -478,6 +478,11 @@ def test_plain_integers_are_read_as_ints_on_either_side_of_the_length_limit():
 # ---------------------------------------------------------------- the plain-integer read
 
 
+# A whole numeral that is a plain integer: no '/', digit or decimal part
+# follows it, and no '*', sign or base after any whitespace.  Spelt here
+# from the numeral grammar, apart from the library's own patterns.
+_PLAIN_INT = re.compile(r"[+\-−]?[0-9]+(?![/0-9]|\.[0-9])(?!\s*(?:[*+\-−]|①|G1))")
+
 FIELD_TEXTS = [
     "0", "-0", "+0", "−0", "007", "+5", "−5", "5 ", " 5", "5\n", "1_000", "٣", "5.", "5.0", "5/1",
     "5①", "5G1", "5*", "--5", "+-5", "", "-", "①",
@@ -487,7 +492,7 @@ FIELD_TEXTS = [
 
 
 def plain_int_read(text: str) -> int | None:
-    """What ``parse_sum``'s one-match read makes of the whole of ``text``, else None."""
+    """What ``parse_numeral`` reads from the whole of ``text`` where it is one short plain integer, else None."""
     found = _PLAIN_INT.match(text)
     if found is None or found.end() != len(text) or len(text) > _SHORT_TERM:
         return None
