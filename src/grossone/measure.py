@@ -123,7 +123,21 @@ class Measurement(_Value):
     (and through it ``complement_measurement``, ``intersection_split`` and
     ``numeral_system.measure_in``) and ``concat`` build results that are
     bijections by construction, and do not check them again.
+
+    The private slot ``_runs`` holds one ``(lo, hi, offset)`` run per piece,
+    filled as the measurement is built: the runs ``_check_runs`` checked,
+    or those ``_proven`` was given, with ints where the construction
+    computed or read plain integers.  The writers read their numerals from
+    it and from the target's order keys (see ``_rows``), so a plain-integer
+    numeral is written from its int.  The slot is no field, so equality,
+    hashing, ``repr`` and pickling ignore it; a pickle or copy is rebuilt
+    through the constructor, which fills it again.  The writers rely on the
+    check that fills it, so a subclass whose own or inherited
+    ``__post_init__`` is not Measurement's is refused as it is created (see
+    ``gnum._ValueType``).
     """
+
+    __slots__ = ("_runs",)
 
     mu: GrossNumber
     pieces: tuple[AffinePiece, ...]
@@ -132,7 +146,10 @@ class Measurement(_Value):
     def __post_init__(self):
         object.__setattr__(self, "mu", finite(self.mu))
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        _check_runs(self.mu, map(_run, self.pieces), self.target)
+        _hold_runs(self, _check_runs(self.mu, map(_run, self.pieces), self.target))
+
+    # Against the check Measurement was created with, not the attribute bound later.
+    _sealed_check = (__post_init__, "the writers and the gate rely on the base's bijection check and held runs")
 
     def apply(self, x) -> GrossNumber:
         """Image of index x; x must be a gross-integer in [1..mu]."""
@@ -156,6 +173,9 @@ class Measurement(_Value):
         return to_text(self).rstrip("\n")
 
 
+_hold_runs = Measurement._runs.__set__
+
+
 def _run(piece) -> tuple:
     """The ``(lo, hi, offset)`` run of a piece a caller supplied."""
     if not isinstance(piece, AffinePiece):
@@ -163,11 +183,12 @@ def _run(piece) -> tuple:
     return piece.domain.lo, piece.domain.hi, piece.offset
 
 
-def _check_runs(mu, runs, target) -> None:
-    """Refuse with InvalidMeasurement unless ``runs`` measure ``target`` with ``mu`` elements.
+def _check_runs(mu, runs, target) -> tuple:
+    """The runs read from ``runs``, as a tuple; InvalidMeasurement unless they measure ``target`` with ``mu`` elements.
 
     ``mu`` and the entries of each ``(lo, hi, offset)`` run are ints or
-    gross-integer GrossNumbers, and ``runs`` is read once, in order.  Ints
+    gross-integer GrossNumbers, and ``runs`` is read once, in order, so a
+    run that is made as it is read is checked before the next is made.  Ints
     are added as ints.  The domains must tile [1..mu] from 1, so the images
     hold mu elements exactly when no two of them overlap; their joined runs
     are then the parts that the canonical target must list part for part,
@@ -177,15 +198,17 @@ def _check_runs(mu, runs, target) -> None:
     """
     if not (type(mu) is int or _is_gross_integer(mu)) or mu <= 0:
         raise InvalidMeasurement(f"mu must be a positive gross-integer, got {_shown(finite(mu))}")
-    images = []
+    read, images = [], []
     expected_lo = 1
-    for lo, hi, offset in runs:
+    for run in runs:
+        lo, hi, offset = run
         if lo != expected_lo:
             raise InvalidMeasurement(
                 f"piece domains must be contiguous from 1: expected lo {_shown(finite(expected_lo))}, "
                 f"got {_shown(finite(lo))}"
             )
         expected_lo = hi + 1
+        read.append(run)
         images.append((lo + offset, hi + offset, 0))
     if not images:
         raise InvalidMeasurement("a measurement needs at least one piece")
@@ -198,6 +221,7 @@ def _check_runs(mu, runs, target) -> None:
         raise InvalidMeasurement("piece images must be pairwise disjoint")
     if not isinstance(target, IntervalSet) or not _covers(joined, *target._keys):
         raise InvalidMeasurement("piece images must cover exactly the target")
+    return tuple(read)
 
 
 def _covers(runs: list[list], los: tuple, his: tuple) -> bool:
@@ -245,7 +269,8 @@ def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
     has just checked them.  Each int is boxed in one step, as the
     GrossNumber of its one exponent-0 term, as ``gnum._from_int`` boxes it;
     a domain end is at least 1, and only an offset can be zero, which has
-    no term.  A GrossNumber is stored as it is.
+    no term.  A GrossNumber is stored as it is.  The measurement holds the
+    runs themselves, ints and all, in its ``_runs`` slot.
     """
     new, span, piece = GrossNumber._trusted, GrossInterval._trusted, AffinePiece._trusted
     pieces = tuple([
@@ -255,7 +280,9 @@ def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
         )
         for lo, hi, offset in runs
     ])
-    return Measurement._trusted(_from_int(mu) if type(mu) is int else mu, pieces, target)
+    m = Measurement._trusted(_from_int(mu) if type(mu) is int else mu, pieces, target)
+    _hold_runs(m, tuple(runs))
+    return m
 
 
 # ---------------------------------------------------------------- constructions
@@ -271,22 +298,30 @@ def canonical_measurement(s: IntervalSet) -> Measurement:
     """The order-preserving measurement: k-th smallest element gets index k.
 
     Each part of the set becomes one piece whose offset aligns the next
-    free index block with the part's left endpoint.  A plain-integer end is
-    read from the set's order keys as the int its key holds, so the runs
-    are computed on ints until the first end that is not, and as
-    gross-numbers from there; they become GrossNumbers only as the pieces
-    are built.
+    free index block with the part's left endpoint (see ``_canonical_runs``);
+    the runs become GrossNumbers only as the pieces are built.
+    """
+    s = _nonempty(_set_arg(s))
+    runs = _canonical_runs(s)
+    return _proven(runs[-1][1], runs, s)
+
+
+def _canonical_runs(s: IntervalSet) -> list[tuple]:
+    """The ``(lo, hi, offset)`` runs of the order-preserving measurement of the nonempty ``s``.
+
+    A plain-integer end is read from the set's order keys as the int its
+    key holds, so the runs are computed on ints until the first end that is
+    not, and as gross-numbers from there.  The last run's ``hi`` is mu.
     """
     runs = []
     hi = 0
-    s = _nonempty(_set_arg(s))
     for part, key_lo, key_hi in zip(s.parts, *s._keys):
         # Aligned at the part's left endpoint, the block ends at its right one.
         lo = hi + 1
         offset = (key_lo[1] if len(key_lo) == 2 else part.lo) - lo
         hi = (key_hi[1] if len(key_hi) == 2 else part.hi) - offset
         runs.append((lo, hi, offset))
-    return _proven(hi, runs, s)
+    return runs
 
 
 def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) -> Measurement:
@@ -335,7 +370,9 @@ def concat(first: Measurement, rest: Measurement) -> Measurement:
 
     The second measurement's index block is appended after the first's,
     which is why the element count of a whole is the count of a part plus
-    the count of the complement.
+    the count of the complement.  The runs are the two measurements' held
+    runs, the second's shifted by the first's mu, as an int where it is a
+    plain integer; the last domain ends at the total count.
     """
     if not (isinstance(first, Measurement) and isinstance(rest, Measurement)):
         kinds = f"{type(first).__name__} and {type(rest).__name__}"
@@ -343,10 +380,11 @@ def concat(first: Measurement, rest: Measurement) -> Measurement:
     shared = intersect(first.target, rest.target)
     if not shared.is_empty:
         raise OverlappingTargets(f"targets share {_shown(shared)}")
-    mu = first.mu
-    runs = [(p.domain.lo, p.domain.hi, p.offset) for p in first.pieces]
-    runs += [(p.domain.lo + mu, p.domain.hi + mu, p.offset - mu) for p in rest.pieces]
-    return _proven(mu + rest.mu, runs, union(first.target, rest.target))
+    mu = _plain_int(first.mu)
+    if mu is None:
+        mu = first.mu
+    runs = [*first._runs, *[(lo + mu, hi + mu, offset - mu) for lo, hi, offset in rest._runs]]
+    return _proven(runs[-1][1], runs, union(first.target, rest.target))
 
 
 def invert_pieces(pieces) -> tuple[AffinePiece, ...]:
@@ -475,18 +513,43 @@ def intersection_split(first: Measurement, second: Measurement) -> tuple[Measure
 # ---------------------------------------------------------------- serialization
 #
 # Every form spells out the rows of _rows in their order: ("mu", (mu,)), then
-# ("piece", (lo, hi)) per piece with the offset as a third numeral when it is
+# ("piece", (lo, hi)) per run with the offset as a third numeral when it is
 # nonzero (an identity block needs no shift), then ("target", (lo, hi)) per part.
+# The writers read them from a measurement's held runs and its target's order
+# keys, and measure_in from the runs it computes before any measurement is
+# built, so a plain-integer numeral reaches each of them as an int.
 
 
-def _rows(m: Measurement):
-    """The rows of a measurement, in the order every form spells them out."""
-    yield "mu", (m.mu,)
-    for p in m.pieces:
-        lo, hi = p.domain.lo, p.domain.hi
-        yield "piece", (lo, hi) if p.offset.is_zero else (lo, hi, p.offset)
-    for part in m.target.parts:
-        yield "target", (part.lo, part.hi)
+def _rows(mu, runs, target: IntervalSet):
+    """The rows of the measurement of ``runs`` onto ``target``, in the order every form spells them out.
+
+    ``mu`` and the entries of each ``(lo, hi, offset)`` run are ints or
+    GrossNumbers.  A target end whose order key has length 2 is the int
+    that key holds; any other is the part's GrossNumber.
+    """
+    yield "mu", (mu,)
+    for lo, hi, offset in runs:
+        yield "piece", (lo, hi, offset) if (offset if type(offset) is int else offset.terms) else (lo, hi)
+    for part, key_lo, key_hi in zip(target.parts, *target._keys):
+        yield "target", (key_lo[1] if len(key_lo) == 2 else part.lo, key_hi[1] if len(key_hi) == 2 else part.hi)
+
+
+def _writer(ascii_mode: bool):
+    """The writer of one numeral of a row: an int by ``str``, anything else by ``format_numeral``.
+
+    An int past the interpreter's int-to-string limit is refused as
+    ``format_numeral`` refuses it.
+    """
+
+    def write(x) -> str:
+        if type(x) is not int:
+            return format_numeral(x, ascii_mode=ascii_mode)
+        try:
+            return str(x)
+        except ValueError:
+            raise InvalidArgument("numeral has too many digits to write out") from None
+
+    return write
 
 
 def _from_rows(rows) -> Measurement:
@@ -531,8 +594,7 @@ def _from_rows(rows) -> Measurement:
     if mu is None:
         raise InvalidMeasurement("missing mu line")
     target = _coalesce(parts, los, his)
-    _check_runs(mu, runs, target)
-    return _proven(mu, runs, target)
+    return _proven(mu, _check_runs(mu, runs, target), target)
 
 
 def serialized_numerals(m: Measurement) -> list[GrossNumber]:
@@ -543,7 +605,7 @@ def serialized_numerals(m: Measurement) -> list[GrossNumber]:
     a set inside a numeral system means exactly that each of these is
     expressible there.
     """
-    return [x for _, values in _rows(m) for x in values]
+    return [finite(x) for _, values in _rows(m.mu, m._runs, m.target) for x in values]
 
 
 def to_text(m: Measurement, ascii_mode: bool = False) -> str:
@@ -552,12 +614,13 @@ def to_text(m: Measurement, ascii_mode: bool = False) -> str:
     ``piece`` lines carry domain-lo, domain-hi and, when nonzero, the
     offset; ``target`` lines carry one interval each.
     """
+    write = _writer(ascii_mode)
     lines = []
-    for kind, values in _rows(m):
-        fields = [format_numeral(x, ascii_mode=ascii_mode) for x in values]
+    for kind, values in _rows(m.mu, m._runs, m.target):
         if kind == "target":
-            fields = [f"[{fields[0]}..{fields[1]}]"]
-        lines.append(" ".join([kind, *fields]))
+            lines.append(f"target [{write(values[0])}..{write(values[1])}]")
+        else:
+            lines.append(" ".join([kind, *map(write, values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -645,13 +708,13 @@ _JSON_SLOTS = ("lo", "hi", "offset")  # the keys of a piece or target row's nume
 
 def to_jsonable(m: Measurement, ascii_mode: bool = False) -> dict:
     """JSON-ready dict with every numeral as a string in the numeral grammar."""
+    write = _writer(ascii_mode)
     doc: dict = {"mu": None, "pieces": [], "target": []}
-    for kind, values in _rows(m):
-        strings = [format_numeral(x, ascii_mode=ascii_mode) for x in values]
+    for kind, values in _rows(m.mu, m._runs, m.target):
         if kind == "mu":
-            doc["mu"] = strings[0]
+            doc["mu"] = write(values[0])
         else:
-            entry = dict(zip(_JSON_SLOTS, strings))
+            entry = dict(zip(_JSON_SLOTS, map(write, values)))
             doc["pieces" if kind == "piece" else kind].append(entry)
     return doc
 
@@ -713,10 +776,25 @@ def from_jsonable(data: dict) -> Measurement:
 
 
 def to_json(m: Measurement, ascii_mode: bool = False) -> str:
-    # json is imported here, so that text-mode calls never load it.
-    import json
+    """The JSON text of :func:`to_jsonable`, written from the rows directly.
 
-    return json.dumps(to_jsonable(m, ascii_mode=ascii_mode), ensure_ascii=False, sort_keys=True)
+    It is byte for byte ``json.dumps(to_jsonable(m, ascii_mode), ensure_ascii=False,
+    sort_keys=True)``: keys in sorted order, with ``json``'s default
+    separators.  No numeral the grammar writes holds a quote, a backslash
+    or a control character, the characters JSON escapes, so each string is
+    written between quotes as it stands.
+    """
+    write = _writer(ascii_mode)
+    rows = {"piece": [], "target": []}
+    for kind, values in _rows(m.mu, m._runs, m.target):
+        if kind == "mu":
+            mu = write(values[0])
+            continue
+        entry = f'"hi": "{write(values[1])}", "lo": "{write(values[0])}"'
+        if len(values) == 3:
+            entry += f', "offset": "{write(values[2])}"'
+        rows[kind].append(f"{{{entry}}}")
+    return f'{{"mu": "{mu}", "pieces": [{", ".join(rows["piece"])}], "target": [{", ".join(rows["target"])}]}}'
 
 
 def from_json(text: str) -> Measurement:

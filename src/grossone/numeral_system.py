@@ -227,9 +227,10 @@ def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     Every numeral of the written-out measurement, in the order
     ``serialized_numerals`` lists them (mu, piece endpoints, nonzero
     offsets, target endpoints), must be expressible, and the first one that
-    is not names the failure.  The count mu comes first, so it is gated
-    before anything is built: a set whose count the system cannot write is
-    refused without its measurement.  Measurement is relative to the
+    is not names the failure.  The gate reads the rows (``measure._rows``)
+    of the canonical runs, computed on ints while the set's ends are plain
+    integers, before anything is boxed: mu comes first, and the measurement
+    is built only once the set is admitted.  Measurement is relative to the
     system: {1,2} is measurable with only the numerals 1 and 2, while
     {1,2,3} is not, because its element count already has no name there.
     A plain-integer numeral is tested against the system's ``_int_range``,
@@ -237,25 +238,29 @@ def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     """
     # Imported here so that queries about a system alone load neither
     # measure nor sets.
-    from .measure import _nonempty, canonical_measurement, serialized_numerals
-    from .sets import _set_arg, cardinality
+    from .measure import _canonical_runs, _nonempty, _rows, canonical_measurement
+    from .sets import _set_arg
 
     bounds = _int_range(sys)
+    # An int in [low..high] is written; the range is empty where there are no bounds.
+    low, high = bounds or (1, 0)
 
-    def writable(x: GrossNumber) -> bool:
+    def writable(x: int | GrossNumber) -> bool:
+        """Whether the system writes ``x``, an int outside [low..high] or a GrossNumber."""
+        if type(x) is int:
+            return bounds is None and sys.can_express(finite(x))
         terms = x.terms
         if bounds is None or len(terms) > 1 or terms and (terms[0][0] or type(terms[0][1]) is not int):
             return sys.can_express(x)
-        return bounds[0] <= (terms[0][1] if terms else 0) <= bounds[1]
+        return low <= (terms[0][1] if terms else 0) <= high
 
-    mu = cardinality(_nonempty(_set_arg(s)))
-    if not writable(mu):
-        raise NotExpressible(mu, sys.describe())
-    m = canonical_measurement(s)
-    for value in serialized_numerals(m)[1:]:
-        if not writable(value):
-            raise NotExpressible(value, sys.describe())
-    return m
+    s = _nonempty(_set_arg(s))
+    runs = _canonical_runs(s)
+    for _, values in _rows(runs[-1][1], runs, s):
+        for x in values:
+            if not (type(x) is int and low <= x <= high or writable(x)):
+                raise NotExpressible(finite(x), sys.describe())
+    return canonical_measurement(s)
 
 
 def parse_system(descriptor: str) -> NumeralSystem:

@@ -296,6 +296,48 @@ def reference_from_jsonable(data) -> Measurement:
     return _reference_from_rows(_reference_json_rows(data))
 
 
+# The measurement writers as they were before they read a measurement's held
+# runs: every numeral read from the pieces and the target's parts as a
+# GrossNumber and written term by term.
+
+
+def _reference_rows(m: Measurement):
+    yield "mu", (m.mu,)
+    for p in m.pieces:
+        lo, hi = p.domain.lo, p.domain.hi
+        yield "piece", (lo, hi) if p.offset.is_zero else (lo, hi, p.offset)
+    for part in m.target.parts:
+        yield "target", (part.lo, part.hi)
+
+
+def reference_serialized_numerals(m: Measurement) -> list[GrossNumber]:
+    """mu, each piece's domain ends and nonzero offset, then the target's ends, read from the pieces."""
+    return [x for _, values in _reference_rows(m) for x in values]
+
+
+def reference_to_text(m: Measurement, ascii_mode: bool = False) -> str:
+    """The line-based form of ``m``, each numeral written by ``reference_format_numeral``."""
+    lines = []
+    for kind, values in _reference_rows(m):
+        fields = [reference_format_numeral(x, ascii_mode=ascii_mode) for x in values]
+        if kind == "target":
+            fields = [f"[{fields[0]}..{fields[1]}]"]
+        lines.append(" ".join([kind, *fields]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_jsonable(m: Measurement, ascii_mode: bool = False) -> dict:
+    """The JSON-ready dict of ``m``, each numeral written by ``reference_format_numeral``."""
+    doc: dict = {"mu": None, "pieces": [], "target": []}
+    for kind, values in _reference_rows(m):
+        strings = [reference_format_numeral(x, ascii_mode=ascii_mode) for x in values]
+        if kind == "mu":
+            doc["mu"] = strings[0]
+        else:
+            doc["pieces" if kind == "piece" else kind].append(dict(zip(_JSON_SLOTS, strings)))
+    return doc
+
+
 # The measure layer's numerals as GrossNumbers throughout: the library's
 # paths before it kept plain integers as ints.  Each returns plain data
 # (GrossNumbers and tuples of them), so that no result passes through the

@@ -310,9 +310,10 @@ def test_a_set_refused_on_its_count_is_never_measured(proven_calls, system, part
         (BoundedFinite(2, 10), [(1, 5), (200, 201)]),
     ],
 )
-def test_a_set_refused_past_its_count_is_measured_once(proven_calls, system, parts):
+def test_a_set_refused_past_its_count_is_not_measured(proven_calls, system, parts):
+    # The gate reads the canonical runs before any measurement is built.
     assert_same_refusal(system, make_set(interval(lo, hi) for lo, hi in parts))
-    assert len(proven_calls) == 1
+    assert proven_calls == []
 
 
 @pytest.mark.parametrize("system", [Piraha(), BoundedFinite(1, 2), GrossBudget(1, 1, 1)])

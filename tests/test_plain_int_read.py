@@ -2,9 +2,12 @@
 
 The reference is the same parser with the plain-integer patterns (the
 whole-field one the JSON reader matches and the whole-row one the
-line-based reader matches) swapped for one that never matches, so that
-every text goes through the term scanner.  ``parse_sum`` has no such
-pattern: it reads every numeral with the term scanner.
+line-based reader matches) swapped for one that never matches, and with
+the scanner's sum loop swapped for ``oracles.reference_parse_sum``, the
+loop that reads every term and merges the terms it read.  So every text
+goes through the reference loop, and ``parse_numeral``,
+``parse_numeral_prefix`` and ``parse_set_expression``, which read each
+numeral with the sum loop, are compared with a second path too.
 Each entry point must give the same value (term for term, int or Fraction
 alike) and end, or the same error type, message and position.
 """
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 import grossone.gnum as gnum
 import grossone.measure as measure
+import oracles
 from grossone.errors import GrossoneError, InvalidArgument, ParseError
 from grossone.gnum import GROSSONE, GrossNumber, parse_numeral, parse_numeral_prefix
 from grossone.measure import canonical_measurement, from_text, to_text
@@ -39,12 +43,19 @@ LONG_TEXTS = [
 ALPHABET = "0123456789+-−*/^.() ①G1\n[]|"
 
 
+def reference_sum(scanner):
+    """The scanner's sum loop as ``oracles.reference_parse_sum`` reads it, from the scanner's position."""
+    value, scanner.pos = oracles.reference_parse_sum(scanner.text, scanner.pos)
+    return value
+
+
 @contextmanager
 def term_scanner_only():
-    """Every numeral read by the term scanner, as before the plain-integer match."""
+    """Every numeral read term by term by the reference sum loop, as before the plain-integer match."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gnum, "_INT_FIELD", NEVER)
         patch.setattr(measure, "_INT_ROW", NEVER)
+        patch.setattr(gnum._Scanner, "parse_sum", reference_sum)
         yield
 
 

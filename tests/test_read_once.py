@@ -85,7 +85,7 @@ def outcome(read, arg):
 
 def written_rows(m) -> list[list]:
     """The rows of ``m`` as ``[kind, numeral strings]``, as every form spells them out."""
-    return [[kind, [format_numeral(x) for x in values]] for kind, values in _rows(m)]
+    return [[kind, [format_numeral(x) for x in values]] for kind, values in _rows(m.mu, m._runs, m.target)]
 
 
 def as_text(rows, rng: Random | None = None) -> str:

@@ -10,7 +10,9 @@ An ``IntervalSet`` subclass may add fields but not a ``__post_init__`` of
 its own or a mixin's, which would replace the canonical check and the order
 keys that every set operation trusts, even where a mixin's
 ``__init_subclass__`` skips its bases' hooks; its constructor runs that check
-even when a mixin gains a ``__post_init__`` after the class is made.
+even when a mixin gains a ``__post_init__`` after the class is made.  A
+``Measurement`` subclass is held to the same rule, since the writers read the
+runs its bijection check holds.
 """
 
 import copy
@@ -18,10 +20,11 @@ import pickle
 
 import pytest
 
-from grossone.errors import EmptyIntervalRejected, InvalidArgument
+from grossone.errors import EmptyIntervalRejected, InvalidArgument, InvalidMeasurement
 from grossone.gnum import _Value, finite
+from grossone.measure import Measurement, _run, canonical_measurement, to_json, to_text
 from grossone.numeral_system import BoundedFinite
-from grossone.sets import GrossInterval, IntervalSet, contains, union
+from grossone.sets import GrossInterval, IntervalSet, contains, parse_set_expression, union
 
 
 class Labelled(BoundedFinite):
@@ -198,3 +201,51 @@ def test_a_check_given_to_a_mixin_after_the_set_class_exists_is_not_run():
     assert contains(s, 2) and not contains(s, 3)
     with pytest.raises(InvalidArgument):
         Late((GrossInterval(5, 6), GrossInterval(1, 2)))
+
+
+# ---------------------------------------------------------------- measurements
+
+
+def measured(expression="[-3..4]|[10..①]"):
+    return canonical_measurement(parse_set_expression(expression))
+
+
+def test_a_measurement_subclass_may_not_replace_the_bijection_check():
+    with pytest.raises(TypeError, match="^Measurement subclass Loose may not replace Measurement.__post_init__: "):
+
+        class Loose(Measurement):
+            def __post_init__(self):
+                pass
+
+    class Mixin:
+        def __post_init__(self):
+            pass
+
+    with pytest.raises(TypeError, match="^Measurement subclass Mixed may not replace Measurement.__post_init__: "):
+
+        class Mixed(Mixin, Measurement):
+            pass
+
+
+def test_a_measurement_subclass_inheriting_the_check_holds_runs():
+    class Named(Measurement):
+        name: str = ""
+
+    m = measured()
+    named = Named(m.mu, m.pieces, m.target, "n")
+    assert named._runs == tuple(map(_run, m.pieces))
+    assert (to_text(named), to_json(named)) == (to_text(m), to_json(m))
+    with pytest.raises(InvalidMeasurement):
+        Named(m.mu + 1, m.pieces, m.target)
+
+
+def test_equality_hash_repr_pickle_and_copy_ignore_the_held_runs():
+    m = measured()
+    odd = Measurement._trusted(m.mu, m.pieces, m.target)
+    Measurement._runs.__set__(odd, ("not", "runs"))
+    assert odd == m and hash(odd) == hash(m) and repr(odd) == repr(m)
+    copies = [pickle.loads(pickle.dumps(odd, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in [*copies, copy.copy(odd), copy.deepcopy(odd)]:
+        # Rebuilt through the constructor, which holds the pieces' own runs.
+        assert type(copied) is Measurement and copied == m
+        assert copied._runs == tuple(map(_run, m.pieces))
