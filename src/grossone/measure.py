@@ -118,8 +118,9 @@ class Measurement(_Value):
     they read, with plain integers as ints (``from_text`` reads a row of
     nothing else in one match).  They key each target row as they read it
     and check the cover on those keys, then build the result unchecked,
-    each int boxed once.  For every caller, ``_check_runs`` compares the
-    joined image runs with the target's order keys.  ``canonical_measurement``
+    each int boxed by ``gnum._from_int``, which shares the small ones.  For
+    every caller, ``_check_runs`` compares the joined image runs with the
+    target's order keys.  ``canonical_measurement``
     (and through it ``complement_measurement``, ``intersection_split`` and
     ``numeral_system.measure_in``) and ``concat`` build results that are
     bijections by construction, and do not check them again.
@@ -266,17 +267,16 @@ def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
     gross-integer GrossNumbers, the domains tile [1..mu] in order and the
     images cover the canonical target exactly, because the construction that
     calls this made them so, or, for ``_from_rows``, because ``_check_runs``
-    has just checked them.  Each int is boxed in one step, as the
-    GrossNumber of its one exponent-0 term, as ``gnum._from_int`` boxes it;
-    a domain end is at least 1, and only an offset can be zero, which has
-    no term.  A GrossNumber is stored as it is.  The measurement holds the
+    has just checked them.  Each int is boxed by ``gnum._from_int``, so the
+    domain ends of up to 1,023 elements, and small offsets, are its shared
+    entries.  A GrossNumber is stored as it is.  The measurement holds the
     runs themselves, ints and all, in its ``_runs`` slot.
     """
-    new, span, piece = GrossNumber._trusted, GrossInterval._trusted, AffinePiece._trusted
+    span, piece = GrossInterval._trusted, AffinePiece._trusted
     pieces = tuple([
         piece(
-            span(new(((0, lo),)) if type(lo) is int else lo, new(((0, hi),)) if type(hi) is int else hi),
-            new(((0, offset),) if offset else ()) if type(offset) is int else offset,
+            span(_from_int(lo) if type(lo) is int else lo, _from_int(hi) if type(hi) is int else hi),
+            _from_int(offset) if type(offset) is int else offset,
         )
         for lo, hi, offset in runs
     ])

@@ -221,6 +221,11 @@ def _int_range(sys: NumeralSystem) -> tuple[int, int] | None:
     return (1, largest) if kind is Piraha else (-largest, largest)
 
 
+# The names measure_in uses from measure and sets, bound by its first call, so
+# that queries about a system alone load neither module.
+_MEASURE_NAMES = None
+
+
 def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     """Canonical measurement of s, admitted only if the system can write it.
 
@@ -236,11 +241,13 @@ def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     A plain-integer numeral is tested against the system's ``_int_range``,
     where it has one, and every other numeral through ``can_express``.
     """
-    # Imported here so that queries about a system alone load neither
-    # measure nor sets.
-    from .measure import _canonical_runs, _nonempty, _rows, canonical_measurement
-    from .sets import _set_arg
+    global _MEASURE_NAMES
+    if _MEASURE_NAMES is None:
+        from .measure import _canonical_runs, _nonempty, _rows, canonical_measurement
+        from .sets import _set_arg
 
+        _MEASURE_NAMES = (_canonical_runs, _nonempty, _rows, canonical_measurement, _set_arg)
+    canonical_runs, nonempty, rows, canonical_measurement, set_arg = _MEASURE_NAMES
     bounds = _int_range(sys)
     # An int in [low..high] is written; the range is empty where there are no bounds.
     low, high = bounds or (1, 0)
@@ -254,9 +261,9 @@ def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
             return sys.can_express(x)
         return low <= (terms[0][1] if terms else 0) <= high
 
-    s = _nonempty(_set_arg(s))
-    runs = _canonical_runs(s)
-    for _, values in _rows(runs[-1][1], runs, s):
+    s = nonempty(set_arg(s))
+    runs = canonical_runs(s)
+    for _, values in rows(runs[-1][1], runs, s):
         for x in values:
             if not (type(x) is int and low <= x <= high or writable(x)):
                 raise NotExpressible(finite(x), sys.describe())

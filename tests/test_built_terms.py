@@ -104,6 +104,19 @@ def refers_to_built(tree: ast.AST) -> list[int]:
     return sorted(found)
 
 
+def refers_to_trusted_number(tree: ast.AST) -> list[int]:
+    """Lines naming ``GrossNumber._trusted``, the unchecked number builder, also as ``gnum.GrossNumber._trusted``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "GrossNumber") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "GrossNumber"
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
 def constructor_calls(tree: ast.Module) -> list[int]:
     """Lines calling ``GrossNumber(...)`` other than to bind ZERO, ONE or GROSSONE at module level."""
     constants = {
@@ -133,6 +146,10 @@ def test_only_gnum_refers_to_built():
     outside = {p.name: refers_to_built(parse(p)) for p in modules if p.name != "gnum.py"}
     assert outside == {name: [] for name in outside}
     assert refers_to_built(parse(SOURCE / "gnum.py"))
+    # Every other module boxes an int through gnum._from_int, which shares the small ones.
+    outside = {p.name: refers_to_trusted_number(parse(p)) for p in modules if p.name != "gnum.py"}
+    assert outside == {name: [] for name in outside}
+    assert refers_to_trusted_number(parse(SOURCE / "gnum.py"))
 
 
 def test_gnum_calls_the_public_constructor_only_for_its_constants():
@@ -153,7 +170,11 @@ def test_the_guards_see_every_form():
         "w = GrossNumber.from_terms(t)\n"
         "def g():\n"
         "    ZERO = GrossNumber()\n"
+        "v = GrossNumber._trusted(t)\n"
+        "new = gnum.GrossNumber._trusted\n"
+        "u = GrossInterval._trusted(a, b)\n"
     )
     tree = ast.parse(code)
     assert constructor_calls(tree) == [3, 5, 6, 12]
     assert refers_to_built(tree) == [7, 8, 9]
+    assert refers_to_trusted_number(tree) == [13, 14]

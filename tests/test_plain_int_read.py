@@ -1,8 +1,9 @@
 """A numeral that is a plain integer is read in one match, with the same outcome as the term scanner.
 
-The reference is the same parser with the plain-integer patterns (the
-whole-field one the JSON reader matches and the whole-row one the
-line-based reader matches) swapped for one that never matches, and with
+The reference is the same parser with the plain-integer reads (the
+whole-field read ``gnum._int_field`` that both measurement readers call,
+swapped for one that never reads an int, and the whole-row pattern the
+line-based reader matches, swapped for one that never matches) and with
 the scanner's sum loop swapped for ``oracles.reference_parse_sum``, the
 loop that reads every term and merges the terms it read.  So every text
 goes through the reference loop, and ``parse_numeral``,
@@ -53,7 +54,7 @@ def reference_sum(scanner):
 def term_scanner_only():
     """Every numeral read term by term by the reference sum loop, as before the plain-integer match."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gnum, "_INT_FIELD", NEVER)
+        patch.setattr(measure, "_int_field", lambda text: None)
         patch.setattr(measure, "_INT_ROW", NEVER)
         patch.setattr(gnum._Scanner, "parse_sum", reference_sum)
         yield

@@ -11,12 +11,14 @@ readers must give the same measurement, entry types included, or the same
 error type and message, and for a ParseError the same text and position.
 """
 
+import copy
 import json
+import pickle
 import re
 from random import Random
 
 import pytest
-from hypothesis import given, seed
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 import oracles
@@ -335,10 +337,27 @@ def test_the_constructor_and_the_readers_refuse_a_target_the_pieces_do_not_cover
 
 
 @seed(20261021)
-@given(st.one_of(st.just(0), st.integers(max_value=-1), st.integers(min_value=10**_SHORT_TERM)))
+@given(
+    st.one_of(
+        st.just(0),
+        st.integers(max_value=-1),
+        st.integers(min_value=10**_SHORT_TERM),
+        st.integers(min_value=-1, max_value=1024),
+    )
+)
+@example(-1)
+@example(0)
+@example(1)
+@example(1023)
+@example(1024)
 def test_the_readers_int_key_is_the_order_key_of_the_boxed_int(n):
-    # Zero, negative ints, and ints longer than the one-match length limit.
-    assert (0, n) == _key(_from_int(n))
+    # Zero, negative ints, ints longer than the one-match length limit, and
+    # the shared small ints with both edges of their table.
+    boxed = _from_int(n)
+    assert (0, n) == _key(boxed)
+    assert boxed == GrossNumber(((0, n),) if n else ())
+    for copied in (pickle.loads(pickle.dumps(boxed)), copy.copy(boxed), copy.deepcopy(boxed)):
+        assert type(copied) is GrossNumber and copied == boxed and copied.terms == boxed.terms
 
 
 # ---------------------------------------------------------------- whole rows of plain integers
@@ -483,11 +502,17 @@ def test_plain_integers_are_read_as_ints_on_either_side_of_the_length_limit():
 # from the numeral grammar, apart from the library's own patterns.
 _PLAIN_INT = re.compile(r"[+\-−]?[0-9]+(?![/0-9]|\.[0-9])(?!\s*(?:[*+\-−]|①|G1))")
 
+# Digits that str.isdigit() accepts but the one spelling does not: Arabic-Indic,
+# fullwidth, superscript and mathematical bold.
+NON_ASCII_DIGITS = "٣５²𝟗"
 FIELD_TEXTS = [
     "0", "-0", "+0", "−0", "007", "+5", "−5", "5 ", " 5", "5\n", "1_000", "٣", "5.", "5.0", "5/1",
     "5①", "5G1", "5*", "--5", "+-5", "", "-", "①",
     *("9" * n for n in (_SHORT_TERM - 1, _SHORT_TERM, _SHORT_TERM + 1)),
     *(s + "8" * n for s in "+-−" for n in (_SHORT_TERM - 1, _SHORT_TERM)),
+    *NON_ASCII_DIGITS, *(s + d for s in "+-−" for d in NON_ASCII_DIGITS), "1٣", "٣1", "-1５", "+²0",
+    *(d + "7" * n for d in NON_ASCII_DIGITS for n in (_SHORT_TERM - 1, _SHORT_TERM)),
+    *("7" * n + d for d in NON_ASCII_DIGITS for n in (_SHORT_TERM - 2, _SHORT_TERM - 1)),
 ]
 
 
@@ -511,7 +536,13 @@ def test_the_plain_integer_read_follows_the_one_match_grammar():
 
 
 @seed(20261020)
-@given(st.text(alphabet="0123456789+-−./*①G1 _", max_size=12))
+@given(st.text(alphabet="0123456789+-−./*①G1 _" + NON_ASCII_DIGITS, max_size=12))
+@example("9" * _SHORT_TERM)
+@example("9" * (_SHORT_TERM + 1))
+@example("−" + "9" * (_SHORT_TERM - 1))
+@example("−" + "9" * _SHORT_TERM)
+@example("9" * (_SHORT_TERM - 1) + "５")
+@example("𝟗" * _SHORT_TERM)
 def test_the_plain_integer_read_on_random_fields(text):
     check_int_field(text)
 
