@@ -36,6 +36,7 @@ from .gnum import (
     _SHORT_TERM,
     _Scanner,
     _Value,
+    _at_least,
     _from_int,
     _gross_integer,
     _int_field,
@@ -120,10 +121,12 @@ class Measurement(_Value):
     and check the cover on those keys, then build the result unchecked,
     each int boxed by ``gnum._from_int``, which shares the small ones.  For
     every caller, ``_check_runs`` compares the joined image runs with the
-    target's order keys.  ``canonical_measurement``
-    (and through it ``complement_measurement``, ``intersection_split`` and
-    ``numeral_system.measure_in``) and ``concat`` build results that are
-    bijections by construction, and do not check them again.
+    target's order keys.  ``canonical_measurement`` (and through it
+    ``complement_measurement`` and ``intersection_split``),
+    ``numeral_system.measure_in``, which builds from the canonical runs it
+    gated through ``_measured`` as ``canonical_measurement`` does, and
+    ``concat`` build results that are bijections by construction, and do
+    not check them again.
 
     The private slot ``_runs`` holds one ``(lo, hi, offset)`` run per piece,
     filled as the measurement is built: the runs ``_check_runs`` checked,
@@ -288,8 +291,9 @@ def _proven(mu: int | GrossNumber, runs, target: IntervalSet) -> Measurement:
 # ---------------------------------------------------------------- constructions
 
 
-def _nonempty(s: IntervalSet) -> IntervalSet:
-    if s.is_empty:
+def _nonempty(s) -> IntervalSet:
+    """``s``, refused with TypeError unless it is an IntervalSet, then with EmptySet if it is empty."""
+    if _set_arg(s).is_empty:
         raise EmptySet("the empty set has no measurement")
     return s
 
@@ -301,18 +305,23 @@ def canonical_measurement(s: IntervalSet) -> Measurement:
     free index block with the part's left endpoint (see ``_canonical_runs``);
     the runs become GrossNumbers only as the pieces are built.
     """
-    s = _nonempty(_set_arg(s))
-    runs = _canonical_runs(s)
+    return _measured(s, _canonical_runs(s))
+
+
+def _measured(s: IntervalSet, runs: list[tuple]) -> Measurement:
+    """The canonical measurement of ``s`` built from ``runs``, which ``_canonical_runs(s)`` gave."""
     return _proven(runs[-1][1], runs, s)
 
 
 def _canonical_runs(s: IntervalSet) -> list[tuple]:
-    """The ``(lo, hi, offset)`` runs of the order-preserving measurement of the nonempty ``s``.
+    """The ``(lo, hi, offset)`` runs of the order-preserving measurement of ``s``.
 
+    ``s`` is refused unless it is a nonempty IntervalSet (``_nonempty``).
     A plain-integer end is read from the set's order keys as the int its
     key holds, so the runs are computed on ints until the first end that is
     not, and as gross-numbers from there.  The last run's ``hi`` is mu.
     """
+    s = _nonempty(s)
     runs = []
     hi = 0
     for part, key_lo, key_hi in zip(s.parts, *s._keys):
@@ -335,9 +344,13 @@ def min_extraction_measurement(s: IntervalSet, bound: int = EXTRACTION_BOUND) ->
     For sets with infinitely many elements the extraction order is forced
     (step n always picks the n-th smallest element), so the closed-form
     order-preserving measurement is returned instead of an endless loop;
-    the result is the same measurement the extraction defines.
+    the result is the same measurement the extraction defines.  The set is
+    checked first, as ``canonical_measurement`` checks it, and then
+    ``bound``, a size parameter: an int of at least 0.
     """
-    size = cardinality(_nonempty(s))
+    s = _nonempty(s)
+    _at_least(bound, 0, "bound")
+    size = cardinality(s)
     if classify(size).is_infinite:
         return canonical_measurement(s)
     steps = size.as_int()

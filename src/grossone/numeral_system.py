@@ -221,9 +221,9 @@ def _int_range(sys: NumeralSystem) -> tuple[int, int] | None:
     return (1, largest) if kind is Piraha else (-largest, largest)
 
 
-# The names measure_in uses from measure and sets, bound by its first call, so
-# that queries about a system alone load neither module.
-_MEASURE_NAMES = None
+# The measure module, bound by measure_in's first call, so that queries about a
+# system alone load neither measure nor sets.
+_measure = None
 
 
 def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
@@ -233,41 +233,28 @@ def measure_in(sys: NumeralSystem, s: IntervalSet) -> Measurement:
     ``serialized_numerals`` lists them (mu, piece endpoints, nonzero
     offsets, target endpoints), must be expressible, and the first one that
     is not names the failure.  The gate reads the rows (``measure._rows``)
-    of the canonical runs, computed on ints while the set's ends are plain
-    integers, before anything is boxed: mu comes first, and the measurement
-    is built only once the set is admitted.  Measurement is relative to the
-    system: {1,2} is measurable with only the numerals 1 and 2, while
-    {1,2,3} is not, because its element count already has no name there.
-    A plain-integer numeral is tested against the system's ``_int_range``,
+    of the canonical runs, computed once, on ints while the set's ends are
+    plain integers, before anything is boxed: mu comes first, and an
+    admitted set's measurement is built from those same runs
+    (``measure._measured``).  Measurement is relative to the system: {1,2}
+    is measurable with only the numerals 1 and 2, while {1,2,3} is not,
+    because its element count already has no name there.  A numeral that
+    is a plain integer is tested against the system's ``_int_range``,
     where it has one, and every other numeral through ``can_express``.
     """
-    global _MEASURE_NAMES
-    if _MEASURE_NAMES is None:
-        from .measure import _canonical_runs, _nonempty, _rows, canonical_measurement
-        from .sets import _set_arg
+    global _measure
+    if _measure is None:
+        from . import measure
 
-        _MEASURE_NAMES = (_canonical_runs, _nonempty, _rows, canonical_measurement, _set_arg)
-    canonical_runs, nonempty, rows, canonical_measurement, set_arg = _MEASURE_NAMES
-    bounds = _int_range(sys)
-    # An int in [low..high] is written; the range is empty where there are no bounds.
-    low, high = bounds or (1, 0)
-
-    def writable(x: int | GrossNumber) -> bool:
-        """Whether the system writes ``x``, an int outside [low..high] or a GrossNumber."""
-        if type(x) is int:
-            return bounds is None and sys.can_express(finite(x))
-        terms = x.terms
-        if bounds is None or len(terms) > 1 or terms and (terms[0][0] or type(terms[0][1]) is not int):
-            return sys.can_express(x)
-        return low <= (terms[0][1] if terms else 0) <= high
-
-    s = nonempty(set_arg(s))
-    runs = canonical_runs(s)
-    for _, values in rows(runs[-1][1], runs, s):
+        _measure = measure
+    low, high = _int_range(sys) or (None, None)
+    runs = _measure._canonical_runs(s)
+    for _, values in _measure._rows(runs[-1][1], runs, s):
         for x in values:
-            if not (type(x) is int and low <= x <= high or writable(x)):
+            n = x if type(x) is int else _plain_int(x)
+            if not (low <= n <= high if n is not None and low is not None else sys.can_express(finite(x))):
                 raise NotExpressible(finite(x), sys.describe())
-    return canonical_measurement(s)
+    return _measure._measured(s, runs)
 
 
 def parse_system(descriptor: str) -> NumeralSystem:

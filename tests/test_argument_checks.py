@@ -2,12 +2,14 @@
 
 A measurement maps gross-integer indices to gross-integer elements, so a
 point that is no gross-integer is neither an index nor a member.  Size
-parameters of systems, defined functions and sessions are plain ints: a
-float or a bool is a TypeError, and a too small int keeps its
-InvalidArgument.  The text reader reports each field's error at its
-column of the line.  Every entry point that reads text refuses an
-argument that is no ``str`` with one TypeError, before any scanning;
-``from_json`` still takes bytes, as ``json.loads`` does.
+parameters of systems, defined functions, sessions and the extraction
+bound of ``min_extraction_measurement`` are plain ints: a float or a bool
+is a TypeError, and a too small int keeps its InvalidArgument.  A set
+argument that is no IntervalSet is a TypeError before any other check.
+The text reader reports each field's error at its column of the line.
+Every entry point that reads text refuses an argument that is no ``str``
+with one TypeError, before any scanning; ``from_json`` still takes bytes,
+as ``json.loads`` does.
 """
 
 import re
@@ -18,11 +20,12 @@ import pytest
 from grossone.derived import DefinitionSession, ExpBase, Pow, parse_defined
 from grossone.errors import InvalidArgument, ParseError
 from grossone.gnum import GROSSONE, finite, gross_term, parse_numeral, parse_numeral_prefix
-from grossone.measure import canonical_measurement, from_json, from_text, to_json
+from grossone.measure import canonical_measurement, from_json, from_text, min_extraction_measurement, to_json
 from grossone.numeral_system import BoundedFinite, GrossBudget, expressible, max_finite, parse_system
-from grossone.sets import parse_set_expression
+from grossone.sets import interval, parse_set_expression
 
 HALF = Fraction(1, 2)
+THREE = parse_set_expression("[1..3]")
 
 
 @pytest.fixture
@@ -79,6 +82,9 @@ def test_gross_integer_points_still_map_both_ways(measured):
         lambda: ExpBase(finite(2)),
         lambda: DefinitionSession(1.5),
         lambda: DefinitionSession(max_definitions=True),
+        lambda: min_extraction_measurement(THREE, True),
+        lambda: min_extraction_measurement(THREE, 2.5),
+        lambda: min_extraction_measurement(THREE, Fraction(5)),
     ],
 )
 def test_a_size_parameter_that_is_no_int_is_a_type_error(make):
@@ -104,6 +110,7 @@ def test_no_float_reaches_a_size_test():
         (lambda: Pow(1), "exponent must be at least 2"),
         (lambda: ExpBase(-3), "base must be at least 2"),
         (lambda: DefinitionSession(0), "max_definitions must be at least 1"),
+        (lambda: min_extraction_measurement(THREE, -1), "bound must be at least 0"),
     ],
 )
 def test_a_too_small_int_keeps_its_message(make, message):
@@ -117,6 +124,17 @@ def test_int_size_parameters_are_kept():
     assert GrossBudget(1, 1, 1).describe() == "gross:1:1:1"
     assert Pow(2).k == 2 and ExpBase(3).b == 3
     assert DefinitionSession(1).max_definitions == 1
+    assert min_extraction_measurement(THREE, 3) == canonical_measurement(THREE)
+
+
+@pytest.mark.parametrize("measure", [canonical_measurement, min_extraction_measurement])
+@pytest.mark.parametrize("value, kind", [(5, "int"), (None, "NoneType"), ([interval(1, 3)], "list")])
+def test_a_set_argument_that_is_no_set_is_a_type_error_before_the_bound(measure, value, kind):
+    with pytest.raises(TypeError, match=f"^expected an IntervalSet, got {kind}$"):
+        measure(value)
+    if measure is min_extraction_measurement:
+        with pytest.raises(TypeError, match=f"^expected an IntervalSet, got {kind}$"):
+            measure(value, -1)
 
 
 @pytest.mark.parametrize(

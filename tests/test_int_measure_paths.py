@@ -4,12 +4,14 @@
 plain-integer ends, ``GrossInterval`` takes two ordered ints as they are,
 ``format_numeral`` writes a finite rational with ``str``, ``_coalesce``
 tests plain-integer ends as ints, and ``measure_in`` gates the count before
-it builds anything.  Each is compared with the GrossNumber path it replaces,
-kept in ``tests/oracles.py``: values by their entries' types as well as
-their values, errors by type and message.
+it builds anything, walking a set's canonical runs once and building an
+admitted set's measurement from that walk.  Each is compared with the
+GrossNumber path it replaces, kept in ``tests/oracles.py``: values by their
+entries' types as well as their values, errors by type and message.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -25,6 +27,7 @@ from grossone.gnum import GROSSONE, GrossNumber, finite, format_numeral
 from grossone.measure import AffinePiece, Measurement, canonical_measurement
 from grossone.numeral_system import BoundedFinite, GrossBudget, Piraha, measure_in
 from grossone.sets import EMPTY, GrossInterval, IntervalSet, interval, make_set, map_affine, union
+from test_system_int_ranges import OddOnly
 
 WIDE = 10**700
 
@@ -275,6 +278,28 @@ def proven_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def walks_and_builds():
+    """Calls of ``measure._canonical_runs`` and ``measure._proven``, by name, however they are reached.
+
+    Counted by code object from the interpreter's profile hook, so a caller
+    that bound either function before the test began is counted too.
+    """
+    watched = {measure._canonical_runs.__code__: "_canonical_runs", measure._proven.__code__: "_proven"}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            counts[watched[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
+
+
 def assert_same_refusal(system, s):
     with pytest.raises(NotExpressible) as got:
         measure_in(system, s)
@@ -283,6 +308,11 @@ def assert_same_refusal(system, s):
     assert typed(got.value.value) == typed(expected.value.value)
     assert str(got.value) == str(expected.value)
     assert got.value.system_name == expected.value.system_name
+
+
+# After its part below every finite integer, the set's runs (1, 4, -①-1) and
+# (5, 7, 15) hold the plain integers 4, 5, 7 and 15 as GrossNumbers.
+BOXED_AFTER_GROSS = [(-GROSSONE, -GROSSONE + 3), (20, 22)]
 
 
 @pytest.mark.parametrize(
@@ -294,6 +324,7 @@ def assert_same_refusal(system, s):
         (BoundedFinite(9, 10), [(-4, 2), (60, GROSSONE - 1)]),
         (BoundedFinite(1, 10), [(-WIDE, -WIDE + 9)]),
         (GrossBudget(1, 2, 1), [(1, 3 * GROSSONE - 2)]),
+        (Piraha(), BOXED_AFTER_GROSS),  # at the count GrossNumber('7')
     ],
 )
 def test_a_set_refused_on_its_count_is_never_measured(proven_calls, system, parts):
@@ -308,6 +339,11 @@ def test_a_set_refused_on_its_count_is_never_measured(proven_calls, system, part
         (Piraha(), [(1, 1), (5, 5)]),
         (BoundedFinite(9, 10), [(GROSSONE, GROSSONE)]),
         (BoundedFinite(2, 10), [(1, 5), (200, 201)]),
+        (GrossBudget(2, 1, 1), BOXED_AFTER_GROSS),  # at the offset GrossNumber('15')
+        (BoundedFinite(1, 10), BOXED_AFTER_GROSS),  # at the offset -①-1
+        # Without a range: at the piece end GrossNumber('4'), and at -①-1.
+        (OddOnly(2), BOXED_AFTER_GROSS),
+        (BoundedFinite(10**8, 10), BOXED_AFTER_GROSS),
     ],
 )
 def test_a_set_refused_past_its_count_is_not_measured(proven_calls, system, parts):
@@ -335,6 +371,40 @@ def test_an_admitted_set_is_measured_once(proven_calls):
     m = measure_in(Piraha(), s)
     assert len(proven_calls) == 1
     assert m == canonical_measurement(s)
+
+
+@pytest.mark.parametrize(
+    "system, parts",
+    [
+        (Piraha(), [(1, 2)]),
+        (BoundedFinite(9, 10), [(-4, 2), (60, 900)]),
+        (GrossBudget(2, 2, 1), BOXED_AFTER_GROSS),
+        (BoundedFinite(10**8, 10), [(1, 5), (WIDE, WIDE + 2)]),
+    ],
+)
+def test_an_admitted_set_is_walked_once_and_built_from_that_walk(walks_and_builds, system, parts):
+    s = make_set(interval(lo, hi) for lo, hi in parts)
+    m = measure_in(system, s)
+    assert (walks_and_builds["_canonical_runs"], walks_and_builds["_proven"]) == (1, 1)
+    mu, runs = oracles.reference_measure_in(system, s)
+    assert typed(m.mu) == typed(mu)
+    assert typed_runs((p.domain.lo, p.domain.hi, p.offset) for p in m.pieces) == typed_runs(runs)
+    assert typed_runs(m._runs) == typed_runs(measure._canonical_runs(s))
+
+
+@pytest.mark.parametrize(
+    "system, parts",
+    [
+        (Piraha(), [(1, 3)]),
+        (Piraha(), [(3, 3)]),
+        (GrossBudget(2, 1, 1), BOXED_AFTER_GROSS),
+        (OddOnly(2), BOXED_AFTER_GROSS),
+    ],
+)
+def test_a_refused_set_is_walked_once_and_never_built(walks_and_builds, system, parts):
+    with pytest.raises(NotExpressible):
+        measure_in(system, make_set(interval(lo, hi) for lo, hi in parts))
+    assert (walks_and_builds["_canonical_runs"], walks_and_builds["_proven"]) == (1, 0)
 
 
 systems = st.one_of(

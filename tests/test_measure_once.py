@@ -18,6 +18,7 @@ from grossone.gnum import GROSSONE, GrossNumber
 from grossone.measure import Measurement, canonical_measurement, serialized_numerals
 from grossone.numeral_system import BoundedFinite, GrossBudget, Piraha, measure_in
 from grossone.sets import EMPTY, interval, make_set, map_affine
+from test_int_measure_paths import BOXED_AFTER_GROSS
 
 systems = st.one_of(
     st.just(Piraha()),
@@ -77,6 +78,7 @@ def test_measure_in_agrees_with_gating_the_built_measurement(sys_, s):
         (Piraha(), make_set([interval(2, 2)])),
         (BoundedFinite(2, 10), make_set([interval(-40, -30), interval(5, 9)])),
         (GrossBudget(2, 3, 1), make_set([interval(1, 5), interval(9, GROSSONE - 1)])),
+        (GrossBudget(2, 2, 1), make_set(interval(lo, hi) for lo, hi in BOXED_AFTER_GROSS)),
     ],
 )
 def test_admitted_sets_get_the_canonical_measurement(sys_, s):
@@ -99,10 +101,14 @@ def test_the_empty_set_has_no_measurement_in_any_system(sys_):
         (Piraha(), [(3, 3)], 3),
         (BoundedFinite(1, 10), [(1, 5), (20, 21)], 14),
         (GrossBudget(2, 2, 1), [(1, 5), (200, 201)], 194),
+        (GrossBudget(2, 1, 1), BOXED_AFTER_GROSS, 15),
+        (BoundedFinite(1, 10), BOXED_AFTER_GROSS, -GROSSONE - 1),
+        (Piraha(), BOXED_AFTER_GROSS, 7),
     ],
 )
 def test_a_refused_set_names_its_first_unwritable_numeral(sys_, parts, value):
     s = make_set(interval(lo, hi) for lo, hi in parts)
     with pytest.raises(NotExpressible) as info:
         measure_in(sys_, s)
+    assert type(info.value.value) is GrossNumber
     assert info.value.value == value

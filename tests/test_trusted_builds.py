@@ -1,7 +1,9 @@
 """Measurements the library proves by construction are built once, unchecked, and are still bijections.
 
-``canonical_measurement`` (and through it ``complement_measurement``,
-``intersection_split`` and ``measure_in``) and ``concat`` build their results with
+``measure._measured`` builds the canonical measurement of a set from the
+runs ``_canonical_runs`` gave, for ``canonical_measurement`` (and through it
+``complement_measurement`` and ``intersection_split``) and for ``measure_in``,
+which gates those runs first.  It and ``concat`` build their results with
 ``measure._proven``, which runs no validator.  ``_from_rows``, the reader
 under ``from_text`` and ``from_json``, also builds through it, after
 checking the runs it read once with the validator's own check
@@ -128,7 +130,7 @@ def test_only_measure_defines_the_trusted_builder_and_two_constructions_call_it(
     for path in sorted(SOURCE.glob("*.py")):
         defined, users = sites(path.read_text(encoding="utf-8"), "_proven")
         if path.name == "measure.py":
-            assert defined and users == {"canonical_measurement", "concat", "_from_rows"}
+            assert defined and users == {"_measured", "concat", "_from_rows"}
         else:
             assert not defined and users == set(), path.name
 
