@@ -406,9 +406,10 @@ class GrossNumber(_Value):
         return f"GrossNumber({format_numeral(self)!r})"
 
 
-def _built(terms: tuple[Term, ...]) -> GrossNumber:
-    """The GrossNumber of terms the core made canonical itself, ints where integral; not re-checked."""
-    return GrossNumber._trusted(terms)
+#: ``_built(terms)``: the GrossNumber of terms the core made canonical itself,
+#: ints where integral; not re-checked.  The trusted constructor itself, so
+#: no result pays for a forwarding call.
+_built = GrossNumber._trusted
 
 
 # The GrossNumbers of the ints 0..1023, built once at import and never written
@@ -724,10 +725,10 @@ def finite(value: Rational | GrossNumber) -> GrossNumber:
 
 def gross_term(coefficient: Rational = 1, exponent: Rational = 1) -> GrossNumber:
     """The single term ``coefficient * ①^exponent``."""
-    c = _exact(coefficient)
+    c, e = _exact(coefficient), _exact(exponent)
     if c == 0:
         return ZERO
-    return _built(((_exact(exponent), c),))
+    return _built(((e, c),))
 
 
 ZERO, ONE = _SMALL_INTS[0], _SMALL_INTS[1]
@@ -912,17 +913,21 @@ def _term_str(exponent: Rational, coefficient: Rational) -> str:
 def format_numeral(x: GrossNumber, ascii_mode: bool = False) -> str:
     """Canonical rendering; ``parse_numeral(format_numeral(x)) == x``.
 
-    ``ascii_mode`` writes the base as ``G1`` instead of ``①``.  A finite
-    rational, plain integers above all, is its one coefficient written by
-    ``str``; other values are written term by term.
+    ``ascii_mode`` writes the base as ``G1`` instead of ``①``.  This is the
+    one numeral writer: a plain ``int`` is written by ``str`` as it is, with
+    no GrossNumber built for it, a finite rational is its one coefficient
+    written by ``str``, and other values are written term by term.  An
+    integer past the interpreter's int-to-string limit is refused.
     """
-    terms = finite(x).terms
-    if not terms:
-        return "0"
-    chunks = []
     try:
+        if type(x) is int:
+            return str(x)
+        terms = finite(x).terms
+        if not terms:
+            return "0"
         if len(terms) == 1 and terms[0][0] == 0:
             return str(terms[0][1])
+        chunks = []
         for exponent, coefficient in terms:
             piece = _term_str(exponent, coefficient)
             if chunks and not piece.startswith("-"):

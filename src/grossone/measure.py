@@ -548,21 +548,8 @@ def _rows(mu, runs, target: IntervalSet):
 
 
 def _writer(ascii_mode: bool):
-    """The writer of one numeral of a row: an int by ``str``, anything else by ``format_numeral``.
-
-    An int past the interpreter's int-to-string limit is refused as
-    ``format_numeral`` refuses it.
-    """
-
-    def write(x) -> str:
-        if type(x) is not int:
-            return format_numeral(x, ascii_mode=ascii_mode)
-        try:
-            return str(x)
-        except ValueError:
-            raise InvalidArgument("numeral has too many digits to write out") from None
-
-    return write
+    """The writer of one numeral of a row: ``format_numeral``, which writes an int by ``str``."""
+    return (lambda x: format_numeral(x, True)) if ascii_mode else format_numeral
 
 
 def _from_rows(rows) -> Measurement:

@@ -30,7 +30,7 @@ from .errors import (
     _shown,
 )
 from .gnum import GROSSONE, GrossNumber, _Scanner, _gross_integer, _is_gross_integer, _text_arg, finite
-from .gnum import _Value, _from_int, _from_key, _key, _key_terms, _summed
+from .gnum import _Value, _exact, _from_int, _from_key, _key, _key_terms, _summed
 
 __all__ = [
     "GrossInterval",
@@ -392,7 +392,8 @@ def map_affine(s: IntervalSet, sign: int, offset) -> IntervalSet:
     are put back in order, reversed when sign is -1.
     """
     _set_arg(s)
-    if sign not in (1, -1):
+    # Read as finite reads a number: a float is a TypeError, True and Fraction(1) are 1.
+    if _exact(sign) not in (1, -1):
         raise InvalidArgument("sign must be +1 or -1")
     shift = _gross_integer(offset, "offset", NonIntegerOffset)
     if sign == 1:

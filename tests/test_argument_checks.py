@@ -7,6 +7,9 @@ bound of ``min_extraction_measurement`` are plain ints: a float or a bool
 is a TypeError, and a too small int keeps its InvalidArgument.  A set
 argument that is no IntervalSet is a TypeError before any other check.
 The text reader reports each field's error at its column of the line.
+A float that stands for an exact rational, a term's exponent or the sign
+of ``map_affine``, is a TypeError, as ``finite(1.0)`` is, even where a zero
+coefficient or a sign of 1 would leave it unused.
 Every entry point that reads text refuses an argument that is no ``str``
 with one TypeError, before any scanning; ``from_json`` still takes bytes,
 as ``json.loads`` does.
@@ -22,7 +25,7 @@ from grossone.errors import InvalidArgument, ParseError
 from grossone.gnum import GROSSONE, finite, gross_term, parse_numeral, parse_numeral_prefix
 from grossone.measure import canonical_measurement, from_json, from_text, min_extraction_measurement, to_json
 from grossone.numeral_system import BoundedFinite, GrossBudget, expressible, max_finite, parse_system
-from grossone.sets import interval, parse_set_expression
+from grossone.sets import interval, map_affine, parse_set_expression
 
 HALF = Fraction(1, 2)
 THREE = parse_set_expression("[1..3]")
@@ -135,6 +138,30 @@ def test_a_set_argument_that_is_no_set_is_a_type_error_before_the_bound(measure,
     if measure is min_extraction_measurement:
         with pytest.raises(TypeError, match=f"^expected an IntervalSet, got {kind}$"):
             measure(value, -1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gross_term(1, 1.5),
+        lambda: gross_term(0, 1.5),
+        lambda: map_affine(THREE, 1.0, 0),
+        lambda: map_affine(THREE, -1.0, 0),
+    ],
+    ids=["gross_term", "gross_term-zero", "map_affine-plus", "map_affine-minus"],
+)
+def test_a_float_for_an_exact_rational_is_a_type_error(make):
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        make()
+
+
+def test_map_affine_reads_its_sign_as_finite_reads_a_number():
+    mirrored = parse_set_expression("[-3..-1]")
+    assert map_affine(THREE, True, 0) == map_affine(THREE, Fraction(1), 0) == THREE
+    assert map_affine(THREE, Fraction(-1), 0) == mirrored
+    for sign in (2, 0, Fraction(1, 2), -2):
+        with pytest.raises(InvalidArgument, match="^sign must be \\+1 or -1$"):
+            map_affine(THREE, sign, 0)
 
 
 @pytest.mark.parametrize(

@@ -19,13 +19,16 @@ any measurement is built.  Over measurements built by every construction
   for subclasses, which have no plain-integer range.
 
 A plain-integer numeral too long for ``str`` is refused by every writer with
-``format_numeral``'s InvalidArgument, wherever it stands.
+``format_numeral``'s InvalidArgument, wherever it stands.  ``format_numeral``
+is the one numeral writer: it writes a plain int by ``str``, with no
+GrossNumber built for it.
 """
 
 import copy
 import json
 import pickle
 import sys
+from collections import Counter
 from random import Random
 
 import pytest
@@ -34,7 +37,8 @@ from hypothesis import strategies as st
 
 import oracles
 from grossone.errors import EmptySet, InvalidArgument, InvalidMeasurement, NotExpressible
-from grossone.gnum import GROSSONE, GrossNumber
+from grossone import gnum
+from grossone.gnum import GROSSONE, GrossNumber, finite, format_numeral
 from grossone.measure import (
     AffinePiece,
     Measurement,
@@ -290,6 +294,45 @@ def test_a_plain_integer_too_long_to_write_is_refused_by_every_writer(write, whe
     for ascii_mode in (False, True):
         with pytest.raises(InvalidArgument, match="^numeral has too many digits to write out$"):
             write(m, ascii_mode)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the int-to-string limit is off")
+def test_a_plain_int_too_long_to_write_is_refused_by_format_numeral():
+    big = 10 ** sys.get_int_max_str_digits()
+    for n in (big, -big):
+        for ascii_mode in (False, True):
+            with pytest.raises(InvalidArgument, match="^numeral has too many digits to write out$"):
+                format_numeral(n, ascii_mode)
+
+
+@pytest.fixture
+def boxings():
+    """Calls of ``gnum._from_int`` and ``gnum.finite``, by name, however they are reached.
+
+    Counted by code object from the interpreter's profile hook, as the
+    one-walk tests of ``measure_in`` count their calls.
+    """
+    watched = {gnum._from_int.__code__: "_from_int", gnum.finite.__code__: "finite"}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            counts[watched[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
+
+
+@pytest.mark.parametrize("n", [0, 7, -7, 1023, 1024, -(10**20)])
+def test_a_plain_int_is_written_without_boxing(boxings, n):
+    written = [format_numeral(n), format_numeral(n, ascii_mode=True)]
+    assert boxings == Counter()
+    assert written == [str(n), str(n)]
+    assert format_numeral(finite(n)) == str(n)
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="the int-to-string limit is off")

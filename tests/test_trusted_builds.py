@@ -126,7 +126,7 @@ def test_the_site_finder_sees_every_way_of_naming():
     assert sites("def f():\n    return 1\n", "_proven") == (False, set())
 
 
-def test_only_measure_defines_the_trusted_builder_and_two_constructions_call_it():
+def test_only_measure_defines_the_trusted_builder_and_three_constructions_call_it():
     for path in sorted(SOURCE.glob("*.py")):
         defined, users = sites(path.read_text(encoding="utf-8"), "_proven")
         if path.name == "measure.py":
