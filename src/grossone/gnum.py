@@ -250,7 +250,16 @@ class GrossNumber(_Value):
     ``terms`` is ordered by strictly descending exponent and never contains
     a zero coefficient; the empty tuple is zero.  Instances are immutable
     and safe to share between threads.
+
+    The private slot ``_form`` is a derived cache, no field: a number of two
+    terms or more that ``*`` or ``div_exact`` has keyed may hold its form
+    ``(S, D, keyed)`` there (see ``_form_of``), a pure function of its terms
+    and a scale.  Any form of the terms is valid, each call reads the slot
+    once and then works on what it read, and a write only puts one valid
+    form in place of another, so sharing between threads stays safe.
     """
+
+    __slots__ = ("_form",)
 
     terms: tuple[Term, ...] = ()
 
@@ -352,11 +361,16 @@ class GrossNumber(_Value):
             return _built(_scaled(self.terms, *terms[0]))
         if len(self.terms) == 1:
             return _built(_scaled(terms, *self.terms[0]))
-        (la, da), (lb, db) = _scales(self.terms), _scales(terms)
-        scale = _lcm(la, lb)
-        a, b = _int_keyed(self.terms, scale, da), _int_keyed(terms, scale, db)
+        if not terms or not self.terms:
+            return ZERO
+        # Both operands have two terms or more, so other is a GrossNumber.
+        (scale, da, a), (_, db, b) = _common_forms(self, other)
         product = _merged((k1 + k2, c1 * c2) for k1, c1 in a for k2, c2 in b)
-        return _built(_unkeyed(product, scale, 1, da * db))
+        d = da * db
+        result = _built(_unkeyed(product, scale, 1, d))
+        # The highest and the lowest term products never cancel: two terms or more.
+        _hold_form(result, (scale, d, product))
+        return result
 
     __rmul__ = __mul__
 
@@ -366,7 +380,9 @@ class GrossNumber(_Value):
         return div_exact(self, other)
 
     def __pow__(self, power: int) -> "GrossNumber":
-        if not isinstance(power, int) or power < 0:
+        if type(power) is not int:
+            raise TypeError(f"power must be an int, got {type(power).__name__}")
+        if power < 0:
             raise InvalidArgument("only nonnegative integer powers are defined")
         result = ONE
         base = self
@@ -410,6 +426,8 @@ class GrossNumber(_Value):
 #: ints where integral; not re-checked.  The trusted constructor itself, so
 #: no result pays for a forwarding call.
 _built = GrossNumber._trusted
+#: ``_hold_form(x, form)``: x holds ``form`` in its private slot; for numbers of two terms or more only.
+_hold_form = GrossNumber._form.__set__
 
 
 # The GrossNumbers of the ints 0..1023, built once at import and never written
@@ -543,8 +561,8 @@ def _key_scale(terms) -> int:
 
     Each exponent ``e`` times L, or times any multiple of L, is an int, its
     key, and keys order and compare as the exponents do.  Coefficients are
-    not read: ``_scales`` also gives D, whose lcm grows with every new
-    coefficient denominator.
+    not read: ``_form_of`` also builds D, whose lcm grows with every new
+    coefficient denominator, and keys every term.
     """
     scale = 1
     for e, _ in terms:
@@ -553,32 +571,62 @@ def _key_scale(terms) -> int:
     return scale
 
 
-def _scales(terms) -> tuple[int, int]:
-    """L and D of ``terms`` from one pass: the lcms of their exponents' and of their coefficients' denominators."""
+#: The form of a number's terms: ``(S, D, keyed)``, where ``keyed`` holds each
+#: term ``(e, c)`` as the int pair ``(e * S, c * D)``, in the terms' order.
+#: S is a multiple of L, the lcm of the exponents' denominators, and D a
+#: multiple of the lcm of the coefficients' denominators, so every entry is
+#: an int; any such S and D make a valid form, and ``_unkeyed`` turns keyed
+#: terms back into exact ones.
+Form = tuple[int, int, tuple[tuple[int, int], ...]]
+
+
+def _form_of(terms) -> Form:
+    """The form of ``terms`` at L and D, both read in one pass; the terms themselves when both are 1."""
     el = d = 1
     for e, c in terms:
         if type(e) is not int and el % e.denominator:
             el = _lcm(el, e.denominator)
         if type(c) is not int and d % c.denominator:
             d = _lcm(d, c.denominator)
-    return el, d
-
-
-def _int_keyed(terms, scale: int, d: int) -> list[Term] | tuple[Term, ...]:
-    """``terms`` with each exponent ``e`` keyed as the int ``e * scale`` and each coefficient times ``d``.
-
-    ``scale`` is a multiple of each exponent's denominator and ``d`` of each
-    coefficient's, so every entry comes out an int, and products and sums
-    of them run on int arithmetic; ``_unkeyed`` divides ``d`` back out of a
-    result.  Unchanged when both are 1.
-    """
-    if scale == 1 and d == 1:
-        return terms
-    return [
-        (e * scale if type(e) is int else e.numerator * (scale // e.denominator),
+    if el == 1 and d == 1:
+        return 1, 1, terms
+    return el, d, tuple([
+        (e * el if type(e) is int else e.numerator * (el // e.denominator),
          c * d if type(c) is int else c.numerator * (d // c.denominator))
         for e, c in terms
-    ]
+    ])
+
+
+def _common_forms(x: GrossNumber, y: GrossNumber) -> tuple[Form, Form]:
+    """The forms of ``x`` and ``y`` at one scale, the lcm of theirs.
+
+    Each slot is read once.  A form not held is built by ``_form_of``, and
+    one at a smaller scale has its keys multiplied up; each form returned
+    is then held by its number, where that has two terms or more, so the
+    shared entries of ``_SMALL_INTS`` are never written.
+    """
+    fx, fy = getattr(x, "_form", None), getattr(y, "_form", None)
+    if fx is None:
+        fx = _form_of(x.terms)
+    if fy is None:
+        fy = _form_of(y.terms)
+    if fx[0] != fy[0]:
+        scale = _lcm(fx[0], fy[0])
+        fx, fy = _rekeyed(fx, scale), _rekeyed(fy, scale)
+    if len(x.terms) > 1:
+        _hold_form(x, fx)
+    if len(y.terms) > 1:
+        _hold_form(y, fy)
+    return fx, fy
+
+
+def _rekeyed(form: Form, scale: int) -> Form:
+    """``form`` at ``scale``, a multiple of its own: each key times their ratio."""
+    own, d, keyed = form
+    if own == scale:
+        return form
+    m = scale // own
+    return scale, d, tuple([(k * m, c) for k, c in keyed])
 
 
 def _ratio(n: int, d: int) -> Rational:
@@ -599,7 +647,7 @@ def _unkeyed(terms, scale: int, m: int, d: int) -> tuple[Term, ...]:
 _first = itemgetter(0)
 
 
-def _merged(pairs) -> list[Term]:
+def _merged(pairs) -> tuple[Term, ...]:
     """The canonical keyed terms of (key, coefficient) pairs: like keys summed, zeros dropped, descending."""
     merged: dict = {}
     for k, c in pairs:
@@ -616,7 +664,7 @@ def _merged(pairs) -> list[Term]:
         elif c:
             # A sum or product involving a Fraction is a Fraction, integral or not.
             out.append((k, c.numerator))
-    return out
+    return tuple(out)
 
 
 def _canonical_terms(pairs: list[Term]) -> tuple[Term, ...]:
@@ -628,7 +676,7 @@ def _canonical_terms(pairs: list[Term]) -> tuple[Term, ...]:
     """
     scale = _key_scale(pairs)
     if scale == 1:
-        return tuple(_merged(pairs))
+        return _merged(pairs)
     exponents = {}
     keyed = []
     for e, c in pairs:
@@ -771,11 +819,10 @@ def div_exact(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         raise DivideByZero("division by zero")
     if x.is_zero:
         return ZERO
-    # The division runs on int exponent keys (see _key_scale) and on the
-    # int coefficients of x * dx and y * dy; q is their quotient times dy / dx.
-    (lx, dx), (ly, dy) = _scales(x.terms), _scales(y.terms)
-    scale = _lcm(lx, ly)
-    dividend, divisor = _int_keyed(x.terms, scale, dx), _int_keyed(y.terms, scale, dy)
+    # The division runs on the forms of x and y at one scale: on int exponent
+    # keys and on the int coefficients of x * dx and y * dy, so q is their
+    # quotient times dy / dx.
+    (scale, dx, dividend), (_, dy, divisor) = _common_forms(x, y)
     lead_exp, lead_coeff = divisor[0]
     tail = divisor[1:]
     lowest = dividend[-1][0] - divisor[-1][0]

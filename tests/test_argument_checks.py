@@ -2,9 +2,10 @@
 
 A measurement maps gross-integer indices to gross-integer elements, so a
 point that is no gross-integer is neither an index nor a member.  Size
-parameters of systems, defined functions, sessions and the extraction
-bound of ``min_extraction_measurement`` are plain ints: a float or a bool
-is a TypeError, and a too small int keeps its InvalidArgument.  A set
+parameters of systems, defined functions, sessions, the extraction
+bound of ``min_extraction_measurement`` and the power of ``x ** n`` are
+plain ints: a float, a bool or a str is a TypeError, and a too small int
+keeps its InvalidArgument.  A set
 argument that is no IntervalSet is a TypeError before any other check.
 The text reader reports each field's error at its column of the line.
 A float that stands for an exact rational, a term's exponent or the sign
@@ -88,6 +89,11 @@ def test_gross_integer_points_still_map_both_ways(measured):
         lambda: min_extraction_measurement(THREE, True),
         lambda: min_extraction_measurement(THREE, 2.5),
         lambda: min_extraction_measurement(THREE, Fraction(5)),
+        lambda: GROSSONE**True,
+        lambda: (GROSSONE + 1) ** False,
+        lambda: GROSSONE**2.0,
+        lambda: GROSSONE ** "2",
+        lambda: GROSSONE ** Fraction(2),
     ],
 )
 def test_a_size_parameter_that_is_no_int_is_a_type_error(make):
@@ -114,6 +120,7 @@ def test_no_float_reaches_a_size_test():
         (lambda: ExpBase(-3), "base must be at least 2"),
         (lambda: DefinitionSession(0), "max_definitions must be at least 1"),
         (lambda: min_extraction_measurement(THREE, -1), "bound must be at least 0"),
+        (lambda: GROSSONE**-1, "only nonnegative integer powers are defined"),
     ],
 )
 def test_a_too_small_int_keeps_its_message(make, message):
